@@ -26,10 +26,12 @@
 //! (`0` = one per core, larger requests are clamped to the core count;
 //! results are bitwise identical for every value), and `--steady-tol`
 //! tunes steady-state detection inside transient grids (`0` disables it —
-//! see [`ctmc::TransientOptions`]). `--adaptive 0` switches the transient
-//! engine from the default adaptive windowed scheme (per-segment Λ over
-//! the distribution's ε-support) to the exact global-Λ full sweep, and
-//! `--support-tol` sets the adaptive engine's per-segment support
+//! see [`ctmc::TransientOptions`]). `--adaptive 1` (the default) lets a
+//! cost model pick the transient kernel per solve — dense scaling and
+//! squaring for small stiff chains, the adaptive windowed scheme
+//! (per-segment Λ over the distribution's ε-support) otherwise — and
+//! `--adaptive 0` forces the exact global-Λ full sweep;
+//! `--support-tol` sets the windowed engine's per-segment support
 //! truncation budget (`0` = lossless windowing). `analyze --json` also
 //! reports session counters (Poisson cache hits/misses, DTMC steps,
 //! sweeps) under `"stats"`.
@@ -426,7 +428,8 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, String> {
     if let Some(&x) = flag_values(args, "--adaptive")?.first() {
         if x != 0.0 && x != 1.0 {
             return Err(format!(
-                "--adaptive must be 0 (exact global-Λ engine) or 1 (adaptive windowed), got {x}"
+                "--adaptive must be 0 (exact global-Λ engine) or 1 (dense or windowed \
+                 by cost model), got {x}"
             ));
         }
         opts.solver.transient.adaptive = x != 0.0;

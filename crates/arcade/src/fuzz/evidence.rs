@@ -10,8 +10,10 @@
 use crate::fuzz::oracle::Disagreement;
 use crate::serve::Json;
 
-/// Version of the evidence JSON layout.
-pub const SCHEMA_VERSION: u32 = 1;
+/// Version of the evidence JSON layout. Version 2 added the transient
+/// `kernel` of each record and the per-kernel check counts of the
+/// `fuzz_diff` summary.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// One committed disagreement: everything needed to reproduce it.
 #[derive(Debug, Clone)]
@@ -45,6 +47,10 @@ impl Evidence {
             ("primary", Json::Num(d.primary)),
             ("oracle", Json::Num(d.oracle)),
             ("tolerance", Json::Num(d.tolerance)),
+            (
+                "kernel",
+                d.kernel.map_or(Json::Null, |k| Json::str(k.name())),
+            ),
             ("original_model", Json::str(self.original.clone())),
             ("minimal_model", Json::str(self.minimal.clone())),
             ("shrink_steps", Json::Num(self.shrink_steps as f64)),
@@ -78,6 +84,7 @@ mod tests {
                 primary: 0.25,
                 oracle: 0.5,
                 tolerance: 1e-7,
+                kernel: None,
             },
             original: "SYSTEM DOWN c0.down".to_owned(),
             minimal: "SYSTEM DOWN c0.down".to_owned(),
@@ -98,6 +105,11 @@ mod tests {
         assert_eq!(back.get("pair").and_then(Json::as_str), Some("modular"));
         assert_eq!(back.get("primary").and_then(Json::as_f64), Some(0.25));
         assert_eq!(back.get("shrink_steps").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(back.get("kernel"), Some(&Json::Null));
+        let mut dense = sample();
+        dense.disagreement.kernel = Some(ctmc::transient::TransientKernel::Dense);
+        let back = Json::parse(&dense.to_json().to_string()).expect("valid JSON");
+        assert_eq!(back.get("kernel").and_then(Json::as_str), Some("dense"));
     }
 
     #[test]

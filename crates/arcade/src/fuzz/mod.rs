@@ -20,5 +20,5 @@ pub mod shrink;
 
 pub use evidence::{Evidence, SCHEMA_VERSION};
 pub use gen::{gen_system, GenConfig};
-pub use oracle::{check_all, check_pair, Disagreement, OraclePair};
+pub use oracle::{check_all, check_pair, Disagreement, OraclePair, PairCheck};
 pub use shrink::{shrink_system, ShrinkOutcome};

@@ -9,8 +9,12 @@
 //!   the dependency-closure module decomposition of
 //!   [`crate::modular::modular_analysis`] (both exact; product
 //!   combination of per-module measures).
-//! * [`OraclePair::AdaptiveTransient`] — windowed steady-state-aware
-//!   uniformization vs the exact global-Λ scheme.
+//! * [`OraclePair::AdaptiveTransient`] — whichever kernel the cost model
+//!   of [`ctmc::transient::select_kernel`] picks (dense scaling and
+//!   squaring, or windowed steady-state-aware uniformization) vs the
+//!   exact global-Λ scheme. Each compared measure is labelled with the
+//!   kernel it ran on ([`PairCheck::kernels`]), and a solve labelled dense
+//!   that took DTMC steps is a disagreement too.
 //! * [`OraclePair::SteadySolver`] — dense elimination vs the iterative
 //!   (Gauss–Seidel/Krylov) steady-state and MTTF solvers.
 //! * [`OraclePair::MonteCarlo`] — the exact no-repair unreliability vs
@@ -22,7 +26,11 @@
 //! for Monte Carlo, where the tolerance is derived from the estimate's
 //! own standard error.
 
+use ctmc::transient::{select_kernel, TransientKernel};
+use ctmc::{Ctmc, TransientOptions};
+
 use crate::ast::SystemDef;
+use crate::build::observer::DOWN_BIT;
 use crate::engine::EngineOptions;
 use crate::error::ArcadeError;
 use crate::modular::modular_analysis;
@@ -34,7 +42,8 @@ use crate::sim;
 pub enum OraclePair {
     /// Monolithic session vs modular decomposition.
     Modular,
-    /// Adaptive (windowed) vs exact uniformization.
+    /// The cost model's kernel (dense or windowed) vs exact
+    /// uniformization.
     AdaptiveTransient,
     /// Dense vs iterative steady/MTTF solvers.
     SteadySolver,
@@ -75,6 +84,20 @@ pub struct Disagreement {
     pub oracle: f64,
     /// The absolute tolerance that was exceeded.
     pub tolerance: f64,
+    /// The transient kernel the primary path ran this measure on
+    /// ([`OraclePair::AdaptiveTransient`] only).
+    pub kernel: Option<TransientKernel>,
+}
+
+/// What one run of an oracle pair found.
+#[derive(Debug, Clone)]
+pub struct PairCheck {
+    /// Every measure on which the two paths disagreed beyond tolerance.
+    pub disagreements: Vec<Disagreement>,
+    /// The transient kernel of each compared measure that ran a
+    /// transient solve, in measure order ([`OraclePair::AdaptiveTransient`]
+    /// only; empty for the others).
+    pub kernels: Vec<TransientKernel>,
 }
 
 /// Engine options shared by every oracle run: a state budget keeps a
@@ -105,6 +128,7 @@ fn push_if_disagrees(
     primary: f64,
     oracle: f64,
     tol: f64,
+    kernel: Option<TransientKernel>,
 ) {
     if agree(primary, oracle, tol).is_none() {
         let abs_tol = tol * (1.0 + primary.abs().max(oracle.abs()));
@@ -114,8 +138,33 @@ fn push_if_disagrees(
             primary,
             oracle,
             tolerance: abs_tol,
+            kernel,
         });
     }
+}
+
+/// The kernels of a session's transient solves for point unavailability,
+/// unreliability and unreliability with repair at `t`, in that order:
+/// each measure is one single-point solve, on the availability chain or
+/// on the first-passage (down states absorbing) transform of the
+/// no-repair or the availability chain. A chain without down states
+/// answers its first-passage measure without a solve (`None`).
+fn transient_kernels(
+    session: &Session,
+    t: f64,
+    opts: &TransientOptions,
+) -> Result<[Option<TransientKernel>; 3], ArcadeError> {
+    let avail = session.availability_model()?;
+    let norepair = session.reliability_model()?;
+    let first_passage = |c: &Ctmc| {
+        let down: Vec<u32> = c.states_with_label(DOWN_BIT).collect();
+        (!down.is_empty()).then(|| select_kernel(&c.make_absorbing(down), &[t], opts))
+    };
+    Ok([
+        Some(select_kernel(&avail.ctmc, &[t], opts)),
+        first_passage(&norepair.ctmc),
+        first_passage(&avail.ctmc),
+    ])
 }
 
 /// Picks a time horizon at which the model's unreliability is
@@ -203,7 +252,9 @@ fn concretize(def: &SystemDef) -> SystemDef {
     }
 }
 
-/// Runs one oracle pair on `def` and returns every disagreement.
+/// Runs one oracle pair on `def` and returns every disagreement, plus
+/// the transient kernel of each measure the adaptive-transient pair
+/// compared.
 ///
 /// `seed` only affects [`OraclePair::MonteCarlo`] (the simulation
 /// stream); the exact pairs ignore it. Parametric definitions are
@@ -213,13 +264,10 @@ fn concretize(def: &SystemDef) -> SystemDef {
 ///
 /// Propagates validation/build errors (including state-budget refusals)
 /// — callers treat these as "model unsuitable", not as disagreements.
-pub fn check_pair(
-    def: &SystemDef,
-    pair: OraclePair,
-    seed: u64,
-) -> Result<Vec<Disagreement>, ArcadeError> {
+pub fn check_pair(def: &SystemDef, pair: OraclePair, seed: u64) -> Result<PairCheck, ArcadeError> {
     let def = concretize(def);
     let mut out = Vec::new();
+    let mut kernels = Vec::new();
     match pair {
         OraclePair::Modular => {
             let session = Session::new(&def)?.with_options(base_opts());
@@ -244,7 +292,7 @@ pub fn check_pair(
                 format!("unreliability_with_repair({t})"),
             ];
             for ((name, &a), b) in names.iter().zip(&values).zip(oracle) {
-                push_if_disagrees(&mut out, pair, name.clone(), a, b, 1e-7);
+                push_if_disagrees(&mut out, pair, name.clone(), a, b, 1e-7, None);
             }
         }
         OraclePair::AdaptiveTransient => {
@@ -252,24 +300,45 @@ pub fn check_pair(
             adaptive.solver.transient.adaptive = true;
             let mut exact = base_opts();
             exact.solver.transient.adaptive = false;
-            let s1 = Session::new(&def)?.with_options(adaptive);
+            let s1 = Session::new(&def)?.with_options(adaptive.clone());
             let t = pick_horizon(&def, &s1)?;
+            let labels = transient_kernels(&s1, t, &adaptive.solver.transient)?;
+            kernels = labels.iter().flatten().copied().collect();
             let measures = [
                 Measure::PointUnavailability(t),
                 Measure::Unreliability(t),
                 Measure::UnreliabilityWithRepair(t),
             ];
-            let a = s1.evaluate(&measures)?;
-            let b = Session::new(&def)?
-                .with_options(exact)
-                .evaluate(&measures)?;
             let names = [
                 format!("point_unavailability({t})"),
                 format!("unreliability({t})"),
                 format!("unreliability_with_repair({t})"),
             ];
-            for ((name, &x), &y) in names.iter().zip(&a).zip(&b) {
-                push_if_disagrees(&mut out, pair, name.clone(), x, y, 1e-7);
+            // One measure at a time, so the session's counters show the
+            // work of each solve: a solve labelled dense must take no
+            // DTMC steps (a memoized answer takes none either).
+            let mut a = Vec::with_capacity(measures.len());
+            for ((m, name), &kernel) in measures.iter().zip(&names).zip(&labels) {
+                let before = s1.stats().dtmc_steps;
+                a.push(s1.value(m)?);
+                if kernel == Some(TransientKernel::Dense) {
+                    let steps = (s1.stats().dtmc_steps - before) as f64;
+                    push_if_disagrees(
+                        &mut out,
+                        pair,
+                        format!("dtmc_steps of {name}"),
+                        steps,
+                        0.0,
+                        0.0,
+                        kernel,
+                    );
+                }
+            }
+            let b = Session::new(&def)?
+                .with_options(exact)
+                .evaluate(&measures)?;
+            for (((name, &x), &y), &kernel) in names.iter().zip(&a).zip(&b).zip(&labels) {
+                push_if_disagrees(&mut out, pair, name.clone(), x, y, 1e-7, kernel);
             }
         }
         OraclePair::SteadySolver => {
@@ -294,8 +363,9 @@ pub fn check_pair(
                 a[0],
                 b[0],
                 1e-6,
+                None,
             );
-            push_if_disagrees(&mut out, pair, "mttf".to_owned(), a[1], b[1], 1e-6);
+            push_if_disagrees(&mut out, pair, "mttf".to_owned(), a[1], b[1], 1e-6, None);
         }
         OraclePair::MonteCarlo => {
             let session = Session::new(&def)?.with_options(base_opts());
@@ -315,11 +385,15 @@ pub fn check_pair(
                     primary: exact,
                     oracle: est.mean,
                     tolerance: tol,
+                    kernel: None,
                 });
             }
         }
     }
-    Ok(out)
+    Ok(PairCheck {
+        disagreements: out,
+        kernels,
+    })
 }
 
 /// Runs all four oracle pairs and concatenates their disagreements.
@@ -330,7 +404,7 @@ pub fn check_pair(
 pub fn check_all(def: &SystemDef, seed: u64) -> Result<Vec<Disagreement>, ArcadeError> {
     let mut out = Vec::new();
     for pair in OraclePair::ALL {
-        out.extend(check_pair(def, pair, seed)?);
+        out.extend(check_pair(def, pair, seed)?.disagreements);
     }
     Ok(out)
 }
@@ -365,6 +439,26 @@ mod tests {
         def.add_param("lambda", 0.02);
         let ds = check_all(&def, 5).expect("oracles run");
         assert!(ds.is_empty(), "unexpected disagreements: {ds:?}");
+    }
+
+    /// The transient pair labels each compared measure with the kernel
+    /// it ran on: a fast repair next to slow failures sends this small
+    /// model's solves to the dense kernel, which must agree with the
+    /// exact engine.
+    #[test]
+    fn adaptive_transient_checks_carry_their_kernel() {
+        let mut def = SystemDef::new("stiff-fixture");
+        def.add_component(BcDef::new("a", Dist::exp(1e-3), Dist::exp(500.0)));
+        def.add_component(BcDef::new("b", Dist::exp(1e-2), Dist::exp(1.0)));
+        def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+        def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
+        def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
+        let checked = check_pair(&def, OraclePair::AdaptiveTransient, 0).expect("oracle runs");
+        assert!(checked.disagreements.is_empty(), "{checked:?}");
+        assert_eq!(checked.kernels.len(), 3, "every measure ran a solve");
+        assert!(checked.kernels.contains(&TransientKernel::Dense));
+        let steady = check_pair(&def, OraclePair::SteadySolver, 0).expect("oracle runs");
+        assert!(steady.kernels.is_empty());
     }
 
     #[test]

@@ -1094,12 +1094,16 @@ impl Session {
         // thread-local is re-installed inside each worker.
         let budget = budget::current();
         let results = ioimc::par::par_map(threads, &fulls, |_, full| {
-            // The sweep fan-out boundary: one hit per grid point, on the
-            // worker about to solve it. An injected panic propagates
-            // through the scoped join and is classified by
-            // `sweep_bounded` / the server's per-request ring.
-            chaos::failpoint("session.sweep_point");
-            budget::scope(budget.clone(), || self.evaluate_at_full(measures, full))
+            budget::scope(budget.clone(), || {
+                // The sweep fan-out boundary: one hit per grid point, on
+                // the worker about to solve it, inside the re-installed
+                // budget so an injected delay observes the request
+                // deadline on worker threads too. An injected panic
+                // propagates through the scoped join and is classified by
+                // `sweep_bounded` / the server's per-request ring.
+                chaos::failpoint("session.sweep_point");
+                self.evaluate_at_full(measures, full)
+            })
         });
         let mut values = Vec::with_capacity(results.len());
         for r in results {

@@ -324,6 +324,9 @@ mod tests {
 
     #[test]
     fn builtin_names_resolve() {
+        // Cold builds pass the `serve.build` failpoint, which the
+        // panicking-build tests arm process-wide.
+        let _g = chaos::test_lock();
         let r = registry();
         for name in [
             "dds",
@@ -338,6 +341,7 @@ mod tests {
 
     #[test]
     fn sessions_are_cached_per_name() {
+        let _g = chaos::test_lock();
         let r = registry();
         let a = r.session("dds_scaled(2)").unwrap();
         let b = r.session("dds_scaled(2)").unwrap();
@@ -367,6 +371,7 @@ mod tests {
 
     #[test]
     fn load_registers_and_shadows() {
+        let _g = chaos::test_lock();
         let r = registry();
         let source = crate::printer::to_arcade_text(&cases::dds());
         r.load("mine", &source).unwrap();
@@ -439,6 +444,7 @@ mod tests {
 
     #[test]
     fn concurrent_cold_lookups_share_one_session() {
+        let _g = chaos::test_lock();
         let r = Arc::new(registry());
         let sessions: Vec<Arc<Session>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)

@@ -7,10 +7,13 @@
 //! own integration-test binary (a separate process from the chaos-free
 //! `serve_protocol` tests) and serialize on [`chaos::test_lock`].
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use arcade::chaos::{self, Action};
+use arcade::engine::EngineOptions;
+use arcade::query::{Measure, ParamGrid, Session};
 use arcade::serve::{serve, Client, Json, ServerConfig};
+use arcade::ArcadeError;
 
 fn test_server(workers: usize) -> (arcade::serve::ServerHandle, String) {
     let config = ServerConfig {
@@ -114,4 +117,36 @@ fn worker_pool_survives_injected_panics_at_full_strength() {
 
     handle.shutdown();
     handle.join();
+}
+
+/// A delay injected at the sweep fan-out observes the caller's deadline
+/// on worker threads too: with two sweep workers the points run off the
+/// calling thread, where the failpoint must still see the request budget.
+#[test]
+fn sweep_point_delay_observes_the_deadline_on_worker_threads() {
+    let _guard = chaos::test_lock();
+    chaos::disarm_all();
+    let def = arcade::cases::dds_scaled_parametric(2);
+    let session = Session::new(&def)
+        .expect("parametric family elaborates")
+        .with_options(EngineOptions::new().with_threads(2));
+    let measures = [Measure::SteadyStateUnavailability];
+    let param = &def.params[0];
+    let grid =
+        |f: f64| ParamGrid::cartesian([(param.name.clone(), vec![param.base * f, param.base])]);
+    session.sweep(&measures, &grid(1.1)).expect("warm sweep");
+
+    chaos::arm("session.sweep_point", Action::Delay(10_000), None);
+    let t0 = Instant::now();
+    let result = session.sweep_deadline(&measures, &grid(1.2), Duration::from_millis(100));
+    let elapsed = t0.elapsed();
+    chaos::disarm_all();
+    assert!(
+        matches!(result, Err(ArcadeError::Budget(_))),
+        "the injected delay must trip the deadline: {result:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "deadline answered only after {elapsed:?}"
+    );
 }

@@ -39,12 +39,25 @@
 //! bitwise identical between the two paths, and in `--smoke` mode the
 //! re-rate path is **gated ≥ 10× faster** (points/sec) than rebuilding.
 //!
+//! A **stiff family** follows: the transient solves of the fuzzer draw
+//! that used to dominate the test suite (seed 6000 of
+//! `tests/proptest_laws.rs::measures_are_probabilities`, a 16-state chain
+//! whose reliabilities took millions of DTMC steps) and of `rcs_stiff(3)`.
+//! Each solve records the kernel [`select_kernel`] picks, its wall time,
+//! DTMC steps and dense matrix products, and its distance to the exact
+//! global-Λ engine. `--smoke` gates on counts, not time: the seed-6000
+//! draw's first-passage solves are selected for the dense kernel and do
+//! its work (matrix products, no DTMC steps), and `rcs_stiff(3)`'s grid
+//! stays on the windowed engine at exactly [`RCS_STIFF_WINDOWED_STEPS`]
+//! DTMC steps and no dense products, within 1e-10 of the exact engine.
+//!
 //! `--json` additionally writes every transient measurement to
-//! `BENCH_transient.json` (family, states, transitions, engine,
-//! requested/effective threads, aggregation/steady/grid wall times, DTMC
-//! step counts) plus a `sweep` object (`sweep_points_per_sec`, the
-//! rebuild baseline and the speedup) for the bench trajectory; CI
-//! uploads it as an artifact.
+//! `BENCH_transient.json` (schema v4: family, states, transitions, the
+//! kernel as `engine`, requested/effective threads,
+//! aggregation/steady/grid wall times, DTMC step counts), a `sweep`
+//! object (`sweep_points_per_sec`, the rebuild baseline and the speedup)
+//! and the `stiff` records for the bench trajectory; CI uploads it as an
+//! artifact.
 //!
 //! Run: `cargo run --release -p arcade-bench --bin exp_scaling`
 //! (`-- --smoke` runs a minutes-sized subset for CI; `--smoke --threads 2
@@ -52,26 +65,33 @@
 
 use std::time::Instant;
 
+use arcade::build::observer::DOWN_BIT;
 use arcade::cases::{
     dds_scaled, dds_scaled_parametric, rcs_scaled, rcs_scaled_kofn, rcs_scaled_parametric,
     rcs_stiff,
 };
 use arcade::engine::{aggregate, Aggregation, EngineOptions, RefineMode};
+use arcade::fuzz::{gen_system, GenConfig};
 use arcade::model::SystemModel;
 use arcade::modular::modular_analysis;
 use arcade::query::{Measure, ParamGrid, Session};
 use arcade_bench::Table;
 use ctmc::measures::state_mass;
-use ctmc::transient::{dtmc_steps_performed, reset_solver_counters, transient_many_with};
-use ctmc::{steady, SolverOptions, TransientOptions};
+use ctmc::transient::{
+    dtmc_steps_performed, reset_solver_counters, select_kernel, transient_many_from_ctx,
+    transient_many_with, TransientKernel,
+};
+use ctmc::{steady, Ctmc, MeasureContext, SolverOptions, TransientOptions};
+use smallrand::SmallRng;
 
 /// One transient-grid measurement for the machine-readable output.
 struct TransientRecord {
     family: String,
     states: usize,
     transitions: usize,
-    /// `"adaptive"` (windowed, per-segment Λ) or `"exact"` (global-Λ
-    /// full-sweep).
+    /// The transient kernel that ran: `"windowed"` or `"dense"` (the
+    /// default options' cost-model choice) or `"exact"` (the global-Λ
+    /// full-sweep ablation).
     engine: &'static str,
     threads_requested: usize,
     threads_effective: usize,
@@ -189,7 +209,7 @@ fn main() {
     // failure rates, so the adaptive per-segment Λ (chosen from the
     // ε-support's exit rates) runs far below the global uniformization
     // rate — the lever the exact-engine ablation quantifies.
-    sweep(
+    let (stiff_agg, _) = sweep(
         &mut table,
         "rcs_stiff(3)",
         &rcs_stiff(3),
@@ -239,14 +259,152 @@ fn main() {
          path."
     );
     println!();
+    let stiff_records = stiff_family(smoke, &stiff_agg.ctmc);
     let sweep_rec = param_sweep_bench(smoke, *threads.last().expect("non-empty thread list"));
     rcs_sweep_gate(*threads.last().expect("non-empty thread list"));
     if json {
         let path = "BENCH_transient.json";
-        arcade_bench::write_atomic(path, &render_json(hw, smoke, &records, &sweep_rec))
-            .expect("write BENCH_transient.json");
+        arcade_bench::write_atomic(
+            path,
+            &render_json(hw, smoke, &records, &sweep_rec, &stiff_records),
+        )
+        .expect("write BENCH_transient.json");
         println!("wrote {} transient records to {path}", records.len());
     }
+}
+
+/// The DTMC steps of `rcs_stiff(3)`'s 50-point unavailability grid on the
+/// windowed engine. The smoke gate holds the count exactly: the kernel
+/// selection must leave this 432-state stiff chain to the windowed
+/// engine, and that engine must do the same work it did before the dense
+/// kernel existed.
+const RCS_STIFF_WINDOWED_STEPS: u64 = 234_159;
+
+/// One stiff transient solve for the machine-readable output.
+struct StiffRecord {
+    family: String,
+    /// The measure solved: `"unavailability"` on the availability chain,
+    /// or `"reliability"`/`"unreliability_with_repair"` on a first-passage
+    /// (down states absorbing) transform.
+    solve: &'static str,
+    states: usize,
+    transitions: usize,
+    kernel: &'static str,
+    grid_points: usize,
+    /// Global uniformization rate times the horizon: uniformization's
+    /// cost factor.
+    lambda_t: f64,
+    wall_secs: f64,
+    dtmc_steps: u64,
+    dense_products: u64,
+    /// Sup-norm distance to the exact global-Λ engine.
+    exact_diff: f64,
+}
+
+/// Times one solve of `chain` over `grid` on the default options' kernel
+/// and checks it against the exact engine.
+fn stiff_solve(family: &str, solve: &'static str, chain: &Ctmc, grid: &[f64]) -> StiffRecord {
+    let opts = TransientOptions::default();
+    let kernel = select_kernel(chain, grid, &opts);
+    let ctx = MeasureContext::new();
+    let pi0 = chain.initial_distribution();
+    let start = Instant::now();
+    let got = transient_many_from_ctx(chain, &pi0, grid, &opts, &ctx);
+    let wall_secs = start.elapsed().as_secs_f64();
+    let exact = transient_many_with(chain, grid, &opts.clone().with_adaptive(false));
+    let exact_diff = grid_sup_diff(&got, &exact);
+    let horizon = grid.iter().copied().fold(0.0, f64::max);
+    let rec = StiffRecord {
+        family: family.to_owned(),
+        solve,
+        states: chain.num_states(),
+        transitions: chain.num_transitions(),
+        kernel: kernel.name(),
+        grid_points: grid.len(),
+        lambda_t: chain.max_exit_rate() * horizon,
+        wall_secs,
+        dtmc_steps: ctx.counters.dtmc_steps(),
+        dense_products: ctx.counters.dense_products(),
+        exact_diff,
+    };
+    println!(
+        "{family} {solve}: {} states, Λt {:.3e}, {} kernel, {wall_secs:.4} s, {} DTMC steps, \
+         {} dense products, {exact_diff:.1e} from the exact engine",
+        rec.states, rec.lambda_t, rec.kernel, rec.dtmc_steps, rec.dense_products
+    );
+    assert!(
+        exact_diff < 1e-10,
+        "{family} {solve}: the {} kernel deviates from the exact engine by {exact_diff:e}",
+        rec.kernel
+    );
+    rec
+}
+
+/// The stiff family (see the module docs): the seed-6000 fuzzer draw's
+/// solves and `rcs_stiff(3)`'s 50-point grid, each on the kernel the cost
+/// model picks, gated on counts in smoke mode.
+fn stiff_family(smoke: bool, rcs_stiff_chain: &Ctmc) -> Vec<StiffRecord> {
+    let mut rng = SmallRng::seed_from_u64(6000);
+    let def = gen_system(&mut rng, &GenConfig::independent());
+    let t = f64::from(rng.range_u32(1, 100));
+    let session = Session::new(&def).expect("the seed-6000 draw elaborates");
+    let first_passage = |c: &Ctmc| c.make_absorbing(c.states_with_label(DOWN_BIT));
+    let avail = session
+        .availability_model()
+        .expect("the seed-6000 draw aggregates");
+    let norepair = session
+        .reliability_model()
+        .expect("the seed-6000 draw aggregates");
+    let family = "seed6000";
+    let records = vec![
+        stiff_solve(
+            family,
+            "reliability",
+            &first_passage(&norepair.ctmc),
+            &[t, 2.0 * t],
+        ),
+        stiff_solve(
+            family,
+            "unreliability_with_repair",
+            &first_passage(&avail.ctmc),
+            &[t],
+        ),
+        stiff_solve(family, "unavailability", &avail.ctmc, &[t]),
+        stiff_solve(
+            "rcs_stiff(3)",
+            "unavailability",
+            rcs_stiff_chain,
+            &(1..=50).map(|k| k as f64 * 20.0).collect::<Vec<_>>(),
+        ),
+    ];
+    if smoke {
+        // Both the selection and the work the solve did: a dense solve
+        // takes matrix products and no DTMC steps, a windowed one the
+        // reverse.
+        for r in records.iter().filter(|r| r.solve != "unavailability") {
+            assert_eq!(
+                (r.kernel, r.dtmc_steps == 0, r.dense_products > 0),
+                (TransientKernel::Dense.name(), true, true),
+                "{} {}: the stiff first-passage solve left the dense kernel \
+                 ({} DTMC steps, {} dense products)",
+                r.family,
+                r.solve,
+                r.dtmc_steps,
+                r.dense_products
+            );
+        }
+        let rcs = records.last().expect("rcs_stiff(3) record");
+        assert_eq!(
+            (rcs.kernel, rcs.dtmc_steps, rcs.dense_products),
+            (
+                TransientKernel::Windowed.name(),
+                RCS_STIFF_WINDOWED_STEPS,
+                0
+            ),
+            "rcs_stiff(3) must stay on the windowed engine at its step count"
+        );
+    }
+    records
 }
 
 /// The acceptance check on the big sparse family: a ≥200-point sweep on
@@ -652,6 +810,7 @@ fn solve(
     };
     let mut reference: Option<(f64, Vec<Vec<f64>>)> = None;
     let mut adaptive_steps = 0u64;
+    let kernel = select_kernel(ctmc, &grid, &TransientOptions::default()).name();
     for &th in transient_threads {
         let topts = TransientOptions::default().with_threads(th);
         reset_solver_counters();
@@ -659,7 +818,7 @@ fn solve(
         let curve = transient_many_with(ctmc, &grid, &topts);
         let grid_secs = start.elapsed().as_secs_f64();
         let steps = dtmc_steps_performed();
-        push_record(&topts, "adaptive", grid_secs, steps);
+        push_record(&topts, kernel, grid_secs, steps);
         if reference.is_none() {
             adaptive_steps = steps;
         }
@@ -675,7 +834,7 @@ fn solve(
                 }
                 println!(
                     "{family}: steady unavailability {unavail:.3e}, U({:.0}) = {:.3e}, \
-                     grid {grid_secs:.3} s at {th} thread(s) ({steps} DTMC steps, adaptive)",
+                     grid {grid_secs:.3} s at {th} thread(s) ({steps} DTMC steps, {kernel})",
                     grid[grid.len() - 1],
                     state_mass(&down, &curve[curve.len() - 1])
                 );
@@ -727,7 +886,7 @@ fn solve(
     let undetected = transient_many_with(ctmc, &grid, &no_detect);
     let ablation_secs = start.elapsed().as_secs_f64();
     let ablation_steps = dtmc_steps_performed();
-    push_record(&no_detect, "adaptive", ablation_secs, ablation_steps);
+    push_record(&no_detect, kernel, ablation_secs, ablation_steps);
     let max_diff = grid_sup_diff(base_curve, &undetected);
     assert!(
         max_diff < 1e-10,
@@ -747,6 +906,7 @@ fn render_json(
     smoke: bool,
     records: &[TransientRecord],
     sweep: &SweepBenchRecord,
+    stiff: &[StiffRecord],
 ) -> String {
     let mut rows = String::new();
     for (i, r) in records.iter().enumerate() {
@@ -799,10 +959,34 @@ fn render_json(
         sweep.rerate_speedup,
         sweep.aggregations_built,
     );
+    let stiff_rows: Vec<String> = stiff
+        .iter()
+        .map(|r| {
+            format!(
+                "\n  {{\"family\":\"{}\",\"solve\":\"{}\",\"states\":{},\"transitions\":{},\
+                 \"kernel\":\"{}\",\"grid_points\":{},\"lambda_t\":{:e},\
+                 \"wall_secs\":{:.6},\"dtmc_steps\":{},\"dense_products\":{},\
+                 \"exact_diff\":{:e}}}",
+                r.family,
+                r.solve,
+                r.states,
+                r.transitions,
+                r.kernel,
+                r.grid_points,
+                r.lambda_t,
+                r.wall_secs,
+                r.dtmc_steps,
+                r.dense_products,
+                r.exact_diff,
+            )
+        })
+        .collect();
     format!(
-        "{{\"bench\":\"exp_scaling_transient\",\"schema_version\":3,\
+        "{{\"bench\":\"exp_scaling_transient\",\"schema_version\":4,\
          \"hw_threads\":{hw},\"smoke\":{smoke},\
          \"sweep\":{sweep_obj},\
-         \"records\":[{rows}\n]}}\n"
+         \"stiff\":[{}\n],\
+         \"records\":[{rows}\n]}}\n",
+        stiff_rows.join(",")
     )
 }

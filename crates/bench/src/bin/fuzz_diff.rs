@@ -7,19 +7,23 @@
 //! Each iteration draws a random model from the engine profile of
 //! [`arcade::fuzz::gen_system`] and runs all four differential oracle
 //! pairs on it ([`arcade::fuzz::OraclePair`]): monolithic session vs
-//! modular decomposition, adaptive vs exact transient, dense vs
-//! iterative steady solvers, and exact vs Monte-Carlo. A disagreement
+//! modular decomposition, the cost model's transient kernel (dense or
+//! windowed) vs the exact engine, dense vs iterative steady solvers, and
+//! exact vs Monte-Carlo. A disagreement
 //! beyond tolerance is delta-debugged down to a minimal model
 //! ([`arcade::fuzz::shrink_system`]) and committed as a
 //! schema-versioned evidence artifact under `--out` (atomic
 //! temp-and-rename writes, so an interrupted run never leaves a
 //! half-written record). The run summary always lands in
-//! `DIR/summary.json`.
+//! `DIR/summary.json`, with the number of adaptive-transient checks that
+//! ran on each transient kernel.
 //!
 //! Fully deterministic for a fixed `--seed`: the generator, the oracle
 //! horizons, and the Monte-Carlo simulation stream all derive from it,
 //! so `--smoke` in CI can never flake. Exits non-zero iff at least one
-//! disagreement survived.
+//! disagreement survived, or, under `--smoke`, if the adaptive-transient
+//! pair did not check at least one measure on each of the dense and the
+//! windowed kernels.
 
 use std::process::ExitCode;
 
@@ -29,6 +33,7 @@ use arcade::fuzz::{check_pair, gen_system, Evidence, GenConfig, OraclePair};
 use arcade::printer::to_arcade_text;
 use arcade::serve::Json;
 use arcade_bench::write_atomic;
+use ctmc::transient::TransientKernel;
 
 const SMOKE_SEED: u64 = 0xF0DD;
 const SMOKE_ITERS: u64 = 64;
@@ -45,11 +50,13 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed: u64 = 1;
     let mut iters: u64 = 256;
+    let mut smoke = false;
     let mut out_dir = "artifacts/fuzz".to_owned();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--smoke" => {
+                smoke = true;
                 seed = SMOKE_SEED;
                 iters = SMOKE_ITERS;
             }
@@ -68,6 +75,8 @@ fn main() -> ExitCode {
     println!("fuzz_diff: seed {seed}, {iters} iterations, artifacts in {out_dir}/");
     let cfg = GenConfig::engine();
     let mut checked_per_pair = [0u64; 4];
+    // Adaptive-transient measure checks per kernel: [dense, windowed].
+    let mut kernel_checks = [0u64; 2];
     let mut skipped: u64 = 0;
     let mut artifacts: Vec<String> = Vec::new();
     let mut survivors: u64 = 0;
@@ -96,8 +105,8 @@ fn main() -> ExitCode {
         }
 
         for (pi, pair) in OraclePair::ALL.into_iter().enumerate() {
-            let disagreements = match check_pair(&def, pair, iter_seed) {
-                Ok(ds) => ds,
+            let checked = match check_pair(&def, pair, iter_seed) {
+                Ok(checked) => checked,
                 Err(e) => {
                     // The probe above ran the full pipeline once, so a
                     // pair-specific failure here is a real bug surface.
@@ -105,21 +114,29 @@ fn main() -> ExitCode {
                 }
             };
             checked_per_pair[pi] += 1;
-            for d in disagreements {
+            for kernel in &checked.kernels {
+                match kernel {
+                    TransientKernel::Dense => kernel_checks[0] += 1,
+                    TransientKernel::Windowed => kernel_checks[1] += 1,
+                    TransientKernel::Exact => {}
+                }
+            }
+            for d in checked.disagreements {
                 survivors += 1;
                 println!(
-                    "iteration {iteration}: DISAGREEMENT [{}] {}: {} vs {} (tol {})",
+                    "iteration {iteration}: DISAGREEMENT [{}] {}: {} vs {} (tol {}, kernel {})",
                     d.pair.name(),
                     d.measure,
                     d.primary,
                     d.oracle,
-                    d.tolerance
+                    d.tolerance,
+                    d.kernel.map_or("-", TransientKernel::name)
                 );
                 // Reduce while *this pair* still disagrees on *some*
                 // measure; oracle errors reject the candidate.
                 let outcome = arcade::fuzz::shrink_system(&def, |cand| {
                     check_pair(cand, pair, iter_seed)
-                        .map(|ds| !ds.is_empty())
+                        .map(|c| !c.disagreements.is_empty())
                         .unwrap_or(false)
                 });
                 let evidence = Evidence {
@@ -159,6 +176,13 @@ fn main() -> ExitCode {
                 ("monte_carlo", Json::Num(checked_per_pair[3] as f64)),
             ]),
         ),
+        (
+            "adaptive_transient_kernels",
+            Json::obj([
+                ("dense", Json::Num(kernel_checks[0] as f64)),
+                ("windowed", Json::Num(kernel_checks[1] as f64)),
+            ]),
+        ),
         ("skipped_draws", Json::Num(skipped as f64)),
         ("disagreements", Json::Num(survivors as f64)),
         (
@@ -174,7 +198,17 @@ fn main() -> ExitCode {
          {survivors} disagreements -> {summary_path}",
         checked_per_pair.iter().sum::<u64>()
     );
-    if survivors > 0 {
+    println!(
+        "adaptive-transient measure checks by kernel: {} dense, {} windowed",
+        kernel_checks[0], kernel_checks[1]
+    );
+    // Every transient kernel the cost model can pick must meet its
+    // oracle in the smoke run, or a kernel could regress unobserved.
+    let uncovered = smoke && kernel_checks.contains(&0);
+    if uncovered {
+        println!("fuzz_diff: the smoke run did not check both the dense and the windowed kernel");
+    }
+    if survivors > 0 || uncovered {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

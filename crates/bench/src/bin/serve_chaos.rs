@@ -28,6 +28,13 @@
 //!   aggregation trips the state ceiling, answers a structured `budget`
 //!   error, does *not* cache the half-built artifact, and an
 //!   unrestricted retry builds the model fully.
+//! * **F — stiff load** (no fault): the first model drawn by
+//!   `tests/proptest_laws.rs::measures_are_probabilities` (seed 6000), a
+//!   16-state chain whose no-repair reliability took millions of DTMC
+//!   steps under uniformization, is `load`-ed over the wire and its two
+//!   reliabilities must answer inside `timeout_ms: 250`; then
+//!   `session.shard=panic` must still fire on a solve the cost model
+//!   sends to the dense transient kernel, and heal.
 //!
 //! Afterwards: the `stats` containment counters (`panics_caught`,
 //! `deadline_aborts`, `budget_aborts`, `retries`) must all have moved,
@@ -58,11 +65,13 @@ use std::time::{Duration, Instant};
 
 use smallrand::SmallRng;
 
+use arcade::build::observer::DOWN_BIT;
 use arcade::chaos::{self, Action};
 use arcade::fuzz::{gen_system, GenConfig};
 use arcade::printer::to_arcade_text;
 use arcade::query::Session;
 use arcade::serve::{expand_measures, serve, Client, Json, ServerConfig};
+use ctmc::transient::{select_kernel, TransientKernel};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -289,6 +298,8 @@ fn main() {
     println!("phase E (max_states 4 on {budget_model}): budget error, then full build ok");
     probe.ping().expect("daemon alive after phase E");
 
+    stiff_load(&mut probe);
+
     // ---- Containment counters must all have moved -----------------------
     let stats = probe.stats().expect("stats");
     let server = stats.get("server").expect("server section");
@@ -352,6 +363,114 @@ fn main() {
     handle.shutdown();
     handle.join();
     println!("serve_chaos: OK");
+}
+
+/// Phase F: the seed-6000 draw of `measures_are_probabilities` — the
+/// first model that test generates, with its horizon `t` — answers
+/// `Reliability(t)` and `Reliability(2t)` over the wire inside a 250 ms
+/// deadline, and the `session.shard` failpoint still fires on a solve
+/// of that model the cost model sends to the dense kernel. Both solves
+/// must show dense work in the session counters of their responses:
+/// sweeps, and no DTMC steps.
+fn stiff_load(probe: &mut Client) {
+    let mut rng = SmallRng::seed_from_u64(6000);
+    let def = gen_system(&mut rng, &GenConfig::independent());
+    let t = f64::from(rng.range_u32(1, 100));
+    probe
+        .expect_ok(&Json::obj([
+            ("cmd", Json::str("load")),
+            ("name", Json::str("stiff6000")),
+            ("source", Json::str(to_arcade_text(&def))),
+        ]))
+        .expect("load the stiff draw");
+    let reliability = |times: &[f64], timeout_ms: Option<u64>| {
+        let measures = times
+            .iter()
+            .map(|&t| Json::obj([("kind", Json::str("reliability")), ("t", Json::Num(t))]))
+            .collect();
+        let mut fields = vec![
+            ("model", Json::str("stiff6000")),
+            ("measures", Json::Arr(measures)),
+        ];
+        if let Some(ms) = timeout_ms {
+            fields.push(("timeout_ms", Json::Num(ms as f64)));
+        }
+        Json::obj(fields)
+    };
+    // The kernel each solve should run on, from the same pure selection
+    // the grid solver uses, and the work it did, from the session
+    // counters every query response carries: a dense segment is one
+    // sweep with no DTMC steps.
+    let work = |response: &Json| {
+        let counter = |name: &str| {
+            response
+                .get("session")
+                .and_then(|s| s.get(name))
+                .and_then(Json::as_f64)
+                .unwrap_or_else(|| panic!("query response missing session.{name}"))
+        };
+        (counter("sweeps"), counter("dtmc_steps"))
+    };
+    let session = Session::new(&def).expect("the stiff draw elaborates");
+    let chain = &session
+        .reliability_model()
+        .expect("the stiff draw aggregates")
+        .ctmc;
+    let first_passage = chain.make_absorbing(chain.states_with_label(DOWN_BIT));
+    let kernel = |times: &[f64]| select_kernel(&first_passage, times, &Default::default());
+
+    let timeout_ms: u64 = 250;
+    let t0 = Instant::now();
+    let answered = probe
+        .expect_ok(&reliability(&[t, 2.0 * t], Some(timeout_ms)))
+        .unwrap_or_else(|e| {
+            panic!("stiff reliabilities missed their {timeout_ms} ms deadline: {e}")
+        });
+    let elapsed = t0.elapsed();
+    let (sweeps, steps) = work(&answered);
+    assert!(
+        sweeps > 0.0 && steps == 0.0,
+        "the stiff reliabilities did not run on the dense kernel \
+         ({sweeps} sweeps, {steps} DTMC steps)"
+    );
+    let values = Client::values(&answered).expect("values");
+    assert_eq!(values.len(), 2);
+    assert!(
+        values.iter().all(|r| (0.0..=1.0).contains(r)) && values[1] <= values[0] + 1e-12,
+        "stiff reliabilities are not a non-increasing pair of probabilities: {values:?}"
+    );
+    println!(
+        "phase F (stiff load, {} states): Reliability({t}) and Reliability({}) answered in \
+         {elapsed:?} under timeout_ms {timeout_ms} on the {} kernel",
+        first_passage.num_states(),
+        2.0 * t,
+        kernel(&[t, 2.0 * t]).name()
+    );
+
+    // A fresh time point, so the armed solve cannot come from a memo.
+    let shard_query = reliability(&[3.0 * t], None);
+    assert_eq!(
+        kernel(&[3.0 * t]),
+        TransientKernel::Dense,
+        "the session.shard check needs a dense-kernel solve"
+    );
+    chaos::arm("session.shard", Action::Panic, Some(1));
+    let e = probe
+        .expect_ok(&shard_query)
+        .expect_err("session.shard must fire on the dense kernel");
+    assert_eq!(e.code, "internal_panic", "{e}");
+    chaos::disarm_all();
+    let healed = probe
+        .expect_ok_retry(&shard_query, 5)
+        .expect("the dense solve heals once disarmed");
+    let (healed_sweeps, healed_steps) = work(&healed);
+    assert!(
+        healed_sweeps > sweeps && healed_steps == 0.0,
+        "the healed session.shard solve did not run on the dense kernel \
+         ({healed_sweeps} sweeps after {sweeps}, {healed_steps} DTMC steps)"
+    );
+    println!("phase F: session.shard panic fired on a dense-kernel solve, then healed");
+    probe.ping().expect("daemon alive after phase F");
 }
 
 /// Which fault class an iteration injects at its chosen failpoint.

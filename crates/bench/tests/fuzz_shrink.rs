@@ -93,6 +93,7 @@ fn evidence_artifact_writes_atomically_and_reparses() {
             primary: 0.25,
             oracle: 0.5,
             tolerance: 1e-7,
+            kernel: None,
         },
         original: to_arcade_text(&def),
         minimal: to_arcade_text(&outcome.def),

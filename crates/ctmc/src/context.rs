@@ -24,6 +24,7 @@ use crate::poisson::PoissonCache;
 pub struct SolveCounters {
     dtmc_steps: AtomicU64,
     sweeps: AtomicU64,
+    dense_products: AtomicU64,
 }
 
 impl Clone for SolveCounters {
@@ -32,6 +33,7 @@ impl Clone for SolveCounters {
         Self {
             dtmc_steps: AtomicU64::new(self.dtmc_steps()),
             sweeps: AtomicU64::new(self.sweeps()),
+            dense_products: AtomicU64::new(self.dense_products()),
         }
     }
 }
@@ -49,10 +51,18 @@ impl SolveCounters {
         self.dtmc_steps.load(Ordering::Relaxed)
     }
 
-    /// Uniformization sweeps (scalar solves or batched grid segments)
-    /// started through this context.
+    /// Transient sweeps (scalar solves or batched grid segments) started
+    /// through this context, on any kernel: a segment the dense kernel
+    /// answers counts as one sweep with no DTMC steps.
     pub fn sweeps(&self) -> u64 {
         self.sweeps.load(Ordering::Relaxed)
+    }
+
+    /// Dense `n × n` matrix products performed by the dense transient
+    /// kernel through this context (the series and squaring steps of each
+    /// exponential; see [`crate::transient`]).
+    pub fn dense_products(&self) -> u64 {
+        self.dense_products.load(Ordering::Relaxed)
     }
 
     /// Records one DTMC matrix-vector product.
@@ -63,6 +73,11 @@ impl SolveCounters {
     /// Records one uniformization sweep.
     pub fn count_sweep(&self) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one dense matrix product.
+    pub fn count_dense_product(&self) {
+        self.dense_products.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -105,7 +120,8 @@ mod tests {
         c.count_step();
         c.count_step();
         c.count_sweep();
-        assert_eq!((c.dtmc_steps(), c.sweeps()), (2, 1));
+        c.count_dense_product();
+        assert_eq!((c.dtmc_steps(), c.sweeps(), c.dense_products()), (2, 1, 1));
         let cloned = c.clone();
         c.count_step();
         assert_eq!(cloned.dtmc_steps(), 2, "clone restarts at the snapshot");

@@ -109,10 +109,11 @@ pub fn until_bounded(ctmc: &Ctmc, phi: &StateFormula, psi: &StateFormula, t: f64
 /// [`until_bounded`] with explicit uniformization engine configuration
 /// and a shared Poisson weight memo (the transient solve dominates this
 /// query on large chains; batches of until queries over one grid reuse
-/// each `Λ·Δt` expansion through the cache). With the default adaptive
-/// windowed engine the answer deviates from the exact expansion by at
-/// most [`TransientOptions::support_tol`] (one segment is stepped), on
-/// top of the shared `~1e-15` Poisson truncation.
+/// each `Λ·Δt` expansion through the cache). When the default options
+/// pick the adaptive windowed engine, the answer deviates from the exact
+/// expansion by at most [`TransientOptions::support_tol`] (one segment is
+/// stepped), on top of the shared `~1e-15` Poisson truncation; the dense
+/// kernel truncates no support.
 ///
 /// # Panics
 ///

@@ -6,8 +6,10 @@
 //!
 //! * [`steady::steady_state`] — long-run distribution, giving the
 //!   steady-state availability of Table 1,
-//! * [`transient::transient`] — uniformization with Fox–Glynn-style Poisson
-//!   truncation, giving point availability,
+//! * [`transient::transient`] — point availability from one grid solver
+//!   that picks, per solve, between adaptive uniformization with
+//!   Fox–Glynn-style Poisson truncation and subtraction-free scaling and
+//!   squaring for small stiff chains ([`transient::select_kernel`]),
 //! * [`absorbing`] — first-passage ("unreliability") analysis by making the
 //!   down states absorbing, and mean time to failure,
 //! * [`measures`] — the dependability measures expressed over state labels.
@@ -26,21 +28,27 @@
 //! CSR storage ([`Ctmc::from_ioimc`]).
 //!
 //! The dense-vs-iterative split and the iteration controls are configured
-//! by [`SolverOptions`] (default: dense Gaussian elimination up to 3 000
-//! states, Gauss–Seidel above with 1e-14 relative tolerance, with a
-//! Krylov fallback for chains where Gauss–Seidel stalls): see
+//! by [`SolverOptions`] (default: dense direct solves up to 3 000 states —
+//! subtraction-free GTH state elimination for the steady state, Gaussian
+//! elimination with partial pivoting for mean times to absorption —
+//! Gauss–Seidel above with 1e-14 relative tolerance, with a Krylov
+//! fallback for chains where Gauss–Seidel stalls): see
 //! [`steady::steady_state_with`] and
 //! [`absorbing::mean_time_to_absorption_with`]. The defaults reproduce
 //! the historical behavior, so plain [`steady::steady_state`] etc. are
 //! unchanged.
 //!
-//! # Parallel transient analysis and steady-state detection
+//! # Transient kernels, parallelism and steady-state detection
 //!
-//! The uniformization engine ([`transient`]) computes the DTMC step as a
-//! gather over the transposed CSR and can fan it out over row shards on
-//! scoped worker threads — configured by [`TransientOptions`] (inside
-//! [`SolverOptions::transient`], default serial). Results are **bitwise
-//! identical** for every thread count and shard size. Steady-state
+//! Small chains whose uniformization rate times horizon is large go to a
+//! dense kernel: `e^{QΔt}` by scaling and squaring of the uniformized
+//! matrix, at `O(n³·log Λt)` whatever the stiffness. Everything else is
+//! uniformized. The uniformization engines ([`transient`]) compute the
+//! DTMC step as a gather over the transposed CSR and can fan it out over
+//! row shards on scoped worker threads — configured by
+//! [`TransientOptions`] (inside [`SolverOptions::transient`], default
+//! serial); the dense kernel is serial. Results are **bitwise identical**
+//! for every thread count and shard size. Steady-state
 //! detection (on by default, `steady_tol = 1e-13`) stops stepping once
 //! the uniformized chain has converged and answers all later grid points
 //! of a batched query from the converged vector; Poisson weight vectors
@@ -71,6 +79,7 @@ pub mod absorbing;
 pub mod chain;
 pub mod context;
 pub mod csl;
+mod expm;
 pub mod measures;
 pub mod poisson;
 pub mod solver;

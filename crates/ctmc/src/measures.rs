@@ -120,10 +120,9 @@ impl<'a> MeasureContext<'a> {
     }
 
     /// Point unavailability over a whole time grid in one batched
-    /// uniformization sweep (adaptive windowed / sharded /
-    /// steady-state-aware per the context's [`SolverOptions::transient`]
-    /// configuration — grid accuracy composes as documented in
-    /// [`crate::transient`]).
+    /// transient solve (on the kernel [`crate::transient::select_kernel`]
+    /// picks per the context's [`SolverOptions::transient`] configuration
+    /// — grid accuracy composes as documented in [`crate::transient`]).
     pub fn point_unavailability_many(&self, mask: StateLabel, ts: &[f64]) -> Vec<f64> {
         let targets = self.states_with_label(mask);
         transient_many_from_cached(

@@ -115,7 +115,8 @@ impl PoissonCache {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is negative or not finite.
+    /// Panics if `lambda` is negative, not finite, or above `2^53` (see
+    /// [`poisson_weights`]).
     pub fn get(&self, lambda: f64) -> Arc<PoissonWeights> {
         let key = lambda.to_bits();
         let mut entries = self.entries.lock().expect("cache lock");
@@ -167,6 +168,10 @@ impl PoissonCache {
     }
 }
 
+/// The largest parameter [`poisson_weights`] accepts: `2^53`, up to which
+/// every integer is an exact float.
+const MAX_LAMBDA: f64 = 9_007_199_254_740_992.0;
+
 /// Truncated, normalized Poisson probabilities for parameter `lambda`.
 ///
 /// Returns `(left, weights)` such that `weights[i]` approximates
@@ -178,11 +183,18 @@ impl PoissonCache {
 ///
 /// # Panics
 ///
-/// Panics if `lambda` is negative or not finite.
+/// Panics if `lambda` is negative, not finite, or above `2^53`. Past
+/// `2^53` the mode is no longer an exact integer, and near `2^64` it
+/// saturates `usize` and the upward scan never ends; a window that wide
+/// (about `18·√λ` weights) would not fit in memory anyway.
 pub fn poisson_weights(lambda: f64) -> (usize, Vec<f64>) {
     assert!(
         lambda.is_finite() && lambda >= 0.0,
         "lambda must be non-negative and finite, got {lambda}"
+    );
+    assert!(
+        lambda <= MAX_LAMBDA,
+        "lambda must be at most 2^53, got {lambda:e}"
     );
     if lambda == 0.0 {
         return (0, vec![1.0]);
@@ -288,6 +300,15 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_lambda_panics() {
         let _ = poisson_weights(-1.0);
+    }
+
+    /// A finite but astronomically large parameter (a horizon of `1e308`
+    /// on a slow chain) is refused at once instead of scanning an
+    /// unbounded window.
+    #[test]
+    #[should_panic(expected = "at most 2^53")]
+    fn huge_lambda_panics() {
+        let _ = poisson_weights(1e307);
     }
 
     #[test]

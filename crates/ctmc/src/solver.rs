@@ -38,8 +38,9 @@ pub enum IterativeMethod {
     Krylov,
 }
 
-/// Configuration of the sharded uniformization engine and its
-/// steady-state detection (see [`crate::transient`]).
+/// Configuration of the transient kernels: kernel selection, the sharded
+/// uniformization engines and their steady-state detection (see
+/// [`crate::transient`]).
 ///
 /// # Semantics
 ///
@@ -50,6 +51,7 @@ pub enum IterativeMethod {
 ///   sharded step computes every state's inflow with exactly the per-row
 ///   code the serial path runs, so results are **bitwise identical** for
 ///   every thread count and shard size; only the wall clock changes.
+///   The dense kernel is serial and ignores it.
 /// * `shard_min` — minimum number of states per shard. Chains with fewer
 ///   than `2 * shard_min` states run serially no matter the thread count
 ///   (fan-out overhead would dominate); larger chains get at most
@@ -67,17 +69,23 @@ pub enum IterativeMethod {
 ///   is tight when a single slow mode dominates; a hidden mode decaying
 ///   orders of magnitude slower than everything visible in the delta
 ///   history can still evade it, as with any detection that does not
-///   eigen-analyze the chain.
-/// * `adaptive` — selects the **adaptive, support-windowed** engine
-///   (default): the transposed operator is stored with raw rates over a
-///   BFS locality reordering, the uniformization rate `Λ` is re-chosen
-///   per grid segment from the maximum exit rate of the distribution's
-///   current ε-support, and each DTMC step gathers only the contiguous
-///   window of rows reachable from that support. `false` selects the
-///   exact global-Λ full-sweep engine (every row, `Λ` from the global
-///   maximum exit rate) — the reference the adaptive engine is
-///   ablation-tested against. See [`crate::transient`] for the error
-///   budget.
+///   eigen-analyze the chain. The dense kernel has no detection: its cost
+///   does not grow with the horizon.
+/// * `adaptive` — `true` (default) lets the grid solver pick a kernel
+///   per solve by a cost model over the chain's state and transition
+///   counts, its global uniformization rate and the time grid
+///   ([`crate::transient::select_kernel`]): small chains with a large
+///   `Λt` get the **dense** scaling-and-squaring kernel (`O(n³·log Λt)`,
+///   independent of stiffness), everything else the **adaptive,
+///   support-windowed** uniformization engine. The windowed engine stores
+///   the transposed operator with raw rates over a BFS locality
+///   reordering, re-chooses the uniformization rate `Λ` per grid segment
+///   from the maximum exit rate of the distribution's current ε-support,
+///   and gathers only the contiguous window of rows reachable from that
+///   support in each DTMC step. `false` forces the exact global-Λ
+///   full-sweep engine (every row, `Λ` from the global maximum exit rate)
+///   — the reference both other kernels are tested against. See
+///   [`crate::transient`] for the error budgets.
 /// * `support_tol` — the adaptive engine's per-segment mass budget for
 ///   support truncation: within one grid segment, the probability mass
 ///   dropped across the four truncation channels (trailing-level
@@ -88,7 +96,7 @@ pub enum IterativeMethod {
 ///   top of the shared `~1e-15` Poisson truncation. `0.0` makes the
 ///   windowing lossless (the window expands whenever any mass could
 ///   escape, and `Λ_seg` covers every state carrying mass). Ignored by
-///   the exact engine.
+///   the exact engine and the dense kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
     /// Worker threads for the sharded DTMC step (see type docs).
@@ -97,8 +105,8 @@ pub struct TransientOptions {
     pub shard_min: usize,
     /// Steady-state detection threshold; `0.0` disables (see type docs).
     pub steady_tol: f64,
-    /// Engine selection: adaptive windowed (default) vs exact global-Λ
-    /// full-sweep (see type docs).
+    /// Kernel selection: dense or adaptive windowed by the cost model
+    /// (default) vs the exact global-Λ full-sweep engine (see type docs).
     pub adaptive: bool,
     /// Per-segment support-truncation mass budget of the adaptive engine;
     /// `0.0` keeps the windowing lossless (see type docs).
@@ -137,8 +145,9 @@ impl TransientOptions {
         self
     }
 
-    /// Returns a copy selecting the adaptive windowed engine (`true`, the
-    /// default) or the exact global-Λ full-sweep engine (`false`).
+    /// Returns a copy selecting the cost-model choice between the dense
+    /// and the adaptive windowed kernels (`true`, the default) or the
+    /// exact global-Λ full-sweep engine (`false`).
     pub fn with_adaptive(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
         self
@@ -158,9 +167,10 @@ impl TransientOptions {
 /// # Semantics
 ///
 /// * `dense_limit` — chains with `num_states <= dense_limit` are solved
-///   by dense Gaussian elimination with partial pivoting (exact up to
-///   rounding, robust for stiff chains); larger chains use the sparse
-///   iterative path. The default (3 000) is the historical built-in
+///   by dense direct methods: the steady state by subtraction-free GTH
+///   state elimination (entrywise relative accuracy, robust for stiff
+///   chains), mean times to absorption by Gaussian elimination with
+///   partial pivoting. Larger chains use the sparse iterative path. The default (3 000) is the historical built-in
 ///   threshold, so existing small-model results are bit-for-bit
 ///   unchanged.
 /// * `tol` — iterative convergence criterion: the sweep-to-sweep

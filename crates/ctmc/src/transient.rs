@@ -1,18 +1,78 @@
-//! Transient analysis by uniformization — adaptive, support-windowed,
-//! sharded and steady-state-aware.
+//! Transient analysis: three kernels behind one grid solver.
 //!
-//! The distribution at time `t` is
-//! `π(t) = Σ_k Poisson(Λt)[k] · π(0) Pᵏ` where `P = I + Q/Λ` is the
-//! uniformized DTMC and `Λ ≥ max exit rate`. Poisson weights come from
-//! [`crate::poisson::poisson_weights`], memoized per `Λ·Δt` through a
-//! [`PoissonCache`] (uniform grids step by the same `Δt` every segment).
+//! The distribution at time `t` is `π(t) = π(0)·e^{Qt}`. Uniformization
+//! expands it as `π(t) = Σ_k Poisson(Λt)[k] · π(0) Pᵏ`, where
+//! `P = I + Q/Λ` is the uniformized DTMC and `Λ ≥ max exit rate`. Poisson
+//! weights come from [`crate::poisson::poisson_weights`], memoized per
+//! `Λ·Δt` through a [`PoissonCache`] (uniform grids step by the same `Δt`
+//! every segment).
 //!
-//! Two engines implement the DTMC stepping, selected by
-//! [`TransientOptions::adaptive`]:
+//! Every entry point — the `transient*` functions here, the [`crate::csl`]
+//! integrators and, through them, `arcade`'s `Session::evaluate` and
+//! `Session::sweep` — runs through one grid solver, which picks the
+//! kernel for each solve with [`select_kernel`]:
 //!
-//! # The adaptive windowed engine (default)
+//! * [`TransientKernel::Exact`] — the exact global-Λ engine, whenever
+//!   [`TransientOptions::adaptive`] is `false`. It is the reference the
+//!   other two are tested against.
+//! * [`TransientKernel::Dense`] — subtraction-free scaling and squaring
+//!   of `P`, when the cost model says it is cheaper.
+//! * [`TransientKernel::Windowed`] — the adaptive, support-windowed
+//!   uniformization engine, for everything else.
 //!
-//! The default engine attacks the two costs the classical scheme pays on
+//! # Kernel selection
+//!
+//! The choice uses only the chain's states `n`, its transitions `nnz`,
+//! the global uniformization rate `Λ` and the time grid. Uniformization
+//! costs `O(Λ·t_max·(n + nnz))`: on a stiff chain, where one fast repair
+//! sets `Λ`, a 16-state model can need millions of DTMC steps. Scaling and
+//! squaring costs `(⌈log₂ ΛΔt⌉ + K)` dense `n × n` products for each
+//! segment whose width `Δt` differs from the one before, independent of
+//! stiffness. Dense is chosen when `n ≤ 512`, `Λ·t_max ≤ 2^1000` and
+//! `c · Σ_Δt (⌈log₂ ΛΔt⌉ + K)·n³ < Λ·t_max·(n + nnz)` with `K = 20` (the
+//! series length) and `c = 4` (the measured cost of a dense multiply-add
+//! relative to one windowed gather unit, rounded up from 2.7). Small
+//! stiff chains therefore go dense; large chains, small ones whose `Λt`
+//! is modest, and horizons too long (or not finite) to square stay on the
+//! windowed engine. A plain state-count threshold would not do: a
+//! 150-state chain with `Λt ≈ 6,000` is far cheaper to uniformize.
+//!
+//! # The dense kernel
+//!
+//! For each segment the kernel forms `P` with the global `Λ`, picks `s`
+//! with `ΛΔt/2^s ≤ 1`, sums the ≈ 20-term Poisson series of `P` at the
+//! scaled horizon by Horner, squares `s` times and applies the result to
+//! the distribution. It keeps the last exponential for the lifetime of
+//! the solve, so uniform grids and chunked Simpson integrations compute
+//! it once per run of equal widths. Each segment counts as one sweep with
+//! no DTMC steps; its matrix products are counted by
+//! [`SolveCounters::dense_products`].
+//!
+//! ## Error budget
+//!
+//! `P`, the Poisson weights and every product are entrywise nonnegative,
+//! so no operation after forming `P` subtracts and no entry loses digits
+//! to cancellation: each product adds a relative error of order `n·u` to
+//! every entry, the tiny ones included, where the windowed engine's
+//! absolute `support_tol` budget can swamp a `1e-8` probability. The
+//! Poisson truncation is the one uniformization pays (relative cutoff
+//! `1e-18`).
+//!
+//! Squaring has one failure mode: each product doubles any error in the
+//! row sums, so after `s` squarings a rounding-level drift of `u` becomes
+//! `2^s·u ≈ ΛΔt·u` — `1e-8` at `ΛΔt = 1e8`. Every row of `e^{QΔt}` sums to
+//! exactly 1 for a conservative generator, so the kernel rescales each row
+//! to sum 1 after every squaring, which keeps the drift at rounding level.
+//! Absorbing states stay exact unit rows through the series, the
+//! squarings and the rescaling, so first-passage curves stay monotone.
+//! The unit tests hold the kernel to the exact engine within `1e-12`
+//! (sup-norm) on random stiff chains, to the steady state within `1e-10`
+//! at `ΛΔt ≈ 1e8`, and to a `5e-8` closed form within `1e-13` relative at
+//! `ΛΔt ≈ 1e6`.
+//!
+//! # The adaptive windowed engine
+//!
+//! The windowed engine attacks the two costs the classical scheme pays on
 //! dependability chains: a step count proportional to the **global**
 //! maximum exit rate even when all probability mass sits on low-rate
 //! states (stiff chains: repair rates dwarf failure rates), and a full
@@ -118,6 +178,7 @@ use std::sync::{Barrier, Mutex, RwLock};
 
 use crate::chain::Ctmc;
 use crate::context::{MeasureContext, SolveCounters};
+use crate::expm::{dense_pays, DenseExp};
 use crate::poisson::{PoissonCache, PoissonWeights};
 use crate::solver::{TransientOptions, UNIF_HEADROOM};
 
@@ -173,6 +234,47 @@ fn count_step(sink: Option<&SolveCounters>) {
     DTMC_STEPS.fetch_add(1, Ordering::Relaxed);
     if let Some(c) = sink {
         c.count_step();
+    }
+}
+
+/// The kernels a transient grid solve can run on (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TransientKernel {
+    /// The exact global-Λ uniformization engine (`adaptive: false`).
+    Exact,
+    /// The adaptive, support-windowed uniformization engine.
+    Windowed,
+    /// Subtraction-free scaling and squaring of the uniformized matrix.
+    Dense,
+}
+
+impl TransientKernel {
+    /// Stable machine-readable name (used in fuzz evidence and BENCH
+    /// records).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Exact => "exact",
+            Self::Windowed => "windowed",
+            Self::Dense => "dense",
+        }
+    }
+}
+
+/// The kernel every transient entry point runs a solve of `ctmc` over the
+/// grid `ts` on: [`TransientKernel::Exact`] when `opts.adaptive` is off,
+/// otherwise [`TransientKernel::Dense`] or [`TransientKernel::Windowed`]
+/// by the cost model of the module docs. A pure function of the chain's
+/// state and transition counts, its global uniformization rate and the
+/// grid (measured from time 0, as one solve visits it).
+pub fn select_kernel(ctmc: &Ctmc, ts: &[f64], opts: &TransientOptions) -> TransientKernel {
+    if !opts.adaptive {
+        return TransientKernel::Exact;
+    }
+    let unif = ctmc.max_exit_rate() * UNIF_HEADROOM;
+    if dense_pays(ctmc.num_states(), ctmc.num_transitions(), unif, ts) {
+        TransientKernel::Dense
+    } else {
+        TransientKernel::Windowed
     }
 }
 
@@ -353,6 +455,7 @@ pub(crate) struct GridSolver<'a> {
     counters: Option<&'a SolveCounters>,
     stepper: Option<Stepper>,
     adaptive: Option<AdaptiveEngine>,
+    dense: Option<DenseExp>,
     max_exit: f64,
     unif: f64,
     converged: bool,
@@ -368,6 +471,7 @@ impl<'a> GridSolver<'a> {
             counters: None,
             stepper: None,
             adaptive: None,
+            dense: None,
             max_exit,
             unif: max_exit * UNIF_HEADROOM,
             converged: false,
@@ -381,6 +485,13 @@ impl<'a> GridSolver<'a> {
     }
 
     pub(crate) fn solve_from(&mut self, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
+        let kernel = select_kernel(self.ctmc, ts, self.opts);
+        self.solve_on(kernel, pi0, ts)
+    }
+
+    /// [`GridSolver::solve_from`] on a given kernel instead of the cost
+    /// model's choice; unit tests pin the engine they test with it.
+    fn solve_on(&mut self, kernel: TransientKernel, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
         assert_eq!(
             pi0.len(),
             self.ctmc.num_states(),
@@ -392,8 +503,12 @@ impl<'a> GridSolver<'a> {
                 "time must be non-negative, got {t}"
             );
         }
-        if self.opts.adaptive && self.max_exit > 0.0 {
-            return self.solve_from_adaptive(pi0, ts);
+        if self.max_exit > 0.0 {
+            match kernel {
+                TransientKernel::Dense => return self.solve_from_dense(pi0, ts),
+                TransientKernel::Windowed => return self.solve_from_adaptive(pi0, ts),
+                TransientKernel::Exact => {}
+            }
         }
         let mut order: Vec<usize> = (0..ts.len()).collect();
         order.sort_by(|&a, &b| ts[a].total_cmp(&ts[b]));
@@ -451,6 +566,31 @@ impl<'a> GridSolver<'a> {
                 cur_t = ts[i];
             }
             results[i] = engine.output();
+        }
+        results
+    }
+
+    /// The dense-kernel grid loop: each segment applies the exponential
+    /// of its width (reused while the width repeats) to the running
+    /// distribution and counts as one sweep. A trajectory an earlier call
+    /// left converged keeps answering from its converged vector.
+    fn solve_from_dense(&mut self, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
+        let mut order: Vec<usize> = (0..ts.len()).collect();
+        order.sort_by(|&a, &b| ts[a].total_cmp(&ts[b]));
+        let (ctmc, unif) = (self.ctmc, self.unif);
+        let dense = self.dense.get_or_insert_with(|| DenseExp::new(ctmc, unif));
+        let mut results: Vec<Vec<f64>> = vec![Vec::new(); ts.len()];
+        let mut cur = pi0.to_vec();
+        let mut cur_t = 0.0f64;
+        for &i in &order {
+            let dt = ts[i] - cur_t;
+            if dt > 0.0 && !self.converged {
+                ioimc::budget::checkpoint();
+                count_sweep(self.counters);
+                cur = dense.advance(&cur, dt, self.cache, self.counters);
+                cur_t = ts[i];
+            }
+            results[i] = cur.clone();
         }
         results
     }
@@ -1462,7 +1602,43 @@ fn balanced_ranges(inc_off: &[u32], shards: usize) -> Vec<std::ops::Range<usize>
 
 #[cfg(test)]
 mod tests {
+    use smallrand::SmallRng;
+
     use super::*;
+
+    /// One grid solve on a pinned kernel, bypassing the cost model: the
+    /// crate-internal entry point of the tests whose subject is one engine.
+    fn solve_on(
+        kernel: TransientKernel,
+        c: &Ctmc,
+        pi0: &[f64],
+        ts: &[f64],
+        opts: &TransientOptions,
+    ) -> Vec<Vec<f64>> {
+        GridSolver::new(c, opts, &PoissonCache::new()).solve_on(kernel, pi0, ts)
+    }
+
+    /// [`solve_on`] the windowed engine from the chain's initial state.
+    fn windowed(c: &Ctmc, ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+        solve_on(
+            TransientKernel::Windowed,
+            c,
+            &c.initial_distribution(),
+            ts,
+            opts,
+        )
+    }
+
+    /// [`solve_on`] the dense kernel from the chain's initial state.
+    fn dense(c: &Ctmc, ts: &[f64]) -> Vec<Vec<f64>> {
+        solve_on(
+            TransientKernel::Dense,
+            c,
+            &c.initial_distribution(),
+            ts,
+            &TransientOptions::default(),
+        )
+    }
 
     /// Two-state machine point availability:
     /// A(t) = µ/(λ+µ) + λ/(λ+µ)·e^{-(λ+µ)t}.
@@ -1681,14 +1857,28 @@ mod tests {
         let (l, m) = (0.2, 1.5);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         let grid: Vec<f64> = (1..=20).map(|k| f64::from(k) * 50.0).collect();
-        let detected = transient_many_with(&c, &grid, &TransientOptions::default());
-        let exact =
-            transient_many_with(&c, &grid, &TransientOptions::default().with_steady_tol(0.0));
+        let detected = windowed(&c, &grid, &TransientOptions::default());
+        let exact = windowed(&c, &grid, &TransientOptions::default().with_steady_tol(0.0));
         for (i, &t) in grid.iter().enumerate() {
             let a = m / (l + m) + l / (l + m) * (-(l + m) * t).exp();
             assert!((detected[i][0] - exact[i][0]).abs() < 1e-11, "t={t}");
             assert!((detected[i][0] - a).abs() < 1e-10, "t={t}");
         }
+    }
+
+    /// Two fast clusters bridged by one rare transition.
+    fn nearly_decoupled() -> Ctmc {
+        Ctmc::new(
+            vec![
+                vec![(1.0, 1), (1e-4, 2)], // fast cluster A, rare escape
+                vec![(1.0, 0)],
+                vec![(1.0, 3)], // fast cluster B
+                vec![(1.0, 2)],
+            ],
+            vec![0, 0, 1, 1],
+            0,
+        )
+        .unwrap()
     }
 
     /// A nearly-decoupled chain — two fast clusters bridged by one rare
@@ -1701,22 +1891,12 @@ mod tests {
     /// state.
     #[test]
     fn detection_resists_nearly_decoupled_chains() {
-        let c = Ctmc::new(
-            vec![
-                vec![(1.0, 1), (1e-4, 2)], // fast cluster A, rare escape
-                vec![(1.0, 0)],
-                vec![(1.0, 3)], // fast cluster B
-                vec![(1.0, 2)],
-            ],
-            vec![0, 0, 1, 1],
-            0,
-        )
-        .unwrap();
+        let c = nearly_decoupled();
         // t1 sits where the raw step delta has already dropped below the
         // default steady_tol while ~1e-9 of slow-mode mass is still in
         // flight; t2 is far past mixing.
         let grid = [4.2e5, 1e8];
-        let pis = transient_many_with(&c, &grid, &TransientOptions::default());
+        let pis = windowed(&c, &grid, &TransientOptions::default());
         let steady = crate::steady::steady_state(&c);
         for (a, b) in pis[1].iter().zip(&steady) {
             assert!(
@@ -1805,12 +1985,312 @@ mod tests {
         let l = 2.5;
         let c = Ctmc::new(vec![vec![(l, 1)], vec![]], vec![0, 1], 0).unwrap();
         let grid = [5.0, 50.0, 500.0];
-        let pis = transient_many_with(&c, &grid, &TransientOptions::default());
+        let pis = windowed(&c, &grid, &TransientOptions::default());
         for (&t, pi) in grid.iter().zip(&pis) {
             let expected = 1.0 - (-l * t).exp();
             assert!((pi[1] - expected).abs() < 1e-10, "t={t}: {}", pi[1]);
             let sum: f64 = pi.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
         }
+    }
+
+    /// Random sparse chain with rates spanning several orders of
+    /// magnitude — the regime where the per-segment Λ and the ε-support
+    /// window actually differ from the global scheme. Some states are
+    /// made absorbing so the support-collapse machinery runs too.
+    fn arb_chain(rng: &mut SmallRng) -> Ctmc {
+        let n = rng.range_usize(2, 40);
+        let rows: Vec<Vec<(f64, u32)>> = (0..n)
+            .map(|i| {
+                if rng.range_u32(0, 10) == 0 {
+                    return Vec::new(); // absorbing state
+                }
+                let degree = rng.range_usize(1, 4.min(n));
+                (0..degree)
+                    .map(|_| {
+                        // Rates from 1e-6 to ~1e2: stiff by construction
+                        // (the horizon is bounded so the exact engine's
+                        // step count stays where 1e-12 agreement is
+                        // meaningful — roundoff grows with Λ·t).
+                        let mag = rng.range_u32(0, 8) as i32 - 6;
+                        let rate = f64::from(rng.range_u32(1, 10)) * 10f64.powi(mag);
+                        let target = rng.range_usize(0, n) as u32;
+                        (rate, target)
+                    })
+                    .filter(|&(_, t)| t != i as u32)
+                    .collect()
+            })
+            .collect();
+        let labels = vec![0u64; n];
+        Ctmc::new(rows, labels, 0).expect("valid chain")
+    }
+
+    /// A seeded random chain from [`arb_chain`] plus a random grid of up
+    /// to six points on `[0, 40)`.
+    fn arb_case(seed: u64) -> (Ctmc, Vec<f64>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let chain = arb_chain(&mut rng);
+        let points = rng.range_usize(1, 7);
+        let ts: Vec<f64> = (0..points)
+            .map(|_| f64::from(rng.range_u32(0, 160)) * 0.25)
+            .collect();
+        (chain, ts)
+    }
+
+    fn sup_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
+        a.iter()
+            .zip(b)
+            .flat_map(|(x, y)| x.iter().zip(y))
+            .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()))
+    }
+
+    fn exact_opts() -> TransientOptions {
+        TransientOptions::default()
+            .with_steady_tol(0.0)
+            .with_adaptive(false)
+    }
+
+    const CASES: u64 = 48;
+
+    /// The adaptive windowed engine agrees with the exact global-Λ engine
+    /// to ≤ 1e-12 sup-norm on random stiff chains and random grids
+    /// (detection disabled on both sides so the comparison isolates the
+    /// windowing and Λ-adaptation machinery).
+    #[test]
+    fn adaptive_matches_exact_engine_on_random_chains() {
+        for seed in 0..CASES {
+            let (chain, ts) = arb_case(seed);
+            let adaptive = windowed(
+                &chain,
+                &ts,
+                &TransientOptions::default().with_steady_tol(0.0),
+            );
+            let exact = transient_many_with(&chain, &ts, &exact_opts());
+            let diff = sup_diff(&adaptive, &exact);
+            assert!(
+                diff < 1e-12,
+                "seed {seed}: engines disagree by {diff:e} on ts {ts:?}"
+            );
+            // Truncation keeps the distributions sub-stochastic at worst
+            // by the documented budget; they must still be essentially
+            // normalized.
+            for pi in &adaptive {
+                let mass: f64 = pi.iter().sum();
+                assert!((mass - 1.0).abs() < 1e-9, "seed {seed}: mass {mass}");
+            }
+        }
+    }
+
+    /// Lossless windowing (`support_tol = 0`) also matches, and
+    /// steady-state detection on both engines stays within its own
+    /// tolerance.
+    #[test]
+    fn lossless_windowing_and_detection_match() {
+        for seed in 0..CASES / 2 {
+            let mut rng = SmallRng::seed_from_u64(1000 + seed);
+            let chain = arb_chain(&mut rng);
+            let ts = [0.5, 2.5, 12.0];
+            let lossless = windowed(
+                &chain,
+                &ts,
+                &TransientOptions::default()
+                    .with_steady_tol(0.0)
+                    .with_support_tol(0.0),
+            );
+            let exact = transient_many_with(&chain, &ts, &exact_opts());
+            let diff = sup_diff(&lossless, &exact);
+            assert!(diff < 1e-12, "seed {seed}: lossless diff {diff:e}");
+            let detected = windowed(&chain, &ts, &TransientOptions::default());
+            let diff = sup_diff(&detected, &exact);
+            assert!(diff < 1e-10, "seed {seed}: detected diff {diff:e}");
+        }
+    }
+
+    /// Support collapse onto absorbing states: once all mass sits on
+    /// absorbing states, segments become zero-rate no-ops — the
+    /// distribution is exactly invariant and later grid points answer
+    /// without stepping.
+    #[test]
+    fn support_collapse_onto_absorbing_states() {
+        // 0 -> 1 -> 2(absorbing), fast rates: by t = 200 everything is
+        // absorbed up to double precision.
+        let c = Ctmc::new(
+            vec![vec![(2.0, 1)], vec![(3.0, 2)], vec![]],
+            vec![0, 0, 1],
+            0,
+        )
+        .unwrap();
+        let grid = [200.0, 500.0, 1000.0, 1e6];
+        let pis = windowed(&c, &grid, &TransientOptions::default());
+        for (i, pi) in pis.iter().enumerate() {
+            assert!(
+                (pi[2] - 1.0).abs() < 1e-12,
+                "t={}: absorbed mass {}",
+                grid[i],
+                pi[2]
+            );
+            let mass: f64 = pi.iter().sum();
+            assert!((mass - 1.0).abs() < 1e-12);
+        }
+        // The same grid with the exact engine agrees bit-for-bit-closely.
+        let exact =
+            transient_many_with(&c, &grid, &TransientOptions::default().with_adaptive(false));
+        assert!(sup_diff(&pis, &exact) < 1e-12);
+    }
+
+    /// The dense kernel agrees with the exact engine to ≤ 1e-12 sup-norm
+    /// on the same random stiff chains and grids the windowed engine is
+    /// tested on, and its distributions stay normalized.
+    #[test]
+    fn dense_matches_exact_engine_on_random_chains() {
+        for seed in 0..CASES {
+            let (chain, ts) = arb_case(seed);
+            let got = dense(&chain, &ts);
+            let exact = transient_many_with(&chain, &ts, &exact_opts());
+            let diff = sup_diff(&got, &exact);
+            assert!(
+                diff < 1e-12,
+                "seed {seed}: dense disagrees by {diff:e} on ts {ts:?}"
+            );
+            for pi in &got {
+                let mass: f64 = pi.iter().sum();
+                assert!((mass - 1.0).abs() < 1e-12, "seed {seed}: mass {mass}");
+            }
+        }
+    }
+
+    /// Λt ≈ 1e8 on the nearly-decoupled chain: the long-horizon point is
+    /// the steady state to 1e-10. Squaring without row renormalization
+    /// drifts by about `Λt·u` here and fails this bound.
+    #[test]
+    fn dense_holds_the_nearly_decoupled_chain_at_lambda_t_1e8() {
+        let c = nearly_decoupled();
+        let pis = dense(&c, &[4.2e5, 1e8]);
+        let steady = crate::steady::steady_state(&c);
+        for (a, b) in pis[1].iter().zip(&steady) {
+            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+    }
+
+    /// Two independent repairable components as a product chain: state 1
+    /// has A down, state 2 has B down, state 3 has both down.
+    fn two_components(la: f64, ma: f64, lb: f64, mb: f64) -> Ctmc {
+        Ctmc::new(
+            vec![
+                vec![(la, 1), (lb, 2)],
+                vec![(ma, 0), (lb, 3)],
+                vec![(mb, 0), (la, 3)],
+                vec![(mb, 1), (ma, 2)],
+            ],
+            vec![0, 0, 0, 1],
+            0,
+        )
+        .unwrap()
+    }
+
+    /// A fast repair sets Λt ≈ 1e6 and the cost model sends the solve to
+    /// the dense kernel, which reproduces a both-down probability near
+    /// 5e-8 to 1e-13 relative: `u_A(t)·u_B(t)` with
+    /// `u(t) = λ/(λ+µ)·(1 − e^{−(λ+µ)t})`.
+    #[test]
+    fn dense_matches_a_small_closed_form_at_lambda_t_1e6() {
+        let (la, ma, lb, mb) = (2.0, 1000.0, 4e-8, 1e-3);
+        let c = two_components(la, ma, lb, mb);
+        let t = 1000.0;
+        assert!(c.max_exit_rate() * UNIF_HEADROOM * t > 1e6);
+        assert_eq!(
+            select_kernel(&c, &[t], &TransientOptions::default()),
+            TransientKernel::Dense
+        );
+        let u = |l: f64, m: f64| l / (l + m) * -(-(l + m) * t).exp_m1();
+        let expected = u(la, ma) * u(lb, mb);
+        assert!((4e-8..6e-8).contains(&expected));
+        let got = transient(&c, t)[3];
+        let rel = (got - expected).abs() / expected;
+        assert!(rel < 1e-13, "{got:e} vs {expected:e} (rel {rel:e})");
+    }
+
+    /// A horizon whose `Λt` overflows is not squarable: the selection
+    /// returns at once and leaves the solve to the windowed engine, which
+    /// rejects it as it always has.
+    #[test]
+    fn overflowing_horizons_select_the_windowed_engine() {
+        let c = Ctmc::new(vec![vec![(2.0, 1)], vec![(3.0, 0)]], vec![0, 1], 0).unwrap();
+        let opts = TransientOptions::default();
+        for ts in [&[1e308][..], &[1.0, 1e308], &[f64::MAX]] {
+            assert_eq!(select_kernel(&c, ts, &opts), TransientKernel::Windowed);
+        }
+        assert_eq!(select_kernel(&c, &[1e3], &opts), TransientKernel::Dense);
+    }
+
+    /// First-passage curves on the dense kernel are monotone, and mass
+    /// that starts on the absorbing state stays there exactly: absorbing
+    /// rows are exact unit rows of every exponential.
+    #[test]
+    fn dense_first_passage_curves_are_monotone() {
+        let c = two_components(1.0, 500.0, 1e-6, 0.5).make_absorbing([3]);
+        let grid: Vec<f64> = (1..=60).map(|k| f64::from(k) * 17.0).collect();
+        let pis = dense(&c, &grid);
+        for w in pis.windows(2) {
+            assert!(w[1][3] >= w[0][3], "{} then {}", w[0][3], w[1][3]);
+        }
+        assert!(pis[0][3] > 0.0 && pis[59][3] <= 1.0);
+        let pi0 = [0.0, 0.0, 0.0, 1.0];
+        let opts = TransientOptions::default();
+        for pi in solve_on(TransientKernel::Dense, &c, &pi0, &grid, &opts) {
+            assert_eq!(pi, pi0.to_vec(), "absorbed mass must stay exact");
+        }
+    }
+
+    /// `t = 0` points reproduce `pi0` exactly, duplicates answer
+    /// identically and an unsorted grid matches the exact engine.
+    #[test]
+    fn dense_handles_zero_duplicate_and_unsorted_grids() {
+        let c = two_components(1.0, 500.0, 1e-4, 2.0);
+        let pi0 = [0.25, 0.25, 0.25, 0.25];
+        let ts = [7.0, 0.0, 7.0, 2.0, 0.0, 2.0];
+        let opts = TransientOptions::default();
+        let pis = solve_on(TransientKernel::Dense, &c, &pi0, &ts, &opts);
+        assert_eq!(pis[1], pi0.to_vec(), "t = 0 must reproduce pi0 exactly");
+        assert_eq!(pis[4], pi0.to_vec());
+        assert_eq!(pis[0], pis[2], "duplicate grid points must agree");
+        assert_eq!(pis[3], pis[5]);
+        let exact = transient_many_from_with(&c, &pi0, &ts, &exact_opts());
+        assert!(sup_diff(&pis, &exact) < 1e-12);
+    }
+
+    /// A dense segment counts as one sweep with no DTMC steps, and its
+    /// matrix products land on the context's counters; a uniform grid
+    /// computes its one exponential once.
+    #[test]
+    fn dense_segments_count_as_sweeps_without_steps() {
+        let c = two_components(1.0, 500.0, 1e-6, 0.5);
+        let grid = [10.0, 20.0, 30.0];
+        assert_eq!(
+            select_kernel(&c, &grid, &TransientOptions::default()),
+            TransientKernel::Dense
+        );
+        let ctx = MeasureContext::new();
+        let pis = transient_many_from_ctx(
+            &c,
+            &c.initial_distribution(),
+            &grid,
+            &TransientOptions::default(),
+            &ctx,
+        );
+        assert_eq!(pis, dense(&c, &grid));
+        assert_eq!(ctx.counters.sweeps(), 3);
+        assert_eq!(ctx.counters.dtmc_steps(), 0);
+        let one_exponential = ctx.counters.dense_products();
+        let single = MeasureContext::new();
+        let _ = transient_many_from_ctx(
+            &c,
+            &c.initial_distribution(),
+            &[10.0],
+            &TransientOptions::default(),
+            &single,
+        );
+        assert!(one_exponential > 0);
+        assert_eq!(one_exponential, single.counters.dense_products());
     }
 }

@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use ctmc::transient::{
-    dtmc_steps_performed, reset_solver_counters, sweeps_performed, transient, transient_many,
-    transient_many_with,
+    dtmc_steps_performed, reset_solver_counters, sweeps_performed, transient_many_with,
+    transient_with,
 };
 use ctmc::{Ctmc, TransientOptions};
 
@@ -25,6 +25,13 @@ fn two_state() -> Ctmc {
     Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap()
 }
 
+/// The exact global-Λ engine, which these tests count the steps of: the
+/// default kernel selection sends a chain as small as [`two_state`] over
+/// these horizons to the dense kernel, which takes no DTMC steps.
+fn exact() -> TransientOptions {
+    TransientOptions::default().with_adaptive(false)
+}
+
 /// The batched grid sweep performs far fewer DTMC steps than one scalar
 /// solve per point (moved here from the `transient` unit tests when the
 /// counters became process-wide).
@@ -35,10 +42,10 @@ fn batched_sweep_does_less_work_than_scalar_loop() {
     let grid: Vec<f64> = (1..=50).map(|k| f64::from(k) * 4.0).collect();
     // Disable steady-state detection so the comparison measures batching
     // alone (detection would short-circuit both sides).
-    let opts = TransientOptions::default().with_steady_tol(0.0);
+    let opts = exact().with_steady_tol(0.0);
     reset_solver_counters();
     for &t in &grid {
-        let _ = ctmc::transient::transient_with(&c, t, &opts);
+        let _ = transient_with(&c, t, &opts);
     }
     let scalar_steps = dtmc_steps_performed();
     assert_eq!(sweeps_performed(), 50);
@@ -60,17 +67,17 @@ fn steady_detection_cuts_long_horizon_steps() {
     // A grid that keeps stepping far past the chain's mixing time.
     let grid: Vec<f64> = (1..=40).map(|k| f64::from(k) * 25.0).collect();
     reset_solver_counters();
-    let exact = transient_many_with(&c, &grid, &TransientOptions::default().with_steady_tol(0.0));
+    let undetected = transient_many_with(&c, &grid, &exact().with_steady_tol(0.0));
     let undetected_steps = dtmc_steps_performed();
     reset_solver_counters();
-    let detected = transient_many_with(&c, &grid, &TransientOptions::default());
+    let detected = transient_many_with(&c, &grid, &exact());
     let detected_steps = dtmc_steps_performed();
     assert!(
         detected_steps * 2 <= undetected_steps,
         "detection saved too little: {detected_steps} vs {undetected_steps} DTMC steps"
     );
     for (i, &t) in grid.iter().enumerate() {
-        for (a, b) in detected[i].iter().zip(&exact[i]) {
+        for (a, b) in detected[i].iter().zip(&undetected[i]) {
             assert!((a - b).abs() < 1e-10, "t={t}: {a} vs {b}");
         }
     }
@@ -83,7 +90,7 @@ fn grid_entirely_past_convergence_steps_once() {
     let _g = lock();
     let c = two_state();
     reset_solver_counters();
-    let pis = transient_many(&c, &[500.0, 1000.0, 2000.0, 4000.0]);
+    let pis = transient_many_with(&c, &[500.0, 1000.0, 2000.0, 4000.0], &exact());
     assert_eq!(sweeps_performed(), 1, "later points must reuse the vector");
     let steady = ctmc::steady::steady_state(&c);
     for pi in &pis {
@@ -105,7 +112,7 @@ fn counters_count_worker_thread_sweeps() {
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                let _ = transient(&c, 25.0);
+                let _ = transient_with(&c, 25.0, &exact());
             });
         }
     });
@@ -120,7 +127,7 @@ fn sharded_steps_count_once() {
     let _g = lock();
     let c = two_state();
     let grid = [2.0, 6.0, 11.0];
-    let serial_opts = TransientOptions::default().with_steady_tol(0.0);
+    let serial_opts = exact().with_steady_tol(0.0);
     reset_solver_counters();
     let serial = transient_many_with(&c, &grid, &serial_opts);
     let serial_steps = dtmc_steps_performed();
