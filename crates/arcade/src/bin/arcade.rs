@@ -21,10 +21,11 @@
 //! model configuration, one uniformization sweep per measure kind over the
 //! whole time grid. `--dense-limit` moves the dense-vs-iterative solver
 //! crossover (default 3000 states; `0` forces the sparse path — see
-//! [`ctmc::SolverOptions`]). `--threads` sets the worker count for both
-//! compositional aggregation *and* the sharded uniformization sweep
-//! (`0` = one per core, larger requests are clamped to the core count;
-//! results are bitwise identical for every value), and `--steady-tol`
+//! [`ctmc::SolverOptions`]). `--threads` sets the worker count of the
+//! aggregation and sweep fan-out (sibling plan groups, bisimulation
+//! signatures, sweep points; `0` = one per core, larger requests are
+//! clamped to the core count; results are bitwise identical for every
+//! value; transient solves are serial), and `--steady-tol`
 //! tunes steady-state detection inside transient grids (`0` disables it —
 //! see [`ctmc::TransientOptions`]). `--adaptive 1` (the default) lets a
 //! cost model pick the transient kernel per solve — dense scaling and
@@ -393,8 +394,8 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Engine options from the command line: the `--dense-limit` solver
-/// crossover, the `--threads` worker count (aggregation *and* sharded
-/// transient sweeps, clamped to the core count), the `--steady-tol`
+/// crossover, the `--threads` worker count (aggregation and sweep
+/// fan-out, clamped to the core count), the `--steady-tol`
 /// detection threshold, the `--adaptive` engine switch and the
 /// `--support-tol` windowing budget (see [`ctmc::SolverOptions`] /
 /// [`ctmc::TransientOptions`]).
@@ -415,7 +416,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, String> {
             ));
         }
         opts.threads = n as usize;
-        opts.solver.transient.threads = n as usize;
     }
     if let Some(&x) = flag_values(args, "--steady-tol")?.first() {
         if !(x.is_finite() && x >= 0.0) {
@@ -537,7 +537,8 @@ fn json_str(s: &str) -> String {
 fn usage() -> String {
     "usage: arcade <analyze|modular|sweep|simulate|check|blocks|dot|format> <model.arcade> \
      [--time T]... [--json] [--param NAME@BASE=V1,V2,...] [--reps N] [--seed S] \
-     [--dense-limit N] [--threads N (0 = auto)] [--steady-tol X (0 disables detection)] \
+     [--dense-limit N] [--threads N (aggregation and sweep fan-out, 0 = auto)] \
+     [--steady-tol X (0 disables detection)] \
      [--adaptive 0|1] [--support-tol X (0 = lossless windowing)]"
         .to_owned()
 }

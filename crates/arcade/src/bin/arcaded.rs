@@ -22,7 +22,8 @@
 //!
 //! `--workers` sizes the connection worker pool (0 = one per core);
 //! `--threads` is forwarded to every session's engine options (0 = auto),
-//! controlling aggregation and sweep parallelism per request.
+//! controlling the aggregation and sweep fan-out per request; transient
+//! solves are serial.
 //!
 //! `--max-states N` caps intermediate model size during aggregation for
 //! **every** session (0 = unlimited, the default) — a `load`-ed
@@ -88,7 +89,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "--threads" => {
                 let n = parse_count(&value("--threads")?, "--threads")?;
                 config.engine.threads = n;
-                config.engine.solver.transient.threads = n;
             }
             "--idle-timeout-secs" => {
                 let secs = parse_count(&value("--idle-timeout-secs")?, "--idle-timeout-secs")?;
@@ -179,7 +179,7 @@ fn parse_count(s: &str, flag: &str) -> Result<usize, String> {
 
 fn usage() -> String {
     "usage: arcaded [--addr HOST:PORT (default 127.0.0.1:7171)] \
-     [--workers N (0 = auto)] [--threads N (0 = auto)] \
+     [--workers N (0 = auto)] [--threads N (aggregation and sweep fan-out, 0 = auto)] \
      [--idle-timeout-secs S] [--max-line-bytes N] \
      [--max-states N (0 = unlimited)] [--chaos SPEC (testing only)] \
      [--preload MODEL]..."

@@ -83,10 +83,10 @@ pub struct EngineOptions {
     /// ([`crate::query::Session`], [`crate::analysis::Analysis`],
     /// [`crate::modular::modular_analysis`]) run on the aggregated chain:
     /// the dense-vs-iterative solver crossover, the iterative
-    /// tolerance/sweep-cap, and the sharded uniformization engine
-    /// ([`ctmc::SolverOptions::transient`] — worker threads, shard
-    /// granularity, steady-state detection). Aggregation itself ignores
-    /// it.
+    /// tolerance/sweep-cap, and the transient kernels
+    /// ([`ctmc::SolverOptions::transient`] — kernel selection,
+    /// steady-state detection, support truncation). Aggregation itself
+    /// ignores it.
     pub solver: ctmc::SolverOptions,
     /// Ceiling on the states of any intermediate model built during
     /// aggregation (`0` = unlimited, the default). When exceeded the

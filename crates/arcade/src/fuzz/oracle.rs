@@ -107,7 +107,6 @@ pub struct PairCheck {
 fn base_opts() -> EngineOptions {
     let mut opts = EngineOptions::new().with_max_states(100_000);
     opts.threads = 1;
-    opts.solver.transient.threads = 1;
     opts
 }
 

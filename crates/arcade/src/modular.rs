@@ -128,10 +128,8 @@ impl ModularAnalysis {
 ///
 /// Each module's measures run through its own lazy `Session`, so the
 /// solver configuration in [`EngineOptions::solver`] — including the
-/// sharded/steady-state-aware transient engine
-/// ([`ctmc::SolverOptions::transient`]) — applies per module; module
-/// CTMCs are small after decomposition, so the per-module transient
-/// engine typically stays on its serial path while the modules
+/// transient kernels ([`ctmc::SolverOptions::transient`]) — applies per
+/// module; each module's transient solves are serial while the modules
 /// themselves are solved concurrently.
 ///
 /// # Errors

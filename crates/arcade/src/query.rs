@@ -7,8 +7,8 @@
 //! measures — are all independent of *which* time points a caller asks
 //! about. A [`Session`] therefore owns the [`SystemDef`] and builds each
 //! artifact **lazily, once**, answering whole batches of measures in one
-//! pass with the batched uniformization kernels of
-//! [`ctmc::transient::transient_many`].
+//! pass with the batched transient solves of
+//! [`ctmc::transient::transient_many_from_ctx`].
 //!
 //! # Laziness and caching contract
 //!
@@ -36,8 +36,8 @@
 //! [`Measure::BoundedUntil`]) are evaluated per instance: their internal
 //! grids/transformed chains are query-specific and do not batch.
 //!
-//! All transient sweeps run through the sharded, steady-state-aware
-//! uniformization engine configured by
+//! All transient sweeps run through the steady-state-aware transient
+//! kernels configured by
 //! [`EngineOptions::solver`](crate::engine::EngineOptions)`.transient`
 //! (see [`ctmc::TransientOptions`]), and share one session-wide
 //! [`ctmc::PoissonCache`]: a uniform grid steps by a single `Λ·Δt`, so
@@ -672,7 +672,7 @@ impl Session {
     }
 
     /// Point unavailabilities over a grid: one batched transient sweep on
-    /// the availability CTMC (sharded/steady-state-aware per
+    /// the availability CTMC (kernel and detection per
     /// [`EngineOptions::solver`], Poisson weights from the session memo).
     fn unavailability_curve(&self, ts: &[f64]) -> Result<Vec<f64>, ArcadeError> {
         let down = self.down_states(Config::Availability)?;

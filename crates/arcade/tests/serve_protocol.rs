@@ -300,6 +300,40 @@ fn timeout_ms_answers_deadline_and_frees_the_worker() {
     handle.join();
 }
 
+/// A huge horizon is advanced in capped uniformization sub-segments:
+/// DDS point unavailability at t = 1e12 under a 1 s deadline answers the
+/// steady state instead of expanding gigabytes of Poisson weights and
+/// tripping the deadline.
+#[test]
+fn huge_horizon_unavailability_answers_within_its_deadline() {
+    let (handle, addr) = test_server();
+    let mut client = Client::connect(&addr).expect("connect");
+    // Warm the session first, so the deadline covers the solve alone.
+    let steady = client
+        .query(
+            "dds",
+            Json::Arr(vec![Json::str("steady_state_unavailability")]),
+            None,
+        )
+        .expect("steady state");
+    let steady = Client::values(&steady).expect("values")[0];
+    let response = client
+        .expect_ok(&Json::obj([
+            ("model", Json::str("dds")),
+            ("measures", Json::Arr(vec![Json::str("unavailability")])),
+            ("times", Json::Arr(vec![Json::Num(1e12)])),
+            ("timeout_ms", Json::Num(1000.0)),
+        ]))
+        .expect("t = 1e12 answers within its deadline");
+    let u = Client::values(&response).expect("values")[0];
+    assert!(
+        (u - steady).abs() < 1e-12,
+        "U(1e12) = {u:e}, steady state {steady:e}"
+    );
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn max_states_caps_a_loaded_combinatorial_model() {
     let (handle, addr) = test_server();

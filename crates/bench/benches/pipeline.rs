@@ -10,7 +10,8 @@ use arcade::expr::Expr;
 use arcade::model::SystemModel;
 use arcade_bench::bench;
 use bisim::pipeline::{reduce, ReduceOptions, Strategy};
-use ctmc::{measures, transient, Ctmc};
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{measures, Ctmc, MeasureContext, TransientOptions};
 use ioimc::compose::parallel_all;
 
 /// A chain of n repairable components sharing one FCFS repair unit, failing
@@ -95,18 +96,20 @@ fn main() {
     // while the batched sweep carries a spread distribution, so the DTMC
     // step count is the honest hardware-independent metric.
     let grid: Vec<f64> = (1..=50).map(|k| f64::from(k) * 2.0).collect();
-    transient::reset_solver_counters();
+    let pi0 = chain500.initial_distribution();
+    let opts = TransientOptions::default();
+    let scalar_ctx = MeasureContext::new();
     let scalar = bench("curve/transient-scalar-50pts", 5, || {
         grid.iter()
-            .map(|&t| transient::transient(&chain500, t))
+            .map(|&t| transient_many_from_ctx(&chain500, &pi0, &[t], &opts, &scalar_ctx))
             .collect::<Vec<_>>()
     });
-    let scalar_steps = transient::dtmc_steps_performed() / 6; // warm-up + 5 iters
-    transient::reset_solver_counters();
+    let scalar_steps = scalar_ctx.counters.dtmc_steps() / 6; // warm-up + 5 iters
+    let batched_ctx = MeasureContext::new();
     let batched = bench("curve/transient-batched-50pts", 5, || {
-        transient::transient_many(&chain500, &grid)
+        transient_many_from_ctx(&chain500, &pi0, &grid, &opts, &batched_ctx)
     });
-    let batched_steps = transient::dtmc_steps_performed() / 6;
+    let batched_steps = batched_ctx.counters.dtmc_steps() / 6;
     println!(
         "curve: {:.1}x wall, {:.1}x fewer DTMC steps ({batched_steps} vs {scalar_steps}) \
          for the batched sweep",

@@ -13,7 +13,8 @@ use arcade::model::SystemModel;
 use arcade::query::{Measure, Session};
 use arcade_bench::{run_engine, Table};
 use bisim::Strategy;
-use ctmc::transient::{dtmc_steps_performed, reset_solver_counters};
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{MeasureContext, TransientOptions};
 
 fn main() {
     let def = dds();
@@ -111,21 +112,21 @@ fn main() {
         .iter()
         .map(|&t| Measure::PointUnavailability(t))
         .collect();
-    reset_solver_counters();
     let curve = session.evaluate(&batch).expect("curve");
-    let batched_steps = dtmc_steps_performed();
+    let batched_steps = session.stats().dtmc_steps;
     println!("unavailability curve over [0, 5 weeks] (50 points, one batched sweep):");
     for (i, (&t, &u)) in grid.iter().zip(&curve).enumerate() {
         if i % 10 == 9 {
             println!("  U({t:>6.1} h) = {u:.6e}");
         }
     }
-    reset_solver_counters();
     let ctmc = &session.availability_model().expect("built").ctmc;
+    let scalar = MeasureContext::new();
+    let pi0 = ctmc.initial_distribution();
     for &t in &grid {
-        let _ = ctmc::transient::transient(ctmc, t);
+        let _ = transient_many_from_ctx(ctmc, &pi0, &[t], &TransientOptions::default(), &scalar);
     }
-    let scalar_steps = dtmc_steps_performed();
+    let scalar_steps = scalar.counters.dtmc_steps();
     println!(
         "batched sweep: {batched_steps} DTMC steps vs scalar loop: {scalar_steps} \
          ({:.1}x less work)",

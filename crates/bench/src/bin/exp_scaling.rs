@@ -1,5 +1,5 @@
-//! Scaling sweep — family size × thread count, plus sparse-solver,
-//! sharded-transient and adaptive-engine timings.
+//! Scaling sweep — family size × thread count, plus sparse-solver and
+//! adaptive-engine timings.
 //!
 //! Aggregates the scaled case families (`dds_scaled(n)` disk clusters,
 //! `rcs_scaled(k)` pump lines, the `rcs_scaled_kofn(n, k)` k-of-n variant
@@ -11,12 +11,10 @@
 //! scheduling change only.
 //!
 //! After each family's aggregation sweep the final CTMC is **solved**:
-//! one steady-state distribution, then a 50-point transient
-//! (unavailability) grid per requested transient thread count (`1, 2, 4`
-//! by default; `--threads N` adds `N`; requests are clamped to the
-//! machine's core count and both the requested and effective counts are
-//! recorded), each timed separately and asserted **bitwise identical**
-//! to the single-threaded grid. Two serial ablations follow:
+//! one steady-state distribution, then a timed 50-point transient
+//! (unavailability) grid on the kernel the default options pick. Every
+//! transient kernel is serial, so the grid has no thread axis. Two
+//! ablations follow:
 //!
 //! * the **exact global-Λ full-sweep engine** (`adaptive = false`) — the
 //!   run must agree with the adaptive windowed engine to ≤ 1e-10
@@ -52,16 +50,17 @@
 //! DTMC steps and no dense products, within 1e-10 of the exact engine.
 //!
 //! `--json` additionally writes every transient measurement to
-//! `BENCH_transient.json` (schema v4: family, states, transitions, the
-//! kernel as `engine`, requested/effective threads,
-//! aggregation/steady/grid wall times, DTMC step counts), a `sweep`
-//! object (`sweep_points_per_sec`, the rebuild baseline and the speedup)
-//! and the `stiff` records for the bench trajectory; CI uploads it as an
-//! artifact.
+//! `BENCH_transient.json` (schema v5: family, states, transitions, the
+//! kernel as `engine`, aggregation/steady/grid wall times, DTMC step
+//! counts), a `sweep` object (`sweep_points_per_sec`, the rebuild
+//! baseline and the speedup) and the `stiff` records for the bench
+//! trajectory; CI uploads it as an artifact. DTMC steps are read from
+//! each solve's own [`MeasureContext`].
 //!
 //! Run: `cargo run --release -p arcade-bench --bin exp_scaling`
-//! (`-- --smoke` runs a minutes-sized subset for CI; `--smoke --threads 2
-//! --json` gates the sharded transient path and the adaptive ablation).
+//! (`-- --smoke` runs a minutes-sized subset for CI; `--threads N` adds
+//! `N` to the aggregation and sweep thread counts; `--smoke --threads 2
+//! --json` is the CI gate).
 
 use std::time::Instant;
 
@@ -77,10 +76,7 @@ use arcade::modular::modular_analysis;
 use arcade::query::{Measure, ParamGrid, Session};
 use arcade_bench::Table;
 use ctmc::measures::state_mass;
-use ctmc::transient::{
-    dtmc_steps_performed, reset_solver_counters, select_kernel, transient_many_from_ctx,
-    transient_many_with, TransientKernel,
-};
+use ctmc::transient::{select_kernel, transient_many_from_ctx, TransientKernel};
 use ctmc::{steady, Ctmc, MeasureContext, SolverOptions, TransientOptions};
 use smallrand::SmallRng;
 
@@ -93,8 +89,6 @@ struct TransientRecord {
     /// default options' cost-model choice) or `"exact"` (the global-Λ
     /// full-sweep ablation).
     engine: &'static str,
-    threads_requested: usize,
-    threads_effective: usize,
     steady_tol: f64,
     support_tol: f64,
     aggregation_secs: f64,
@@ -124,19 +118,11 @@ fn main() {
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     // Always include a >1 worker request (even on small machines) so the
     // parallel scheduling path is exercised where cores exist; requests
-    // are clamped to `hw` inside the engines, and both counts land in
-    // the records.
+    // are clamped to `hw` inside the engines.
     let mut threads: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, hw] };
+    threads.extend(extra_threads);
     threads.sort_unstable();
     threads.dedup();
-    // Transient grids sweep their own thread list: the sharded DTMC step
-    // is bitwise identical at every count, so the sweep doubles as the
-    // parallel-transient regression gate (even in smoke mode, where the
-    // 83,808-state rcs_scaled(2) grid is the workload that matters).
-    let mut transient_threads: Vec<usize> = vec![1, 2, 4];
-    transient_threads.extend(extra_threads);
-    transient_threads.sort_unstable();
-    transient_threads.dedup();
 
     // The aggregation and solver hot loops carry cooperative budget
     // checkpoints and chaos failpoints; disarmed, both reduce to one
@@ -183,7 +169,6 @@ fn main() {
             &format!("dds_scaled({n})"),
             &dds_scaled(n),
             &threads,
-            &transient_threads,
             &mut records,
         );
     }
@@ -193,7 +178,6 @@ fn main() {
         "rcs_scaled(2)",
         &rcs_def,
         &rcs_threads,
-        &transient_threads,
         &mut records,
     );
     // This family is the sparse-path regression gate: if the default
@@ -214,7 +198,6 @@ fn main() {
         "rcs_stiff(3)",
         &rcs_stiff(3),
         &rcs_threads,
-        &transient_threads,
         &mut records,
     );
     if !smoke {
@@ -223,7 +206,6 @@ fn main() {
             "rcs_scaled_kofn(2, 2)",
             &rcs_scaled_kofn(2, 2),
             &threads,
-            &transient_threads,
             &mut records,
         );
     }
@@ -250,13 +232,12 @@ fn main() {
     );
     println!();
     println!(
-        "every multi-threaded CTMC was verified identical to the 1-thread result, every \
-         sharded transient grid bitwise identical to the serial grid, and every adaptive \
-         windowed grid within 1e-10 of the exact global-Λ full-sweep engine; aggregation \
-         speedups come from sibling fault-tree modules on worker threads, grid speedups \
-         from the support-windowed adaptive engine, row sharding and steady-state \
-         detection. families beyond the dense limit are solved on the sparse iterative \
-         path."
+        "every multi-threaded CTMC was verified identical to the 1-thread result, and \
+         every adaptive windowed grid within 1e-10 of the exact global-Λ full-sweep \
+         engine; aggregation speedups come from sibling fault-tree modules on worker \
+         threads, grid speedups from the support-windowed adaptive engine and \
+         steady-state detection. families beyond the dense limit are solved on the \
+         sparse iterative path."
     );
     println!();
     let stiff_records = stiff_family(smoke, &stiff_agg.ctmc);
@@ -311,7 +292,13 @@ fn stiff_solve(family: &str, solve: &'static str, chain: &Ctmc, grid: &[f64]) ->
     let start = Instant::now();
     let got = transient_many_from_ctx(chain, &pi0, grid, &opts, &ctx);
     let wall_secs = start.elapsed().as_secs_f64();
-    let exact = transient_many_with(chain, grid, &opts.clone().with_adaptive(false));
+    let exact = transient_many_from_ctx(
+        chain,
+        &pi0,
+        grid,
+        &opts.clone().with_adaptive(false),
+        &MeasureContext::new(),
+    );
     let exact_diff = grid_sup_diff(&got, &exact);
     let horizon = grid.iter().copied().fold(0.0, f64::max);
     let rec = StiffRecord {
@@ -680,7 +667,6 @@ fn sweep(
     family: &str,
     def: &arcade::ast::SystemDef,
     threads: &[usize],
-    transient_threads: &[usize],
     records: &mut Vec<TransientRecord>,
 ) -> (Aggregation, f64) {
     let model = SystemModel::build(def).expect("case family elaborates");
@@ -703,8 +689,7 @@ fn sweep(
         // Solve the final chain once (on the first, single-threaded pass):
         // steady state plus the 50-point transient grids.
         let solve_cells = if baseline.is_none() {
-            let (steady_secs, grid_secs, unavail) =
-                solve(family, &agg, transient_threads, secs, records);
+            let (steady_secs, grid_secs, unavail) = solve(family, &agg, secs, records);
             steady_unavail = unavail;
             (format!("{steady_secs:.3} s"), format!("{grid_secs:.3} s"))
         } else {
@@ -744,17 +729,29 @@ fn grid_sup_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
         .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()))
 }
 
+/// One timed grid solve of `ctmc` from its initial state through a fresh
+/// context: the distributions, the wall time and the DTMC steps taken.
+fn timed_grid(ctmc: &Ctmc, grid: &[f64], opts: &TransientOptions) -> (Vec<Vec<f64>>, f64, u64) {
+    let ctx = MeasureContext::new();
+    let pi0 = ctmc.initial_distribution();
+    let start = Instant::now();
+    let curve = transient_many_from_ctx(ctmc, &pi0, grid, opts, &ctx);
+    (
+        curve,
+        start.elapsed().as_secs_f64(),
+        ctx.counters.dtmc_steps(),
+    )
+}
+
 /// Solves steady state once, then the 50-point transient grid on the
-/// adaptive engine at every requested thread count (bitwise-checked
-/// against the serial grid), one exact global-Λ full-sweep ablation
+/// default options' kernel, one exact global-Λ full-sweep ablation
 /// (≤ 1e-10 agreement gate — the adaptive-engine regression check) and
 /// one detection-disabled ablation, appending a record per run. Returns
-/// the steady wall time, the serial adaptive grid wall time and the
-/// steady-state unavailability.
+/// the steady wall time, the default grid wall time and the steady-state
+/// unavailability.
 fn solve(
     family: &str,
     agg: &Aggregation,
-    transient_threads: &[usize],
     aggregation_secs: f64,
     records: &mut Vec<TransientRecord>,
 ) -> (f64, f64, f64) {
@@ -792,8 +789,6 @@ fn solve(
             states: ctmc.num_states(),
             transitions: ctmc.num_transitions(),
             engine,
-            threads_requested: topts.threads,
-            threads_effective: ioimc::par::effective_threads(topts.threads),
             steady_tol: topts.steady_tol,
             support_tol: topts.support_tol,
             aggregation_secs,
@@ -808,64 +803,32 @@ fn solve(
             dtmc_steps: steps,
         });
     };
-    let mut reference: Option<(f64, Vec<Vec<f64>>)> = None;
-    let mut adaptive_steps = 0u64;
-    let kernel = select_kernel(ctmc, &grid, &TransientOptions::default()).name();
-    for &th in transient_threads {
-        let topts = TransientOptions::default().with_threads(th);
-        reset_solver_counters();
-        let start = Instant::now();
-        let curve = transient_many_with(ctmc, &grid, &topts);
-        let grid_secs = start.elapsed().as_secs_f64();
-        let steps = dtmc_steps_performed();
-        push_record(&topts, kernel, grid_secs, steps);
-        if reference.is_none() {
-            adaptive_steps = steps;
-        }
-        match &reference {
-            None => {
-                for (i, pi_t) in curve.iter().enumerate() {
-                    let u = state_mass(&down, pi_t);
-                    assert!(
-                        u.is_finite() && (0.0..=1.0).contains(&u),
-                        "{family}: bad point unavailability {u} at t={}",
-                        grid[i]
-                    );
-                }
-                println!(
-                    "{family}: steady unavailability {unavail:.3e}, U({:.0}) = {:.3e}, \
-                     grid {grid_secs:.3} s at {th} thread(s) ({steps} DTMC steps, {kernel})",
-                    grid[grid.len() - 1],
-                    state_mass(&down, &curve[curve.len() - 1])
-                );
-                reference = Some((grid_secs, curve));
-            }
-            Some((base_secs, base_curve)) => {
-                assert_eq!(
-                    &curve, base_curve,
-                    "{family}: {th}-thread transient grid differs from the serial grid"
-                );
-                println!(
-                    "{family}: grid {grid_secs:.3} s at {th} thread(s) \
-                     ({:.2}x, bitwise identical)",
-                    base_secs / grid_secs
-                );
-            }
-        }
+    let topts = TransientOptions::default();
+    let kernel = select_kernel(ctmc, &grid, &topts).name();
+    let (base_curve, base_secs, adaptive_steps) = timed_grid(ctmc, &grid, &topts);
+    push_record(&topts, kernel, base_secs, adaptive_steps);
+    for (i, pi_t) in base_curve.iter().enumerate() {
+        let u = state_mass(&down, pi_t);
+        assert!(
+            u.is_finite() && (0.0..=1.0).contains(&u),
+            "{family}: bad point unavailability {u} at t={}",
+            grid[i]
+        );
     }
-    let (base_secs, base_curve) = reference.as_ref().expect("at least one thread count");
+    println!(
+        "{family}: steady unavailability {unavail:.3e}, U({:.0}) = {:.3e}, \
+         grid {base_secs:.3} s ({adaptive_steps} DTMC steps, {kernel})",
+        grid[grid.len() - 1],
+        state_mass(&down, &base_curve[base_curve.len() - 1])
+    );
 
     // Adaptive-engine ablation: the exact global-Λ full-sweep engine on
-    // the same serial grid. The agreement gate is the adaptive engine's
+    // the same grid. The agreement gate is the adaptive engine's
     // regression check; the wall-clock and step ratios are its win.
     let exact_opts = TransientOptions::default().with_adaptive(false);
-    reset_solver_counters();
-    let start = Instant::now();
-    let exact_curve = transient_many_with(ctmc, &grid, &exact_opts);
-    let exact_secs = start.elapsed().as_secs_f64();
-    let exact_steps = dtmc_steps_performed();
+    let (exact_curve, exact_secs, exact_steps) = timed_grid(ctmc, &grid, &exact_opts);
     push_record(&exact_opts, "exact", exact_secs, exact_steps);
-    let adaptive_diff = grid_sup_diff(base_curve, &exact_curve);
+    let adaptive_diff = grid_sup_diff(&base_curve, &exact_curve);
     assert!(
         adaptive_diff < 1e-10,
         "{family}: adaptive windowed grid deviates from the exact engine by {adaptive_diff:e}"
@@ -878,16 +841,12 @@ fn solve(
         exact_steps as f64 / adaptive_steps.max(1) as f64,
     );
 
-    // Detection ablation: the same serial grid with steady-state
-    // detection off measures the DTMC steps the detector saves.
+    // Detection ablation: the same grid with steady-state detection off
+    // measures the DTMC steps the detector saves.
     let no_detect = TransientOptions::default().with_steady_tol(0.0);
-    reset_solver_counters();
-    let start = Instant::now();
-    let undetected = transient_many_with(ctmc, &grid, &no_detect);
-    let ablation_secs = start.elapsed().as_secs_f64();
-    let ablation_steps = dtmc_steps_performed();
+    let (undetected, ablation_secs, ablation_steps) = timed_grid(ctmc, &grid, &no_detect);
     push_record(&no_detect, kernel, ablation_secs, ablation_steps);
-    let max_diff = grid_sup_diff(base_curve, &undetected);
+    let max_diff = grid_sup_diff(&base_curve, &undetected);
     assert!(
         max_diff < 1e-10,
         "{family}: steady-state detection perturbed the grid by {max_diff:e}"
@@ -896,7 +855,7 @@ fn solve(
         "{family}: detection {adaptive_steps} vs {ablation_steps} DTMC steps \
          (ablation {ablation_secs:.3} s), grids agree to {max_diff:.1e}"
     );
-    (steady_secs, *base_secs, unavail)
+    (steady_secs, base_secs, unavail)
 }
 
 /// Renders the records as a self-contained JSON document (the workspace
@@ -915,7 +874,6 @@ fn render_json(
         }
         rows.push_str(&format!(
             "\n  {{\"family\":\"{}\",\"states\":{},\"transitions\":{},\"engine\":\"{}\",\
-             \"threads_requested\":{},\"threads_effective\":{},\
              \"steady_tol\":{:e},\"support_tol\":{:e},\"aggregation_secs\":{:.6},\
              \"signature_secs\":{:.6},\"split_secs\":{:.6},\"quotient_secs\":{:.6},\
              \"refine_rounds\":{},\"states_resigned\":{},\
@@ -925,8 +883,6 @@ fn render_json(
             r.states,
             r.transitions,
             r.engine,
-            r.threads_requested,
-            r.threads_effective,
             r.steady_tol,
             r.support_tol,
             r.aggregation_secs,
@@ -982,7 +938,7 @@ fn render_json(
         })
         .collect();
     format!(
-        "{{\"bench\":\"exp_scaling_transient\",\"schema_version\":4,\
+        "{{\"bench\":\"exp_scaling_transient\",\"schema_version\":5,\
          \"hw_threads\":{hw},\"smoke\":{smoke},\
          \"sweep\":{sweep_obj},\
          \"stiff\":[{}\n],\

@@ -79,7 +79,6 @@ fn main() {
         ..ServerConfig::default()
     };
     config.engine.threads = threads;
-    config.engine.solver.transient.threads = threads;
     let handle = serve(config).expect("start in-process server");
     let addr = handle.local_addr().to_string();
     println!("serve_bench: in-process server on {addr} (workers {workers}, threads {threads})");

@@ -11,8 +11,9 @@
 //! rows above it.
 
 use crate::chain::Ctmc;
-use crate::solver::SolverOptions;
-use crate::transient::{transient, transient_many};
+use crate::context::MeasureContext;
+use crate::solver::{SolverOptions, TransientOptions};
+use crate::transient::{transient, transient_many_from_ctx};
 
 /// Probability of having *reached* any state in `targets` by time `t`
 /// (first-passage probability).
@@ -33,8 +34,8 @@ pub fn first_passage_probability(ctmc: &Ctmc, targets: &[u32], t: f64) -> f64 {
 
 /// First-passage probabilities for a whole time grid (any order,
 /// duplicates allowed), built from **one** absorbing transformation and
-/// one incremental uniformization sweep ([`transient_many`]) instead of
-/// one of each per point.
+/// one incremental uniformization sweep ([`transient_many_from_ctx`])
+/// instead of one of each per point.
 ///
 /// Returns one probability per entry of `ts`, in the order given.
 ///
@@ -43,10 +44,16 @@ pub fn first_passage_probability(ctmc: &Ctmc, targets: &[u32], t: f64) -> f64 {
 /// Panics if any time is negative or not finite.
 pub fn first_passage_many(ctmc: &Ctmc, targets: &[u32], ts: &[f64]) -> Vec<f64> {
     let absorbing = ctmc.make_absorbing(targets.iter().copied());
-    transient_many(&absorbing, ts)
-        .iter()
-        .map(|pi| crate::measures::state_mass(targets, pi))
-        .collect()
+    transient_many_from_ctx(
+        &absorbing,
+        &absorbing.initial_distribution(),
+        ts,
+        &TransientOptions::default(),
+        &MeasureContext::new(),
+    )
+    .iter()
+    .map(|pi| crate::measures::state_mass(targets, pi))
+    .collect()
 }
 
 /// Mean time until any state in `targets` is first entered (MTTF when the

@@ -1,25 +1,25 @@
 //! Per-analysis measurement context: a Poisson weight memo plus solver
 //! work counters scoped to one analysis session.
 //!
-//! The transient engines keep process-wide instrumentation counters
-//! ([`crate::transient::dtmc_steps_performed`]) for benchmarks, but a
-//! server hosting several concurrent sessions needs counters that cannot
-//! cross-contaminate: two sessions solving at the same time must each see
-//! only their own work. A [`MeasureContext`] bundles the session-scoped
-//! [`SolveCounters`] with the session's [`PoissonCache`]; the `_ctx`
-//! entry points ([`crate::transient::transient_many_from_ctx`],
+//! The context's counters are the one record of transient solver work:
+//! a server hosting several concurrent sessions needs counters that
+//! cannot cross-contaminate (two sessions solving at the same time must
+//! each see only their own work), and a benchmark or test reads the work
+//! of exactly the solves it ran through its own context. A
+//! [`MeasureContext`] bundles the session-scoped [`SolveCounters`] with
+//! the session's [`PoissonCache`]; the `_ctx` entry points
+//! ([`crate::transient::transient_many_from_ctx`],
 //! [`crate::csl::until_bounded_ctx`],
 //! [`crate::csl::interval_down_fraction_ctx`]) thread both through the
-//! grid solver, which bumps the per-context counters *in addition to*
-//! the process-wide ones.
+//! grid solver. The plain entry points solve on a fresh context.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::poisson::PoissonCache;
 
 /// Solver work counters for one analysis context. All increments are
-/// relaxed atomics so sweeps running on worker threads (sharded steps,
-/// parallel prefetches) are neither lost nor raced.
+/// relaxed atomics so sweeps running on worker threads (parallel
+/// prefetches, sweep points) are neither lost nor raced.
 #[derive(Debug, Default)]
 pub struct SolveCounters {
     dtmc_steps: AtomicU64,
@@ -44,9 +44,9 @@ impl SolveCounters {
         Self::default()
     }
 
-    /// DTMC matrix-vector products performed through this context. A
-    /// sharded step counts once — it is one matrix-vector product no
-    /// matter how many workers computed it.
+    /// DTMC matrix-vector products performed through this context: the
+    /// unit of uniformization work, so batching and steady-state
+    /// detection wins show up directly in it.
     pub fn dtmc_steps(&self) -> u64 {
         self.dtmc_steps.load(Ordering::Relaxed)
     }

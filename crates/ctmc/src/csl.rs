@@ -17,11 +17,10 @@
 //! * expected interval availability ([`interval_down_fraction`]).
 
 use crate::chain::Ctmc;
-use crate::context::{MeasureContext, SolveCounters};
-use crate::poisson::PoissonCache;
+use crate::context::MeasureContext;
 use crate::solver::{SolverOptions, TransientOptions};
 use crate::steady::steady_state_with;
-use crate::transient::{transient_many_from_cached, transient_many_from_ctx, GridSolver};
+use crate::transient::{transient_many_from_ctx, GridSolver};
 
 /// A boolean state formula over label bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,45 +95,26 @@ impl StateFormula {
 ///
 /// Panics if `t` is negative or not finite.
 pub fn until_bounded(ctmc: &Ctmc, phi: &StateFormula, psi: &StateFormula, t: f64) -> f64 {
-    until_bounded_with(
+    until_bounded_ctx(
         ctmc,
         phi,
         psi,
         t,
         &TransientOptions::default(),
-        &PoissonCache::new(),
+        &MeasureContext::new(),
     )
 }
 
-/// [`until_bounded`] with explicit uniformization engine configuration
-/// and a shared Poisson weight memo (the transient solve dominates this
-/// query on large chains; batches of until queries over one grid reuse
-/// each `Λ·Δt` expansion through the cache). When the default options
-/// pick the adaptive windowed engine, the answer deviates from the exact
-/// expansion by at most [`TransientOptions::support_tol`] (one segment is
-/// stepped), on top of the shared `~1e-15` Poisson truncation; the dense
-/// kernel truncates no support.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn until_bounded_with(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    psi: &StateFormula,
-    t: f64,
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-) -> f64 {
-    until_bounded_inner(ctmc, phi, psi, t, |transformed, pi0| {
-        transient_many_from_cached(transformed, pi0, &[t], opts, cache)
-    })
-}
-
-/// [`until_bounded_with`] driven through a [`MeasureContext`]: the
-/// context's Poisson memo answers the weight lookups and the context's
-/// [`crate::SolveCounters`] record the transient solve's work, scoped to
-/// the session instead of the whole process.
+/// [`until_bounded`] with explicit uniformization engine configuration,
+/// driven through a [`MeasureContext`]: the context's Poisson memo
+/// answers the weight lookups (the transient solve dominates this query
+/// on large chains; batches of until queries over one grid reuse each
+/// `Λ·Δt` expansion) and the context's [`crate::SolveCounters`] record
+/// the solve's work. When the options pick the adaptive windowed engine,
+/// the answer deviates from the exact expansion by at most
+/// [`TransientOptions::support_tol`] (one segment is stepped), on top of
+/// the shared `~1e-15` Poisson truncation; the dense kernel truncates no
+/// support.
 ///
 /// # Panics
 ///
@@ -147,18 +127,6 @@ pub fn until_bounded_ctx(
     opts: &TransientOptions,
     ctx: &MeasureContext,
 ) -> f64 {
-    until_bounded_inner(ctmc, phi, psi, t, |transformed, pi0| {
-        transient_many_from_ctx(transformed, pi0, &[t], opts, ctx)
-    })
-}
-
-fn until_bounded_inner(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    psi: &StateFormula,
-    _t: f64,
-    solve: impl FnOnce(&Ctmc, &[f64]) -> Vec<Vec<f64>>,
-) -> f64 {
     let absorbing: Vec<u32> = (0..ctmc.num_states() as u32)
         .filter(|&s| {
             let l = ctmc.label(s);
@@ -169,9 +137,15 @@ fn until_bounded_inner(
     // Success = sitting in a Ψ-state at time t of the transformed chain;
     // since Ψ-states are absorbing, that equals "reached Ψ by t via Φ".
     // A failure state (¬Φ∧¬Ψ) is absorbing and not Ψ, so it contributes 0.
-    let pi = solve(&transformed, &transformed.initial_distribution())
-        .pop()
-        .expect("one grid point");
+    let pi = transient_many_from_ctx(
+        &transformed,
+        &transformed.initial_distribution(),
+        &[t],
+        opts,
+        ctx,
+    )
+    .pop()
+    .expect("one grid point");
     (0..ctmc.num_states() as u32)
         .filter(|&s| psi.holds(ctmc.label(s)))
         .map(|s| pi[s as usize])
@@ -215,43 +189,27 @@ pub fn steady_state_probability_with(ctmc: &Ctmc, phi: &StateFormula, opts: &Sol
 ///
 /// Panics if `t` is not strictly positive and finite.
 pub fn interval_down_fraction(ctmc: &Ctmc, phi: &StateFormula, t: f64) -> f64 {
-    interval_down_fraction_with(
+    interval_down_fraction_ctx(
         ctmc,
         phi,
         t,
         &TransientOptions::default(),
-        &PoissonCache::new(),
+        &MeasureContext::new(),
     )
 }
 
 /// [`interval_down_fraction`] with explicit uniformization engine
-/// configuration. The Simpson grid is evaluated in chunked batched
-/// sweeps over **one** reused grid solver — the adaptive engine's
-/// locality reordering and operator are built once for the whole
-/// integration, and the constant step width means every chunk whose
-/// support (and hence `Λ_seg`) has stabilized answers its Poisson
-/// weights from the shared [`PoissonCache`] memo. Error budget: each of
-/// the `steps` grid segments truncates at most
-/// [`TransientOptions::support_tol`] of mass, so the integrand is
-/// pointwise within `steps · support_tol` of exact — at the default
-/// `1e-14` budget that is dwarfed by the `O(h⁴)` Simpson error this
-/// grid resolution targets.
-///
-/// # Panics
-///
-/// Panics if `t` is not strictly positive and finite.
-pub fn interval_down_fraction_with(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    t: f64,
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-) -> f64 {
-    interval_down_fraction_inner(ctmc, phi, t, opts, cache, None)
-}
-
-/// [`interval_down_fraction_with`] driven through a [`MeasureContext`]
-/// (session-scoped Poisson memo and work counters).
+/// configuration, driven through a [`MeasureContext`] (session-scoped
+/// Poisson memo and work counters). The Simpson grid is evaluated in
+/// chunked batched sweeps over **one** reused grid solver — the adaptive
+/// engine's locality reordering and operator are built once for the
+/// whole integration, and the constant step width means every chunk
+/// whose support (and hence `Λ_seg`) has stabilized answers its Poisson
+/// weights from the context's memo. Error budget: each of the `steps`
+/// grid segments truncates at most [`TransientOptions::support_tol`] of
+/// mass, so the integrand is pointwise within `steps · support_tol` of
+/// exact — at the default `1e-14` budget that is dwarfed by the `O(h⁴)`
+/// Simpson error this grid resolution targets.
 ///
 /// # Panics
 ///
@@ -262,17 +220,6 @@ pub fn interval_down_fraction_ctx(
     t: f64,
     opts: &TransientOptions,
     ctx: &MeasureContext,
-) -> f64 {
-    interval_down_fraction_inner(ctmc, phi, t, opts, &ctx.poisson, Some(&ctx.counters))
-}
-
-fn interval_down_fraction_inner(
-    ctmc: &Ctmc,
-    phi: &StateFormula,
-    t: f64,
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-    counters: Option<&SolveCounters>,
 ) -> f64 {
     assert!(
         t.is_finite() && t > 0.0,
@@ -293,10 +240,7 @@ fn interval_down_fraction_inner(
     // PoissonCache amortize the stepping engine (prescaled transposed
     // CSR) and the weight vectors across all chunks.
     const CHUNK: usize = 64;
-    let mut solver = GridSolver::new(ctmc, opts, cache);
-    if let Some(c) = counters {
-        solver = solver.with_counters(c);
-    }
+    let mut solver = GridSolver::new(ctmc, opts, &ctx.poisson, &ctx.counters);
     let mut k = 1usize;
     while k <= steps {
         let m = CHUNK.min(steps - k + 1);

@@ -63,8 +63,7 @@ const DENSE_COST_FACTOR: f64 = 4.0;
 /// The most squarings the kernel takes. `2^s` must stay finite, and a
 /// horizon of `2^1000` uniformization steps is past any stationary limit;
 /// the cost model leaves anything longer (or not finite) to the windowed
-/// engine, whose Poisson weights reject a parameter that is not finite or
-/// above `2^53`.
+/// engine, which rejects a global `Λt` above `2^53`.
 const MAX_SQUARINGS: u32 = 1000;
 
 /// The number of squarings that brings `ΛΔt` down to at most 1, or `None`
@@ -138,9 +137,9 @@ pub(crate) struct DenseExp {
 
 impl DenseExp {
     pub(crate) fn new(ctmc: &Ctmc, unif: f64) -> Self {
-        // The dense twin of the windowed engine's shard boundary: chaos
-        // faults injected at `session.shard` unwind here, before any
-        // buffer is filled.
+        // The dense twin of the uniformization engines' solver-shard
+        // boundary: chaos faults injected at `session.shard` unwind here,
+        // before any buffer is filled.
         ioimc::failpoint::hit("session.shard");
         let n = ctmc.num_states();
         let mut p = vec![0.0f64; n * n];
@@ -165,7 +164,7 @@ impl DenseExp {
         pi: &[f64],
         dt: f64,
         cache: &PoissonCache,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> Vec<f64> {
         let n = self.n;
         let key = dt.to_bits();
@@ -186,12 +185,7 @@ impl DenseExp {
 
     /// `e^{QΔt}` by scaling, the Horner-summed Poisson series, and
     /// row-renormalized squaring.
-    fn exponential(
-        &self,
-        dt: f64,
-        cache: &PoissonCache,
-        counters: Option<&SolveCounters>,
-    ) -> Vec<f64> {
+    fn exponential(&self, dt: f64, cache: &PoissonCache, counters: &SolveCounters) -> Vec<f64> {
         let n = self.n;
         let lambda_t = self.unif * dt;
         let s = squarings(lambda_t).expect("the cost model admits only horizons it can square");
@@ -230,10 +224,8 @@ fn add_diagonal(m: &mut [f64], n: usize, w: f64) {
 /// loop streams rows of `b` and `c`. Zero entries of `a` (most of them in
 /// the early Horner iterates of a sparse `P`) are skipped; adding their
 /// zero products would not change a bit of `c`.
-fn matmul(a: &[f64], b: &[f64], c: &mut [f64], n: usize, counters: Option<&SolveCounters>) {
-    if let Some(sink) = counters {
-        sink.count_dense_product();
-    }
+fn matmul(a: &[f64], b: &[f64], c: &mut [f64], n: usize, counters: &SolveCounters) {
+    counters.count_dense_product();
     c.fill(0.0);
     for (a_row, c_row) in a.chunks_exact(n).zip(c.chunks_exact_mut(n)) {
         for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
@@ -382,7 +374,7 @@ mod tests {
         let a = [1.0, 2.0, 0.0, 3.0];
         let b = [0.5, 0.0, 4.0, 1.0];
         let mut c = [0.0; 4];
-        matmul(&a, &b, &mut c, 2, None);
+        matmul(&a, &b, &mut c, 2, &SolveCounters::new());
         assert_eq!(c, [8.5, 2.0, 12.0, 3.0]);
     }
 }

@@ -38,17 +38,14 @@
 //! the historical behavior, so plain [`steady::steady_state`] etc. are
 //! unchanged.
 //!
-//! # Transient kernels, parallelism and steady-state detection
+//! # Transient kernels and steady-state detection
 //!
 //! Small chains whose uniformization rate times horizon is large go to a
 //! dense kernel: `e^{QΔt}` by scaling and squaring of the uniformized
 //! matrix, at `O(n³·log Λt)` whatever the stiffness. Everything else is
 //! uniformized. The uniformization engines ([`transient`]) compute the
-//! DTMC step as a gather over the transposed CSR and can fan it out over
-//! row shards on scoped worker threads — configured by
-//! [`TransientOptions`] (inside [`SolverOptions::transient`], default
-//! serial); the dense kernel is serial. Results are **bitwise identical**
-//! for every thread count and shard size. Steady-state
+//! DTMC step as a serial gather over the transposed CSR, configured by
+//! [`TransientOptions`] (inside [`SolverOptions::transient`]). Steady-state
 //! detection (on by default, `steady_tol = 1e-13`) stops stepping once
 //! the uniformized chain has converged and answers all later grid points
 //! of a batched query from the converged vector; Poisson weight vectors

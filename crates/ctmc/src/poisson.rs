@@ -170,7 +170,7 @@ impl PoissonCache {
 
 /// The largest parameter [`poisson_weights`] accepts: `2^53`, up to which
 /// every integer is an exact float.
-const MAX_LAMBDA: f64 = 9_007_199_254_740_992.0;
+pub(crate) const MAX_LAMBDA: f64 = 9_007_199_254_740_992.0;
 
 /// Truncated, normalized Poisson probabilities for parameter `lambda`.
 ///

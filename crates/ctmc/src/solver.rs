@@ -38,24 +38,17 @@ pub enum IterativeMethod {
     Krylov,
 }
 
-/// Configuration of the transient kernels: kernel selection, the sharded
-/// uniformization engines and their steady-state detection (see
-/// [`crate::transient`]).
+/// Configuration of the transient kernels: kernel selection, the
+/// uniformization engines' steady-state detection and support truncation
+/// (see [`crate::transient`]). Every kernel runs serially on the calling
+/// thread; the parallelism that pays sits above it (sweep points, sibling
+/// plan groups, concurrent requests).
 ///
 /// # Semantics
 ///
-/// * `threads` — worker threads for the DTMC matrix-vector step. `0`
-///   means one worker per available core, `1` (the default) forces the
-///   sequential path; requests above the machine's core count are
-///   clamped (oversubscribed lockstep workers are strictly slower). The
-///   sharded step computes every state's inflow with exactly the per-row
-///   code the serial path runs, so results are **bitwise identical** for
-///   every thread count and shard size; only the wall clock changes.
-///   The dense kernel is serial and ignores it.
-/// * `shard_min` — minimum number of states per shard. Chains with fewer
-///   than `2 * shard_min` states run serially no matter the thread count
-///   (fan-out overhead would dominate); larger chains get at most
-///   `num_states / shard_min` shards, balanced by transition count.
+/// * `threads` — **unread**. No transient kernel uses threads. The field
+///   remains only because the repository benchmark's replay
+///   (`arcbench/src/api.rs:28`) assigns it; it goes once that line does.
 /// * `steady_tol` — steady-state detection budget: the uniformized chain
 ///   is declared converged when the **projected total remaining drift**
 ///   `δ / (1 − ρ̂)` falls below it, where `δ = ‖π P − π‖∞` is the DTMC
@@ -99,10 +92,8 @@ pub enum IterativeMethod {
 ///   the exact engine and the dense kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransientOptions {
-    /// Worker threads for the sharded DTMC step (see type docs).
+    /// Unread; kept only for an external assignment (see type docs).
     pub threads: usize,
-    /// Minimum states per shard (see type docs).
-    pub shard_min: usize,
     /// Steady-state detection threshold; `0.0` disables (see type docs).
     pub steady_tol: f64,
     /// Kernel selection: dense or adaptive windowed by the cost model
@@ -117,7 +108,6 @@ impl Default for TransientOptions {
     fn default() -> Self {
         Self {
             threads: 1,
-            shard_min: 4096,
             steady_tol: 1e-13,
             adaptive: true,
             support_tol: 1e-14,
@@ -126,18 +116,6 @@ impl Default for TransientOptions {
 }
 
 impl TransientOptions {
-    /// Returns a copy with the given worker thread count (`0` = auto).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Returns a copy with the given minimum shard size.
-    pub fn with_shard_min(mut self, shard_min: usize) -> Self {
-        self.shard_min = shard_min;
-        self
-    }
-
     /// Returns a copy with the given steady-state detection threshold
     /// (`0.0` disables detection).
     pub fn with_steady_tol(mut self, steady_tol: f64) -> Self {
@@ -182,8 +160,8 @@ impl TransientOptions {
 ///   dependability pipelines prefer a slightly stale vector over an
 ///   abort, and callers can tighten/loosen the pair as needed.
 /// * `method` — which iterative kernel runs above the dense limit.
-/// * `transient` — configuration of the sharded uniformization engine
-///   (worker threads, shard granularity, steady-state detection); see
+/// * `transient` — configuration of the transient kernels (kernel
+///   selection, steady-state detection, support truncation); see
 ///   [`TransientOptions`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
@@ -195,7 +173,7 @@ pub struct SolverOptions {
     pub max_sweeps: usize,
     /// Iterative kernel choice.
     pub method: IterativeMethod,
-    /// Uniformization engine configuration (threads, shards, detection).
+    /// Transient kernel configuration (selection, detection, truncation).
     pub transient: TransientOptions,
 }
 

@@ -7,10 +7,11 @@
 //! `Λ·Δt` through a [`PoissonCache`] (uniform grids step by the same `Δt`
 //! every segment).
 //!
-//! Every entry point — the `transient*` functions here, the [`crate::csl`]
-//! integrators and, through them, `arcade`'s `Session::evaluate` and
-//! `Session::sweep` — runs through one grid solver, which picks the
-//! kernel for each solve with [`select_kernel`]:
+//! Every entry point — [`transient`] (one point, all defaults) and
+//! [`transient_many_from_ctx`] (everything explicit) here, the
+//! [`crate::csl`] integrators and, through them, `arcade`'s
+//! `Session::evaluate` and `Session::sweep` — runs through one grid
+//! solver, which picks the kernel for each solve with [`select_kernel`]:
 //!
 //! * [`TransientKernel::Exact`] — the exact global-Λ engine, whenever
 //!   [`TransientOptions::adaptive`] is `false`. It is the reference the
@@ -128,13 +129,6 @@
 //!   whenever any mass could escape it, and `Λ_seg` covers every state
 //!   carrying mass).
 //!
-//! Within the adaptive engine, results are **bitwise identical for every
-//! thread count**: the sharded and serial paths are literally the same
-//! code (a worker gang of size 1 collapses to the serial loop), every
-//! window row is computed by the same per-row kernel, and all control
-//! decisions (frontier expansion, Λ restarts, steady-state detection) are
-//! taken by one worker from the assembled vector.
-//!
 //! # The exact global-Λ engine (`adaptive: false`)
 //!
 //! The reference engine: the hot kernel is the DTMC matrix-vector product
@@ -142,15 +136,22 @@
 //! state `i`'s next mass is `π[i]·stay[i] + Σ_{j→i} π[j]·q_{ji}/Λ`, one
 //! contiguous slice per state with the transition probabilities prescaled
 //! once per solve, over **all** rows at the **global** uniformization
-//! rate. Because every row is computed independently from the previous
-//! vector, the rows can be partitioned into contiguous shards (balanced
-//! by transition count) and fanned out over [`ioimc::par`] scoped worker
-//! threads with double-buffered per-shard writes — and the result is
-//! **bitwise identical** for every thread count and shard size: each row
-//! runs exactly the per-row code of the serial path, and the shard-wise
-//! maximum used for steady-state detection reduces to the same global
-//! maximum. Configure via [`TransientOptions`] (reachable from
+//! rate. Configure via [`TransientOptions`] (reachable from
 //! [`crate::SolverOptions::transient`]).
+//!
+//! # Long segments
+//!
+//! A uniformization sweep over a segment of width `Δt` first expands
+//! about `18·√(ΛΔt)` Poisson weights. So that a huge horizon cannot
+//! allocate gigabytes before the first budget checkpoint, the exact and
+//! windowed engines advance a segment whose **global** `Λ·Δt` exceeds
+//! `2^24` (about 74 k weights) as `⌈ΛΔt / 2^24⌉` equal sub-segments, with
+//! a budget checkpoint before each and none after the trajectory has
+//! converged; each sub-segment counts as one segment of the windowed
+//! engine's error budget. Shorter segments are advanced in one piece. A
+//! grid whose global `Λ·t` exceeds `2^53` is rejected up front, the bound
+//! [`crate::poisson::poisson_weights`] enforces. The dense kernel's cost
+//! grows with `log₂ ΛΔt`, so it never splits.
 //!
 //! # Steady-state detection
 //!
@@ -166,76 +167,25 @@
 //!
 //! # Batching
 //!
-//! Curve-shaped workloads should use [`transient_many`]: it evaluates a
-//! whole time grid in **one** incremental uniformization sweep (the chain
-//! is stepped from each grid point to the next by the Markov property)
-//! instead of one independent sweep per point, turning the
-//! `O(Λ·Σtᵢ)` cost of the scalar loop into `O(Λ·max tᵢ)` — and less than
-//! that once steady-state detection kicks in.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+//! Curve-shaped workloads should pass the whole grid to
+//! [`transient_many_from_ctx`]: it evaluates a time grid in **one**
+//! incremental uniformization sweep (the chain is stepped from each grid
+//! point to the next by the Markov property) instead of one independent
+//! sweep per point, turning the `O(Λ·Σtᵢ)` cost of the scalar loop into
+//! `O(Λ·max tᵢ)` — and less than that once steady-state detection kicks
+//! in. The context's [`SolveCounters`] count the DTMC steps and sweeps,
+//! which is how the batching and detection wins are measured.
 
 use crate::chain::Ctmc;
 use crate::context::{MeasureContext, SolveCounters};
 use crate::expm::{dense_pays, DenseExp};
-use crate::poisson::{PoissonCache, PoissonWeights};
+use crate::poisson::{PoissonCache, PoissonWeights, MAX_LAMBDA};
 use crate::solver::{TransientOptions, UNIF_HEADROOM};
 
-/// Instrumentation: DTMC matrix-vector products performed process-wide
-/// (see [`dtmc_steps_performed`]). A sharded step counts once — it is one
-/// matrix-vector product no matter how many workers computed it.
-static DTMC_STEPS: AtomicU64 = AtomicU64::new(0);
-/// Instrumentation: uniformization sweeps started process-wide.
-static SWEEPS: AtomicU64 = AtomicU64::new(0);
-
-/// Total DTMC matrix-vector products performed **process-wide** since the
-/// last [`reset_solver_counters`]. One product is the unit of transient
-/// solver work, so batching and steady-state-detection wins show up
-/// directly in this counter; it exists for benchmarks and regression
-/// tests, not for control flow.
-///
-/// The counters are atomics so sweeps running on worker threads (sharded
-/// steps, parallel `Session` prefetches, modular analyses) are neither
-/// lost nor raced; tests that assert on deltas must serialize against
-/// other counter-touching tests in the same process.
-pub fn dtmc_steps_performed() -> u64 {
-    DTMC_STEPS.load(Ordering::Relaxed)
-}
-
-/// Total uniformization sweeps (scalar solves or batched grid segments)
-/// started process-wide since the last [`reset_solver_counters`].
-pub fn sweeps_performed() -> u64 {
-    SWEEPS.load(Ordering::Relaxed)
-}
-
-/// Resets the process-wide [`dtmc_steps_performed`]/[`sweeps_performed`]
-/// counters to zero.
-pub fn reset_solver_counters() {
-    DTMC_STEPS.store(0, Ordering::Relaxed);
-    SWEEPS.store(0, Ordering::Relaxed);
-}
-
-/// Records one uniformization sweep: always on the process-wide counter,
-/// and additionally on the per-context sink when one is threaded through
-/// (the `_ctx` entry points).
-#[inline]
-fn count_sweep(sink: Option<&SolveCounters>) {
-    SWEEPS.fetch_add(1, Ordering::Relaxed);
-    if let Some(c) = sink {
-        c.count_sweep();
-    }
-}
-
-/// Records one DTMC matrix-vector product (process-wide plus the optional
-/// per-context sink).
-#[inline]
-fn count_step(sink: Option<&SolveCounters>) {
-    DTMC_STEPS.fetch_add(1, Ordering::Relaxed);
-    if let Some(c) = sink {
-        c.count_step();
-    }
-}
+/// The largest global `Λ·Δt` the exact and windowed engines advance in
+/// one sweep: `2^24`, whose Poisson window is about 74 k weights (0.6 MB).
+/// Longer segments are split (see the module docs).
+const MAX_SEGMENT_LAMBDA_T: f64 = 16_777_216.0;
 
 /// The kernels a transient grid solve can run on (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -279,131 +229,46 @@ pub fn select_kernel(ctmc: &Ctmc, ts: &[f64], opts: &TransientOptions) -> Transi
 }
 
 /// Computes the state distribution at time `t` starting from the chain's
-/// initial state.
+/// initial state, with default [`TransientOptions`] and a fresh
+/// [`MeasureContext`].
 ///
 /// # Panics
 ///
-/// Panics if `t` is negative or not finite.
+/// Panics if `t` is negative or not finite, or if it is too long to
+/// uniformize (see the module docs).
 pub fn transient(ctmc: &Ctmc, t: f64) -> Vec<f64> {
-    transient_from(ctmc, &ctmc.initial_distribution(), t)
-}
-
-/// [`transient`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite.
-pub fn transient_with(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> Vec<f64> {
-    transient_from_with(ctmc, &ctmc.initial_distribution(), t, opts)
-}
-
-/// Computes the state distribution at time `t` from an arbitrary initial
-/// distribution `pi0`.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite, or if `pi0` has the wrong
-/// length.
-pub fn transient_from(ctmc: &Ctmc, pi0: &[f64], t: f64) -> Vec<f64> {
-    transient_from_with(ctmc, pi0, t, &TransientOptions::default())
-}
-
-/// [`transient_from`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if `t` is negative or not finite, or if `pi0` has the wrong
-/// length.
-pub fn transient_from_with(ctmc: &Ctmc, pi0: &[f64], t: f64, opts: &TransientOptions) -> Vec<f64> {
-    grid_solve(ctmc, pi0, &[t], opts, None)
-        .pop()
-        .expect("one grid point")
+    transient_many_from_ctx(
+        ctmc,
+        &ctmc.initial_distribution(),
+        &[t],
+        &TransientOptions::default(),
+        &MeasureContext::new(),
+    )
+    .pop()
+    .expect("one grid point")
 }
 
 /// Computes the state distributions at every time in `ts` (any order,
-/// duplicates allowed) starting from the chain's initial state, sharing
-/// one incremental uniformization sweep across the whole grid.
+/// duplicates allowed) from an arbitrary initial distribution `pi0` in
+/// one incremental sweep: the grid is visited in ascending order and the
+/// chain is advanced from each grid point to the next (exact by the
+/// Markov property), so the total work is proportional to `Λ·max(ts)`
+/// plus a per-point truncation overhead, instead of the scalar loop's
+/// `Λ·Σts` — or less, once steady-state detection answers the tail of the
+/// grid from the converged vector.
 ///
-/// Returns one distribution per entry of `ts`, in the order given.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite.
-pub fn transient_many(ctmc: &Ctmc, ts: &[f64]) -> Vec<Vec<f64>> {
-    transient_many_from(ctmc, &ctmc.initial_distribution(), ts)
-}
-
-/// [`transient_many`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite.
-pub fn transient_many_with(ctmc: &Ctmc, ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
-    transient_many_from_with(ctmc, &ctmc.initial_distribution(), ts, opts)
-}
-
-/// Computes the state distributions at every time in `ts` from an
-/// arbitrary initial distribution `pi0` in one incremental sweep: the grid
-/// is visited in ascending order and the chain is advanced from each grid
-/// point to the next (exact by the Markov property), so the total work is
-/// proportional to `Λ·max(ts)` plus a per-point truncation overhead,
-/// instead of the scalar loop's `Λ·Σts` — or less, once steady-state
-/// detection answers the tail of the grid from the converged vector.
+/// Returns one distribution per entry of `ts`, in the order given. The
+/// context's Poisson memo answers the weight lookups, so repeated solves
+/// over the same grid (several measures of one batched query, repeated
+/// sessions) expand each distinct `Λ·Δt` weight vector once, and the
+/// context's [`SolveCounters`] record the sweeps, DTMC steps and dense
+/// products this solve performs.
 ///
 /// # Panics
 ///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
-pub fn transient_many_from(ctmc: &Ctmc, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
-    transient_many_from_with(ctmc, pi0, ts, &TransientOptions::default())
-}
-
-/// [`transient_many_from`] with explicit engine configuration.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
-pub fn transient_many_from_with(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    ts: &[f64],
-    opts: &TransientOptions,
-) -> Vec<Vec<f64>> {
-    grid_solve(ctmc, pi0, ts, opts, None)
-}
-
-/// [`transient_many_from_with`] with a caller-provided [`PoissonCache`],
-/// so repeated solves over the same grid (several measures of one batched
-/// query, Simpson integration, repeated sessions) expand each distinct
-/// `Λ·Δt` weight vector once.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
-pub fn transient_many_from_cached(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    ts: &[f64],
-    opts: &TransientOptions,
-    cache: &PoissonCache,
-) -> Vec<Vec<f64>> {
-    grid_solve(ctmc, pi0, ts, opts, Some(cache))
-}
-
-/// [`transient_many_from_cached`] driven through a full
-/// [`MeasureContext`]: the context's Poisson memo answers the weight
-/// lookups and the context's [`SolveCounters`] record the sweeps and
-/// DTMC steps this solve performs — in addition to (never instead of)
-/// the process-wide instrumentation counters. This is the entry point
-/// for hosts running several analysis sessions in one process, where
-/// the process-wide counters cross-contaminate.
-///
-/// # Panics
-///
-/// Panics if any time is negative or not finite, or if `pi0` has the
-/// wrong length.
+/// Panics if any time is negative or not finite, if `pi0` has the wrong
+/// length, or if the grid is too long to uniformize (see the module
+/// docs).
 pub fn transient_many_from_ctx(
     ctmc: &Ctmc,
     pi0: &[f64],
@@ -411,34 +276,13 @@ pub fn transient_many_from_ctx(
     opts: &TransientOptions,
     ctx: &MeasureContext,
 ) -> Vec<Vec<f64>> {
-    GridSolver::new(ctmc, opts, &ctx.poisson)
-        .with_counters(&ctx.counters)
-        .solve_from(pi0, ts)
-}
-
-/// The shared grid driver: one [`GridSolver`] per call.
-fn grid_solve(
-    ctmc: &Ctmc,
-    pi0: &[f64],
-    ts: &[f64],
-    opts: &TransientOptions,
-    cache: Option<&PoissonCache>,
-) -> Vec<Vec<f64>> {
-    let local_cache;
-    let cache = match cache {
-        Some(c) => c,
-        None => {
-            local_cache = PoissonCache::new();
-            &local_cache
-        }
-    };
-    GridSolver::new(ctmc, opts, cache).solve_from(pi0, ts)
+    GridSolver::new(ctmc, opts, &ctx.poisson, &ctx.counters).solve_from(pi0, ts)
 }
 
 /// A reusable grid driver over one chain: validates inputs, visits each
 /// grid in ascending order, and advances the chain segment by segment
-/// through a lazily built (and then reused) [`Stepper`]. Crate-internal
-/// so long chunked integrations (`csl::interval_down_fraction_with`) can
+/// through a lazily built (and then reused) engine. Crate-internal so
+/// long chunked integrations (`csl::interval_down_fraction_ctx`) can
 /// amortize the stepping engine across chunks instead of rebuilding the
 /// prescaled transposed CSR per call.
 ///
@@ -451,8 +295,7 @@ pub(crate) struct GridSolver<'a> {
     ctmc: &'a Ctmc,
     opts: &'a TransientOptions,
     cache: &'a PoissonCache,
-    /// Per-context counter sink; the process-wide statics are always fed.
-    counters: Option<&'a SolveCounters>,
+    counters: &'a SolveCounters,
     stepper: Option<Stepper>,
     adaptive: Option<AdaptiveEngine>,
     dense: Option<DenseExp>,
@@ -462,13 +305,18 @@ pub(crate) struct GridSolver<'a> {
 }
 
 impl<'a> GridSolver<'a> {
-    pub(crate) fn new(ctmc: &'a Ctmc, opts: &'a TransientOptions, cache: &'a PoissonCache) -> Self {
+    pub(crate) fn new(
+        ctmc: &'a Ctmc,
+        opts: &'a TransientOptions,
+        cache: &'a PoissonCache,
+        counters: &'a SolveCounters,
+    ) -> Self {
         let max_exit = ctmc.max_exit_rate();
         Self {
             ctmc,
             opts,
             cache,
-            counters: None,
+            counters,
             stepper: None,
             adaptive: None,
             dense: None,
@@ -476,12 +324,6 @@ impl<'a> GridSolver<'a> {
             unif: max_exit * UNIF_HEADROOM,
             converged: false,
         }
-    }
-
-    /// Routes this solver's work counts into a per-context sink as well.
-    pub(crate) fn with_counters(mut self, counters: &'a SolveCounters) -> Self {
-        self.counters = Some(counters);
-        self
     }
 
     pub(crate) fn solve_from(&mut self, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
@@ -504,10 +346,16 @@ impl<'a> GridSolver<'a> {
             );
         }
         if self.max_exit > 0.0 {
-            match kernel {
-                TransientKernel::Dense => return self.solve_from_dense(pi0, ts),
-                TransientKernel::Windowed => return self.solve_from_adaptive(pi0, ts),
-                TransientKernel::Exact => {}
+            if kernel == TransientKernel::Dense {
+                return self.solve_from_dense(pi0, ts);
+            }
+            let lambda_t = self.unif * ts.iter().copied().fold(0.0, f64::max);
+            assert!(
+                lambda_t <= MAX_LAMBDA,
+                "uniformization rate times time must be at most 2^53, got {lambda_t:e}"
+            );
+            if kernel == TransientKernel::Windowed {
+                return self.solve_from_adaptive(pi0, ts);
             }
         }
         let mut order: Vec<usize> = (0..ts.len()).collect();
@@ -519,19 +367,20 @@ impl<'a> GridSolver<'a> {
         for &i in &order {
             let dt = ts[i] - cur_t;
             if dt > 0.0 && self.max_exit > 0.0 && !self.converged {
-                // Segment boundary: poll the ambient budget on the
-                // control thread (no sweep workers are in flight here).
-                ioimc::budget::checkpoint();
-                let (ctmc, unif, opts) = (self.ctmc, self.unif, self.opts);
-                let st = self
-                    .stepper
-                    .get_or_insert_with(|| Stepper::new(ctmc, unif, opts));
-                let pw = self.cache.get(self.unif * dt);
-                count_sweep(self.counters);
-                let (res, conv) = st.sweep(&cur, &pw, self.opts.steady_tol, self.counters);
-                cur = res;
+                let (ctmc, unif) = (self.ctmc, self.unif);
+                for width in segment_widths(unif, dt) {
+                    if self.converged {
+                        break;
+                    }
+                    ioimc::budget::checkpoint();
+                    let st = self.stepper.get_or_insert_with(|| Stepper::new(ctmc, unif));
+                    let pw = self.cache.get(unif * width);
+                    self.counters.count_sweep();
+                    let (res, conv) = st.sweep(&cur, &pw, self.opts.steady_tol, self.counters);
+                    cur = res;
+                    self.converged = conv;
+                }
                 cur_t = ts[i];
-                self.converged = conv;
             }
             results[i] = cur.clone();
         }
@@ -553,7 +402,7 @@ impl<'a> GridSolver<'a> {
             None => true,
         };
         if rebuild {
-            self.adaptive = Some(AdaptiveEngine::new(self.ctmc, pi0, self.opts));
+            self.adaptive = Some(AdaptiveEngine::new(self.ctmc, pi0));
         }
         let engine = self.adaptive.as_mut().expect("just ensured");
         let mut results: Vec<Vec<f64>> = vec![Vec::new(); ts.len()];
@@ -561,8 +410,13 @@ impl<'a> GridSolver<'a> {
         for &i in &order {
             let dt = ts[i] - cur_t;
             if dt > 0.0 && !self.converged {
-                ioimc::budget::checkpoint();
-                self.converged = engine.advance(dt, self.cache, self.opts, self.counters);
+                for width in segment_widths(self.unif, dt) {
+                    if self.converged {
+                        break;
+                    }
+                    ioimc::budget::checkpoint();
+                    self.converged = engine.advance(width, self.cache, self.opts, self.counters);
+                }
                 cur_t = ts[i];
             }
             results[i] = engine.output();
@@ -586,7 +440,7 @@ impl<'a> GridSolver<'a> {
             let dt = ts[i] - cur_t;
             if dt > 0.0 && !self.converged {
                 ioimc::budget::checkpoint();
-                count_sweep(self.counters);
+                self.counters.count_sweep();
                 cur = dense.advance(&cur, dt, self.cache, self.counters);
                 cur_t = ts[i];
             }
@@ -594,6 +448,16 @@ impl<'a> GridSolver<'a> {
         }
         results
     }
+}
+
+/// The widths a uniformization engine advances a segment of width `dt`
+/// in at global rate `unif`: `dt` itself when `unif·dt` is at most
+/// [`MAX_SEGMENT_LAMBDA_T`], otherwise `⌈unif·dt / MAX_SEGMENT_LAMBDA_T⌉`
+/// equal parts.
+fn segment_widths(unif: f64, dt: f64) -> impl Iterator<Item = f64> {
+    let pieces = (unif * dt / MAX_SEGMENT_LAMBDA_T).ceil().max(1.0);
+    let width = if pieces > 1.0 { dt / pieces } else { dt };
+    std::iter::repeat_n(width, pieces as usize)
 }
 
 /// The steady-state detector fed one sup-norm step delta per DTMC step.
@@ -609,10 +473,6 @@ impl<'a> GridSolver<'a> {
 /// `δ / (1 − ρ̂)` is within tolerance. When one mode dominates, the
 /// projection is tight; a fast-decaying transient cannot fake it because
 /// the ratio window has to see eight consecutive small ratios first.
-///
-/// The decision consumes only the global (order-independent) sup-norm
-/// delta, so the serial and sharded sweeps reach bitwise-identical
-/// verdicts.
 struct SteadyDetector {
     tol: f64,
     /// Last step-to-step delta ratios, clamped to `[0, 1]`; seeded with
@@ -655,8 +515,8 @@ impl SteadyDetector {
 }
 
 /// The uniformization stepping engine for one chain and one `Λ`: the
-/// prescaled transposed adjacency (`p = rate/Λ` per incoming transition),
-/// the per-state self-loop probabilities, and the shard partition.
+/// prescaled transposed adjacency (`p = rate/Λ` per incoming transition)
+/// and the per-state self-loop probabilities.
 struct Stepper {
     n: usize,
     /// Self-loop probability `1 - exit/Λ` per state.
@@ -667,38 +527,26 @@ struct Stepper {
     inc_p: Vec<f64>,
     /// Incoming transition sources, parallel to `inc_p`.
     inc_src: Vec<u32>,
-    /// Contiguous row ranges, one per worker, balanced by transition
-    /// count. `len() == 1` selects the serial path.
-    shards: Vec<std::ops::Range<usize>>,
 }
 
 impl Stepper {
-    fn new(ctmc: &Ctmc, unif: f64, opts: &TransientOptions) -> Self {
-        let n = ctmc.num_states();
-        // The solver-shard boundary: the last serial point before the
-        // stepping gang exists. Chaos faults injected here (the
+    fn new(ctmc: &Ctmc, unif: f64) -> Self {
+        // The solver-shard boundary: chaos faults injected here (the
         // `session.shard` failpoint, via the ambient hook) unwind or
-        // stall on the calling thread — never inside the barrier-synced
-        // gang, where a panicking worker would deadlock its peers.
+        // stall before the operator is built.
         ioimc::failpoint::hit("session.shard");
         let (stay, inc_off, inc_p, inc_src) = prescaled_transpose(ctmc, unif);
-        let workers = ioimc::par::effective_threads(opts.threads);
-        let max_shards = (n / opts.shard_min.max(1)).max(1);
-        let shards = balanced_ranges(&inc_off, workers.min(max_shards));
         Self {
-            n,
+            n: ctmc.num_states(),
             stay,
             inc_off,
             inc_p,
             inc_src,
-            shards,
         }
     }
 
     /// One state's next mass: `π[i]·stay[i] + Σ p·π[src]` over the
-    /// state's contiguous incoming slice. This is the **only** place a
-    /// row is computed — the serial and sharded paths both call it, which
-    /// is what makes their results bitwise identical.
+    /// state's contiguous incoming slice.
     #[inline]
     fn row_value(&self, cur: &[f64], i: usize) -> f64 {
         let lo = self.inc_off[i] as usize;
@@ -724,21 +572,7 @@ impl Stepper {
         pi0: &[f64],
         pw: &PoissonWeights,
         tol: f64,
-        counters: Option<&SolveCounters>,
-    ) -> (Vec<f64>, bool) {
-        if self.shards.len() <= 1 {
-            self.sweep_serial(pi0, pw, tol, counters)
-        } else {
-            self.sweep_sharded(pi0, pw, tol, counters)
-        }
-    }
-
-    fn sweep_serial(
-        &self,
-        pi0: &[f64],
-        pw: &PoissonWeights,
-        tol: f64,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> (Vec<f64>, bool) {
         let n = self.n;
         let total = pw.total_steps();
@@ -761,12 +595,11 @@ impl Stepper {
             if step + 1 == total {
                 break;
             }
-            // Serial loop, no workers: a deadline unwind is safe at any
-            // step. Gate the poll so long sweeps pay ~nothing.
+            // Gate the poll so long sweeps pay ~nothing.
             if step & 0x3FF == 0 {
                 ioimc::budget::checkpoint();
             }
-            count_step(counters);
+            counters.count_step();
             let mut delta = 0.0f64;
             for i in 0..n {
                 let v = self.row_value(&cur, i);
@@ -787,117 +620,6 @@ impl Stepper {
             }
         }
         (result, false)
-    }
-
-    /// The sharded sweep: one scoped worker per shard, lockstep-stepped
-    /// with a [`Barrier`]. Each step has two phases — every worker gathers
-    /// its shard's rows from the shared previous vector into its private
-    /// out-buffer (and accumulates its shard of the weighted result), then
-    /// worker 0 alone copies the shard buffers back into the shared
-    /// vector, bumps the step counter and reduces the shard deltas for
-    /// steady-state detection. All workers take identical branches, so
-    /// the barrier stays aligned and the result is bitwise identical to
-    /// [`Stepper::sweep_serial`].
-    fn sweep_sharded(
-        &self,
-        pi0: &[f64],
-        pw: &PoissonWeights,
-        tol: f64,
-        counters: Option<&SolveCounters>,
-    ) -> (Vec<f64>, bool) {
-        let nshards = self.shards.len();
-        let total = pw.total_steps();
-        let cur = RwLock::new(pi0.to_vec());
-        let outs: Vec<Mutex<Vec<f64>>> = self
-            .shards
-            .iter()
-            .map(|r| Mutex::new(vec![0.0; r.len()]))
-            .collect();
-        let results: Vec<Mutex<Vec<f64>>> = self
-            .shards
-            .iter()
-            .map(|r| Mutex::new(vec![0.0; r.len()]))
-            .collect();
-        let deltas: Vec<Mutex<f64>> = (0..nshards).map(|_| Mutex::new(0.0)).collect();
-        // Sup-distance between each shard's final result and the
-        // converged iterate, filled in the early-stop branch only.
-        let res_diffs: Vec<Mutex<f64>> = (0..nshards).map(|_| Mutex::new(f64::INFINITY)).collect();
-        let barrier = Barrier::new(nshards);
-        let stop = AtomicBool::new(false);
-        // Fed only by worker 0 in the assembly phase, from the same
-        // global delta sequence the serial path sees.
-        let detector = Mutex::new(SteadyDetector::new(tol));
-        ioimc::par::run_workers(nshards, |w| {
-            let range = self.shards[w].clone();
-            let mut cum = 0.0f64;
-            for step in 0..total {
-                let last = step + 1 == total;
-                {
-                    let cur_g = cur.read().expect("no poisoned buffer");
-                    if step >= pw.left {
-                        let wt = pw.weights[step - pw.left];
-                        let mut res = results[w].lock().expect("no poisoned shard");
-                        for (k, i) in range.clone().enumerate() {
-                            res[k] += wt * cur_g[i];
-                        }
-                        cum += wt;
-                    }
-                    if !last {
-                        let mut out = outs[w].lock().expect("no poisoned shard");
-                        let mut dmax = 0.0f64;
-                        for (k, i) in range.clone().enumerate() {
-                            let v = self.row_value(&cur_g, i);
-                            dmax = dmax.max((v - cur_g[i]).abs());
-                            out[k] = v;
-                        }
-                        *deltas[w].lock().expect("no poisoned shard") = dmax;
-                    }
-                }
-                barrier.wait();
-                if !last && w == 0 {
-                    // Assembly phase: the other workers are parked on the
-                    // second barrier, so the write lock is uncontended.
-                    let mut cur_g = cur.write().expect("no poisoned buffer");
-                    for (s, r) in self.shards.iter().enumerate() {
-                        cur_g[r.clone()]
-                            .copy_from_slice(&outs[s].lock().expect("no poisoned shard"));
-                    }
-                    count_step(counters);
-                    let delta = deltas
-                        .iter()
-                        .fold(0.0f64, |a, d| a.max(*d.lock().expect("no poisoned shard")));
-                    if detector.lock().expect("no poisoned detector").feed(delta) {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                }
-                barrier.wait();
-                if last {
-                    break;
-                }
-                if stop.load(Ordering::SeqCst) {
-                    let cur_g = cur.read().expect("no poisoned buffer");
-                    let tail = 1.0 - cum;
-                    let mut res = results[w].lock().expect("no poisoned shard");
-                    let mut dmax = 0.0f64;
-                    for (k, i) in range.clone().enumerate() {
-                        res[k] += tail * cur_g[i];
-                        dmax = dmax.max((res[k] - cur_g[i]).abs());
-                    }
-                    *res_diffs[w].lock().expect("no poisoned shard") = dmax;
-                    break;
-                }
-            }
-        });
-        let mut result = vec![0.0f64; self.n];
-        for (s, r) in self.shards.iter().enumerate() {
-            result[r.clone()].copy_from_slice(&results[s].lock().expect("no poisoned shard"));
-        }
-        let steady = stop.load(Ordering::SeqCst)
-            && res_diffs
-                .iter()
-                .fold(0.0f64, |a, d| a.max(*d.lock().expect("no poisoned shard")))
-                <= tol;
-        (result, steady)
     }
 }
 
@@ -1013,8 +735,7 @@ impl WindowedOp {
 
     /// One window row's next mass under uniformization rate `1/inv_l`:
     /// `π[i] + (Σ q_{ji}·π[j] − exit_i·π[i]) / Λ`, gathering only sources
-    /// inside the window (rows `>= hi` hold exactly zero). The **only**
-    /// place a window row is computed, for every worker count.
+    /// inside the window (rows `>= hi` hold exactly zero).
     #[inline]
     fn row_value(&self, cur: &[f64], i: usize, inv_l: f64, hi: usize) -> f64 {
         let lo = self.inc_off[i] as usize;
@@ -1028,36 +749,9 @@ impl WindowedOp {
         }
         cur[i] + inv_l * (acc - self.exit[i] * cur[i])
     }
-
-    /// Transition-balanced contiguous chunk of the window `0..hi` for
-    /// worker `w` of `workers` (a row weighs `1 +` its in-degree). Chunk
-    /// boundaries depend on the worker count, but every row is computed
-    /// by the same kernel regardless, so results do not.
-    fn chunk(&self, hi: usize, w: usize, workers: usize) -> std::ops::Range<usize> {
-        let weight = |i: usize| i as u64 + u64::from(self.inc_off[i]);
-        let total = weight(hi);
-        let bound = |k: usize| -> usize {
-            let target = total * k as u64 / workers as u64;
-            // Smallest row index whose cumulative weight reaches target.
-            let (mut lo, mut up) = (0usize, hi);
-            while lo < up {
-                let mid = (lo + up) / 2;
-                if weight(mid) < target {
-                    lo = mid + 1;
-                } else {
-                    up = mid;
-                }
-            }
-            lo
-        };
-        bound(w)..bound(w + 1)
-    }
 }
 
-/// Per-segment control state of a windowed sweep. In the gang path it is
-/// touched only by worker 0 between barriers; the serial path owns it
-/// directly. Both paths drive it through the same helpers in the same
-/// order, which is what keeps their results bitwise identical.
+/// Per-segment control state of a windowed sweep.
 struct SegmentCtrl {
     /// Current frontier level (window = rows `0..level_off[lvl + 1]`).
     lvl: usize,
@@ -1073,9 +767,6 @@ struct SegmentCtrl {
     /// Truncated mass (frozen-frontier escape bound + capped inflow).
     leaked: f64,
     detector: SteadyDetector,
-    /// Whether the converged result itself is within tolerance of the
-    /// invariant iterate (set by the early-stop branch).
-    res_steady: bool,
 }
 
 impl SegmentCtrl {
@@ -1133,9 +824,6 @@ impl SegmentCtrl {
 /// calls) so the operator is built once per solve.
 struct AdaptiveEngine {
     op: WindowedOp,
-    /// Lockstep workers for the sharded window gather (clamped to the
-    /// machine and to `n / shard_min`).
-    workers: usize,
     /// Working distribution in row space; rows `>= window end` hold
     /// exactly zero.
     cur: Vec<f64>,
@@ -1146,19 +834,14 @@ struct AdaptiveEngine {
 }
 
 impl AdaptiveEngine {
-    fn new(ctmc: &Ctmc, pi0: &[f64], opts: &TransientOptions) -> Self {
-        // The adaptive twin of the `Stepper::new` shard boundary: serial,
-        // on the control thread, before any stepping gang exists — the
-        // `session.shard` failpoint fires here on the (default) adaptive
-        // engine so chaos faults unwind without deadlocking workers.
+    fn new(ctmc: &Ctmc, pi0: &[f64]) -> Self {
+        // The windowed twin of the `Stepper::new` solver-shard boundary:
+        // the `session.shard` failpoint fires here, before the operator
+        // is built.
         ioimc::failpoint::hit("session.shard");
         let roots = (0..pi0.len() as u32).filter(|&s| pi0[s as usize] != 0.0);
-        let op = WindowedOp::new(ctmc, roots);
-        let max_shards = (op.n / opts.shard_min.max(1)).max(1);
-        let workers = ioimc::par::effective_threads(opts.threads).min(max_shards);
         let mut engine = Self {
-            op,
-            workers,
+            op: WindowedOp::new(ctmc, roots),
             cur: Vec::new(),
             lvl: 0,
             leaked: 0.0,
@@ -1210,7 +893,7 @@ impl AdaptiveEngine {
         dt: f64,
         cache: &PoissonCache,
         opts: &TransientOptions,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> bool {
         let op = &self.op;
         // Trailing-support shrink: zero whole top levels while their
@@ -1272,11 +955,10 @@ impl AdaptiveEngine {
         let snapshot = self.cur.clone();
         // One sweep per segment; Λ restarts are internal retries of the
         // same sweep, not additional solver work units.
-        count_sweep(counters);
+        counters.count_sweep();
         loop {
-            // Before each sweep (including Λ-escalation retries) the gang
-            // is parked, so a budget unwind here cannot strand a worker
-            // on the step barrier.
+            // Poll the budget before each sweep, Λ-escalation retries
+            // included.
             ioimc::budget::checkpoint();
             let pw = cache.get(lambda * dt);
             match self.sweep(lambda, &pw, opts, counters) {
@@ -1302,25 +984,20 @@ impl AdaptiveEngine {
             cum: 0.0,
             leaked: 0.0,
             detector: SteadyDetector::new(opts.steady_tol),
-            res_steady: false,
         }
     }
 
-    /// One windowed uniformization sweep at rate `lambda`: on success the
-    /// working distribution becomes the Poisson mixture and the frontier
-    /// level is updated; `Err(())` means capped inflow breached the
-    /// budget (caller restores the entry distribution and restarts with
-    /// a larger Λ). Dispatches to the lock-free serial loop or the
-    /// lockstep worker gang — both execute the identical per-row kernel
-    /// and the identical control-helper arithmetic in the same order, so
-    /// results are bitwise identical across thread counts (asserted by
-    /// the unit tests driving the gang directly).
+    /// One windowed uniformization sweep at rate `lambda`, double-buffered:
+    /// on success the working distribution becomes the Poisson mixture
+    /// and the frontier level is updated; `Err(())` means capped inflow
+    /// breached the budget (caller restores the entry distribution and
+    /// restarts with a larger Λ).
     fn sweep(
         &mut self,
         lambda: f64,
         pw: &PoissonWeights,
         opts: &TransientOptions,
-        counters: Option<&SolveCounters>,
+        counters: &SolveCounters,
     ) -> SweepOutcome {
         // Quarter of the budget for each in-sweep truncation channel
         // (frozen-frontier escape, capped inflow), spread over the steps.
@@ -1331,37 +1008,14 @@ impl AdaptiveEngine {
             0.0
         };
         let mut st = self.segment_ctrl(lambda, opts);
-        let outcome = if self.workers <= 1 {
-            self.sweep_serial(lambda, pw, opts, &mut st, step_budget, counters)
-        } else {
-            self.sweep_gang(lambda, pw, opts, &mut st, step_budget, counters)
-        };
-        if outcome.is_ok() {
-            self.lvl = st.lvl;
-            self.leaked += st.leaked;
-        }
-        outcome
-    }
-
-    /// The serial sweep: double-buffered, no locks. Reference semantics
-    /// for the gang path.
-    fn sweep_serial(
-        &mut self,
-        lambda: f64,
-        pw: &PoissonWeights,
-        opts: &TransientOptions,
-        st: &mut SegmentCtrl,
-        step_budget: f64,
-        counters: Option<&SolveCounters>,
-    ) -> SweepOutcome {
         let op = &self.op;
         let n = op.n;
         let inv_l = 1.0 / lambda;
-        let total = pw.total_steps();
         let mut cur = std::mem::take(&mut self.cur);
         let mut nxt = vec![0.0f64; n];
         let mut result = vec![0.0f64; n];
         let mut hi = op.level_off[st.lvl + 1] as usize;
+        let mut steady = false;
         for step in 0..total {
             if step >= pw.left {
                 let wt = pw.weights[step - pw.left];
@@ -1377,7 +1031,7 @@ impl AdaptiveEngine {
                 ioimc::budget::checkpoint();
             }
             hi = st.expand(op, &cur, lambda, step_budget);
-            count_step(counters);
+            counters.count_step();
             let mut delta = 0.0f64;
             for i in 0..hi {
                 let v = op.row_value(&cur, i, inv_l, hi);
@@ -1398,146 +1052,16 @@ impl AdaptiveEngine {
                     *r += tail * c;
                     res_diff = res_diff.max((*r - c).abs());
                 }
-                st.res_steady = res_diff <= opts.steady_tol;
-                self.cur = result;
-                return Ok(st.res_steady);
+                steady = res_diff <= opts.steady_tol;
+                break;
             }
         }
         self.cur = result;
-        Ok(false)
-    }
-
-    /// The sharded sweep: a lockstep worker gang over transition-balanced
-    /// chunks of the window, barrier-synced per step, with worker 0
-    /// running exactly the control/assembly arithmetic of the serial path
-    /// on the assembled vector.
-    fn sweep_gang(
-        &mut self,
-        lambda: f64,
-        pw: &PoissonWeights,
-        opts: &TransientOptions,
-        st_outer: &mut SegmentCtrl,
-        step_budget: f64,
-        counters: Option<&SolveCounters>,
-    ) -> SweepOutcome {
-        let op = &self.op;
-        let n = op.n;
-        let inv_l = 1.0 / lambda;
-        let total = pw.total_steps();
-        let workers = self.workers;
-        let cur = RwLock::new(std::mem::take(&mut self.cur));
-        let result = Mutex::new(vec![0.0f64; n]);
-        let outs: Vec<Mutex<Vec<f64>>> = (0..workers).map(|_| Mutex::new(vec![0.0; n])).collect();
-        let deltas: Vec<Mutex<f64>> = (0..workers).map(|_| Mutex::new(0.0)).collect();
-        let barrier = Barrier::new(workers);
-        let ctrl = std::sync::atomic::AtomicU8::new(CTRL_RUN);
-        let hi_shared =
-            std::sync::atomic::AtomicUsize::new(op.level_off[st_outer.lvl + 1] as usize);
-        let placeholder = SegmentCtrl {
-            lvl: 0,
-            capped: Vec::new(),
-            cum: 0.0,
-            leaked: 0.0,
-            detector: SteadyDetector::new(0.0),
-            res_steady: false,
-        };
-        let state = Mutex::new(std::mem::replace(st_outer, placeholder));
-        ioimc::par::run_workers(workers, |w| {
-            for step in 0..total {
-                if w == 0 {
-                    // Control phase — same order as the serial loop:
-                    // accumulate, then expansion decision, then the step
-                    // counter.
-                    let mut st = state.lock().expect("no poisoned control");
-                    let cur_g = cur.read().expect("no poisoned buffer");
-                    let hi = hi_shared.load(Ordering::Relaxed);
-                    if step >= pw.left {
-                        let wt = pw.weights[step - pw.left];
-                        let mut res = result.lock().expect("no poisoned result");
-                        for (r, &c) in res[..hi].iter_mut().zip(&cur_g[..hi]) {
-                            *r += wt * c;
-                        }
-                        st.cum += wt;
-                    }
-                    if step + 1 == total {
-                        ctrl.store(CTRL_DONE, Ordering::SeqCst);
-                    } else {
-                        let hi = st.expand(op, &cur_g, lambda, step_budget);
-                        hi_shared.store(hi, Ordering::Relaxed);
-                        count_step(counters);
-                    }
-                }
-                barrier.wait();
-                if ctrl.load(Ordering::SeqCst) != CTRL_RUN {
-                    break;
-                }
-                let hi = hi_shared.load(Ordering::SeqCst);
-                {
-                    // Compute phase: every worker gathers its chunk.
-                    let cur_g = cur.read().expect("no poisoned buffer");
-                    let mut out = outs[w].lock().expect("no poisoned shard");
-                    let mut dmax = 0.0f64;
-                    for i in op.chunk(hi, w, workers) {
-                        let v = op.row_value(&cur_g, i, inv_l, hi);
-                        dmax = dmax.max((v - cur_g[i]).abs());
-                        out[i] = v;
-                    }
-                    *deltas[w].lock().expect("no poisoned shard") = dmax;
-                }
-                barrier.wait();
-                if w == 0 {
-                    // Assembly phase: fold the chunks back, settle the
-                    // capped rows, then feed the detector — the serial
-                    // order.
-                    let mut st = state.lock().expect("no poisoned control");
-                    let mut cur_g = cur.write().expect("no poisoned buffer");
-                    for (v, out) in outs.iter().enumerate() {
-                        let r = op.chunk(hi, v, workers);
-                        cur_g[r.clone()]
-                            .copy_from_slice(&out.lock().expect("no poisoned shard")[r]);
-                    }
-                    if st.settle_capped(&mut cur_g, step_budget) {
-                        ctrl.store(CTRL_RESTART, Ordering::SeqCst);
-                    } else {
-                        let delta = deltas
-                            .iter()
-                            .fold(0.0f64, |a, d| a.max(*d.lock().expect("no poisoned shard")));
-                        if st.detector.feed(delta) {
-                            let tail = 1.0 - st.cum;
-                            let mut res = result.lock().expect("no poisoned result");
-                            let mut res_diff = 0.0f64;
-                            for (r, &c) in res[..hi].iter_mut().zip(&cur_g[..hi]) {
-                                *r += tail * c;
-                                res_diff = res_diff.max((*r - c).abs());
-                            }
-                            st.res_steady = res_diff <= opts.steady_tol;
-                            ctrl.store(CTRL_CONVERGED, Ordering::SeqCst);
-                        }
-                    }
-                }
-                barrier.wait();
-                let c = ctrl.load(Ordering::SeqCst);
-                if c == CTRL_CONVERGED || c == CTRL_RESTART {
-                    break;
-                }
-            }
-        });
-        *st_outer = state.into_inner().expect("no poisoned control");
-        let verdict = ctrl.load(Ordering::SeqCst);
-        if verdict == CTRL_RESTART {
-            self.cur = cur.into_inner().expect("no poisoned buffer");
-            return Err(());
-        }
-        self.cur = result.into_inner().expect("no poisoned result");
-        Ok(verdict == CTRL_CONVERGED && st_outer.res_steady)
+        self.lvl = st.lvl;
+        self.leaked += st.leaked;
+        Ok(steady)
     }
 }
-
-/// Sweep verdicts communicated through the gang's control atomic.
-const CTRL_RUN: u8 = 0;
-const CTRL_DONE: u8 = 1;
-const CTRL_CONVERGED: u8 = 2;
-const CTRL_RESTART: u8 = 3;
 
 /// `Ok(steady)` on a completed sweep, `Err(())` when Λ must be escalated
 /// and the segment restarted.
@@ -1571,40 +1095,16 @@ pub(crate) fn prescaled_transpose(
     (stay, inc_off, inc_p, inc_src)
 }
 
-/// Splits the rows `0..n` into at most `shards` contiguous non-empty
-/// ranges with balanced work, where a row's work is `1 +` its incoming
-/// transition count.
-fn balanced_ranges(inc_off: &[u32], shards: usize) -> Vec<std::ops::Range<usize>> {
-    let n = inc_off.len() - 1;
-    if shards <= 1 || n <= 1 {
-        return std::iter::once(0..n).collect();
-    }
-    let shards = shards.min(n);
-    let total = n as u64 + u64::from(inc_off[n]);
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    let mut acc = 0u64;
-    for i in 0..n {
-        acc += 1 + u64::from(inc_off[i + 1] - inc_off[i]);
-        let closed = out.len();
-        let remaining = shards - closed - 1;
-        if remaining > 0
-            && acc * shards as u64 >= total * (closed as u64 + 1)
-            && n - (i + 1) >= remaining
-        {
-            out.push(start..i + 1);
-            start = i + 1;
-        }
-    }
-    out.push(start..n);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use smallrand::SmallRng;
 
     use super::*;
+
+    /// One grid solve through the public entry point, on a fresh context.
+    fn many(c: &Ctmc, pi0: &[f64], ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+        transient_many_from_ctx(c, pi0, ts, opts, &MeasureContext::new())
+    }
 
     /// One grid solve on a pinned kernel, bypassing the cost model: the
     /// crate-internal entry point of the tests whose subject is one engine.
@@ -1615,7 +1115,8 @@ mod tests {
         ts: &[f64],
         opts: &TransientOptions,
     ) -> Vec<Vec<f64>> {
-        GridSolver::new(c, opts, &PoissonCache::new()).solve_on(kernel, pi0, ts)
+        let ctx = MeasureContext::new();
+        GridSolver::new(c, opts, &ctx.poisson, &ctx.counters).solve_on(kernel, pi0, ts)
     }
 
     /// [`solve_on`] the windowed engine from the chain's initial state.
@@ -1717,7 +1218,12 @@ mod tests {
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         // deliberately unsorted, with a duplicate and a zero
         let ts = [5.0, 0.1, 0.0, 1.0, 1.0, 50.0];
-        let pis = transient_many(&c, &ts);
+        let pis = many(
+            &c,
+            &c.initial_distribution(),
+            &ts,
+            &TransientOptions::default(),
+        );
         assert_eq!(pis.len(), ts.len());
         for (&t, pi) in ts.iter().zip(&pis) {
             let a = m / (l + m) + l / (l + m) * (-(l + m) * t).exp();
@@ -1728,7 +1234,7 @@ mod tests {
     #[test]
     fn rateless_chain_grid_is_constant() {
         let c = Ctmc::new(vec![vec![]], vec![0], 0).unwrap();
-        let pis = transient_many(&c, &[0.0, 1.0, 10.0]);
+        let pis = many(&c, &[1.0], &[0.0, 1.0, 10.0], &TransientOptions::default());
         for pi in pis {
             assert_eq!(pi, vec![1.0]);
         }
@@ -1742,7 +1248,7 @@ mod tests {
         let c = Ctmc::new(vec![vec![], vec![], vec![]], vec![0, 0, 1], 0).unwrap();
         assert_eq!(c.max_exit_rate(), 0.0);
         let pi0 = [0.25, 0.5, 0.25];
-        let pis = transient_many_from(&c, &pi0, &[0.0, 2.5, 100.0]);
+        let pis = many(&c, &pi0, &[0.0, 2.5, 100.0], &TransientOptions::default());
         for pi in pis {
             assert_eq!(pi, pi0.to_vec());
         }
@@ -1755,7 +1261,12 @@ mod tests {
         let (l, m) = (0.2, 1.5);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
         let pi0 = [0.0, 1.0];
-        let pis = transient_many_from(&c, &pi0, &[3.0, 0.0, 7.0, 0.0]);
+        let pis = many(
+            &c,
+            &pi0,
+            &[3.0, 0.0, 7.0, 0.0],
+            &TransientOptions::default(),
+        );
         assert_eq!(pis[1], pi0.to_vec());
         assert_eq!(pis[3], pi0.to_vec());
         // and the positive points still match the closed form from pi0
@@ -1777,74 +1288,17 @@ mod tests {
         .unwrap();
         let pi0 = [0.2, 0.3, 0.5];
         let ts = [4.0, 1.0, 4.0, 0.5, 1.0];
-        let pis = transient_many_from(&c, &pi0, &ts);
+        let opts = TransientOptions::default();
+        let pis = many(&c, &pi0, &ts, &opts);
         assert_eq!(pis[0], pis[2], "duplicate grid points must agree");
         assert_eq!(pis[1], pis[4]);
         for (&t, pi) in ts.iter().zip(&pis) {
-            let scalar = transient_from(&c, &pi0, t);
+            let scalar = many(&c, &pi0, &[t], &opts).pop().unwrap();
             for (a, b) in pi.iter().zip(&scalar) {
                 assert!((a - b).abs() < 1e-10, "t={t}: {a} vs {b}");
             }
             let sum: f64 = pi.iter().sum();
             assert!((sum - 1.0).abs() < 1e-10);
-        }
-    }
-
-    /// The sharded sweep is bitwise identical to the serial sweep for
-    /// every worker count and shard granularity (each row runs the same
-    /// per-row code either way).
-    #[test]
-    fn sharded_sweep_is_bitwise_identical_to_serial() {
-        // A chain with irregular in-degrees so shard boundaries differ by
-        // granularity: a star plus a ring.
-        let n = 97usize;
-        let rows: Vec<Vec<(f64, u32)>> = (0..n)
-            .map(|i| {
-                let mut row = vec![(0.3 + (i as f64) * 0.01, ((i + 1) % n) as u32)];
-                if i != 0 {
-                    row.push((0.7, 0)); // everyone feeds the hub
-                }
-                if i == 0 {
-                    for j in 1..n {
-                        row.push((0.05, j as u32));
-                    }
-                }
-                row
-            })
-            .collect();
-        let c = Ctmc::new(rows, vec![0; n], 0).unwrap();
-        let ts = [0.4, 1.7, 6.0, 6.0, 0.0];
-        let serial = transient_many_with(&c, &ts, &TransientOptions::default());
-        for threads in [2usize, 3, 4, 8] {
-            for shard_min in [1usize, 7, 24] {
-                let opts = TransientOptions::default()
-                    .with_threads(threads)
-                    .with_shard_min(shard_min);
-                let sharded = transient_many_with(&c, &ts, &opts);
-                assert_eq!(
-                    sharded, serial,
-                    "threads={threads} shard_min={shard_min}: not bitwise identical"
-                );
-            }
-        }
-    }
-
-    /// Shard ranges cover `0..n` contiguously, are non-empty, and respect
-    /// the requested count.
-    #[test]
-    fn balanced_ranges_partition_rows() {
-        // in-degrees 0,3,0,1,5,1 → offsets
-        let off = [0u32, 0, 3, 3, 4, 9, 10];
-        for shards in 1..=6 {
-            let ranges = balanced_ranges(&off, shards);
-            assert!(!ranges.is_empty() && ranges.len() <= shards);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges.last().unwrap().end, 6);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-                assert!(!w[1].is_empty());
-            }
-            assert!(!ranges[0].is_empty());
         }
     }
 
@@ -1906,61 +1360,8 @@ mod tests {
         }
     }
 
-    /// The adaptive engine's worker gang is bitwise identical to its
-    /// serial loop for every worker count — driven through the engine
-    /// directly so the gang path is exercised even on single-core
-    /// machines (the public option plumbing clamps thread requests to
-    /// the core count).
-    #[test]
-    fn adaptive_gang_is_bitwise_identical_to_serial() {
-        // Irregular in-degrees and multi-scale rates, so windows expand,
-        // states get exit-capped and Λ restarts all fire.
-        let n = 61usize;
-        let rows: Vec<Vec<(f64, u32)>> = (0..n)
-            .map(|i| {
-                let mut row = vec![(1e-4 + (i as f64) * 1e-5, ((i + 1) % n) as u32)];
-                if i != 0 {
-                    row.push((10.0 + i as f64, 0)); // fast "repairs" to the hub
-                }
-                if i % 9 == 0 {
-                    row.push((5e-3, ((i + 7) % n) as u32));
-                }
-                row
-            })
-            .collect();
-        let c = Ctmc::new(rows, vec![0; n], 0).unwrap();
-        let ts: [f64; 5] = [0.6, 0.6, 3.0, 20.0, 0.0];
-        let drive = |workers: usize| -> Vec<Vec<f64>> {
-            let opts = TransientOptions::default();
-            let cache = PoissonCache::new();
-            let mut engine = AdaptiveEngine::new(&c, &c.initial_distribution(), &opts);
-            engine.workers = workers;
-            let mut order: Vec<usize> = (0..ts.len()).collect();
-            order.sort_by(|&a, &b| ts[a].total_cmp(&ts[b]));
-            let mut out = vec![Vec::new(); ts.len()];
-            let (mut cur_t, mut converged) = (0.0f64, false);
-            for &i in &order {
-                let dt = ts[i] - cur_t;
-                if dt > 0.0 && !converged {
-                    converged = engine.advance(dt, &cache, &opts, None);
-                    cur_t = ts[i];
-                }
-                out[i] = engine.output();
-            }
-            out
-        };
-        let serial = drive(1);
-        for workers in [2usize, 3, 5, 8] {
-            assert_eq!(
-                drive(workers),
-                serial,
-                "gang with {workers} workers diverged from the serial path"
-            );
-        }
-    }
-
-    /// The `_ctx` entry point is bitwise identical to the plain cached
-    /// path and records the solve's work on the context's counters
+    /// The `_ctx` entry point is bitwise identical from one context to the
+    /// next and records the solve's work on the context's counters
     /// (without disturbing other contexts).
     #[test]
     fn ctx_counters_record_session_scoped_work() {
@@ -1970,7 +1371,7 @@ mod tests {
         let opts = TransientOptions::default();
         let ctx = MeasureContext::new();
         let pis = transient_many_from_ctx(&c, &c.initial_distribution(), &ts, &opts, &ctx);
-        assert_eq!(pis, transient_many_with(&c, &ts, &opts));
+        assert_eq!(pis, many(&c, &c.initial_distribution(), &ts, &opts));
         assert!(ctx.counters.sweeps() >= 1);
         assert!(ctx.counters.dtmc_steps() >= 1);
         let other = MeasureContext::new();
@@ -2065,7 +1466,7 @@ mod tests {
                 &ts,
                 &TransientOptions::default().with_steady_tol(0.0),
             );
-            let exact = transient_many_with(&chain, &ts, &exact_opts());
+            let exact = many(&chain, &chain.initial_distribution(), &ts, &exact_opts());
             let diff = sup_diff(&adaptive, &exact);
             assert!(
                 diff < 1e-12,
@@ -2097,7 +1498,7 @@ mod tests {
                     .with_steady_tol(0.0)
                     .with_support_tol(0.0),
             );
-            let exact = transient_many_with(&chain, &ts, &exact_opts());
+            let exact = many(&chain, &chain.initial_distribution(), &ts, &exact_opts());
             let diff = sup_diff(&lossless, &exact);
             assert!(diff < 1e-12, "seed {seed}: lossless diff {diff:e}");
             let detected = windowed(&chain, &ts, &TransientOptions::default());
@@ -2133,8 +1534,12 @@ mod tests {
             assert!((mass - 1.0).abs() < 1e-12);
         }
         // The same grid with the exact engine agrees bit-for-bit-closely.
-        let exact =
-            transient_many_with(&c, &grid, &TransientOptions::default().with_adaptive(false));
+        let exact = many(
+            &c,
+            &c.initial_distribution(),
+            &grid,
+            &TransientOptions::default().with_adaptive(false),
+        );
         assert!(sup_diff(&pis, &exact) < 1e-12);
     }
 
@@ -2146,7 +1551,7 @@ mod tests {
         for seed in 0..CASES {
             let (chain, ts) = arb_case(seed);
             let got = dense(&chain, &ts);
-            let exact = transient_many_with(&chain, &ts, &exact_opts());
+            let exact = many(&chain, &chain.initial_distribution(), &ts, &exact_opts());
             let diff = sup_diff(&got, &exact);
             assert!(
                 diff < 1e-12,
@@ -2255,7 +1660,7 @@ mod tests {
         assert_eq!(pis[4], pi0.to_vec());
         assert_eq!(pis[0], pis[2], "duplicate grid points must agree");
         assert_eq!(pis[3], pis[5]);
-        let exact = transient_many_from_with(&c, &pi0, &ts, &exact_opts());
+        let exact = many(&c, &pi0, &ts, &exact_opts());
         assert!(sup_diff(&pis, &exact) < 1e-12);
     }
 
@@ -2292,5 +1697,44 @@ mod tests {
         );
         assert!(one_exponential > 0);
         assert_eq!(one_exponential, single.counters.dense_products());
+    }
+
+    /// A grid point far past the per-sweep cap (`Λt ≈ 1.5e12`, about
+    /// 90,000 times `2^24`) is advanced in capped sub-segments on both
+    /// uniformization engines: steady-state detection fires in the first
+    /// one, which answers the point within 1e-10 of the steady state.
+    #[test]
+    fn huge_horizons_land_on_the_steady_state_on_both_engines() {
+        let (l, m) = (0.2, 1.5);
+        let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
+        let t = 1e12;
+        assert!(c.max_exit_rate() * UNIF_HEADROOM * t > 5e4 * MAX_SEGMENT_LAMBDA_T);
+        let steady = crate::steady::steady_state(&c);
+        let opts = TransientOptions::default();
+        for kernel in [TransientKernel::Exact, TransientKernel::Windowed] {
+            let ctx = MeasureContext::new();
+            let pis = GridSolver::new(&c, &opts, &ctx.poisson, &ctx.counters).solve_on(
+                kernel,
+                &c.initial_distribution(),
+                &[1.0, t],
+            );
+            for (a, b) in pis[1].iter().zip(&steady) {
+                assert!((a - b).abs() < 1e-10, "{kernel:?}: {a} vs {b}");
+            }
+            assert_eq!(
+                ctx.counters.sweeps(),
+                2,
+                "{kernel:?}: the converged trajectory must stop stepping"
+            );
+        }
+    }
+
+    /// A grid whose global `Λt` exceeds `2^53` is rejected before any
+    /// weight is expanded.
+    #[test]
+    #[should_panic(expected = "at most 2^53")]
+    fn horizons_past_2_pow_53_are_rejected_up_front() {
+        let c = Ctmc::new(vec![vec![(0.2, 1)], vec![(1.5, 0)]], vec![0, 1], 0).unwrap();
+        let _ = windowed(&c, &[1e16], &TransientOptions::default());
     }
 }

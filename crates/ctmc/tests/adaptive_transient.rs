@@ -7,8 +7,13 @@
 //! dense kernel, live with the crate-internal entry point that pins the
 //! engine, in `ctmc::transient`'s unit tests.
 
-use ctmc::transient::{select_kernel, transient_many_from_with, TransientKernel};
-use ctmc::{Ctmc, TransientOptions};
+use ctmc::transient::{select_kernel, transient_many_from_ctx, TransientKernel};
+use ctmc::{Ctmc, MeasureContext, TransientOptions};
+
+/// One solve from `pi0` through a fresh context.
+fn solve(c: &Ctmc, pi0: &[f64], ts: &[f64], opts: &TransientOptions) -> Vec<Vec<f64>> {
+    transient_many_from_ctx(c, pi0, ts, opts, &MeasureContext::new())
+}
 
 fn sup_diff(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
     a.iter()
@@ -38,7 +43,7 @@ fn zero_rate_segments_keep_pi0() {
     .unwrap();
     let pi0 = [0.0, 1.0, 0.0];
     assert_windowed(&c, &[0.0, 3.0, 100.0]);
-    let pis = transient_many_from_with(&c, &pi0, &[0.0, 3.0, 100.0], &TransientOptions::default());
+    let pis = solve(&c, &pi0, &[0.0, 3.0, 100.0], &TransientOptions::default());
     for pi in &pis {
         assert_eq!(pi, &pi0.to_vec(), "absorbing pi0 must be invariant");
     }
@@ -58,13 +63,13 @@ fn zero_and_duplicate_grid_points() {
     let pi0 = [0.25, 0.25, 0.5];
     let ts = [7.0, 0.0, 7.0, 2.0, 0.0, 2.0];
     assert_windowed(&c, &ts);
-    let pis = transient_many_from_with(&c, &pi0, &ts, &TransientOptions::default());
+    let pis = solve(&c, &pi0, &ts, &TransientOptions::default());
     assert_eq!(pis[1], pi0.to_vec(), "t = 0 must reproduce pi0 exactly");
     assert_eq!(pis[4], pi0.to_vec());
     assert_eq!(pis[0], pis[2], "duplicate grid points must agree");
     assert_eq!(pis[3], pis[5]);
     for (&t, pi) in ts.iter().zip(&pis) {
-        let exact = transient_many_from_with(
+        let exact = solve(
             &c,
             &pi0,
             &[t],
@@ -97,8 +102,8 @@ fn multi_root_support_with_unreachable_states() {
     let pi0 = [0.4, 0.6, 0.0, 0.0, 0.0];
     let ts = [1.0, 10.0, 100.0];
     assert_windowed(&c, &ts);
-    let adaptive = transient_many_from_with(&c, &pi0, &ts, &TransientOptions::default());
-    let exact = transient_many_from_with(
+    let adaptive = solve(&c, &pi0, &ts, &TransientOptions::default());
+    let exact = solve(
         &c,
         &pi0,
         &ts,

@@ -5,7 +5,18 @@
 
 use smallrand::SmallRng;
 
-use ctmc::{absorbing, measures, steady, transient, Ctmc};
+use ctmc::{absorbing, measures, steady, transient, Ctmc, MeasureContext, TransientOptions};
+
+/// One default-options solve from `pi0` through a fresh context.
+fn solve(chain: &Ctmc, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
+    transient::transient_many_from_ctx(
+        chain,
+        pi0,
+        ts,
+        &TransientOptions::default(),
+        &MeasureContext::new(),
+    )
+}
 
 /// Random birth-death chain with positive rates.
 fn arb_birth_death(rng: &mut SmallRng) -> (Ctmc, Vec<f64>, Vec<f64>) {
@@ -95,7 +106,7 @@ fn chapman_kolmogorov() {
         let dt = rng.range_f64(0.1, 5.0);
         let via = {
             let mid = transient::transient(&chain, t1);
-            transient::transient_from(&chain, &mid, dt)
+            solve(&chain, &mid, &[dt]).pop().unwrap()
         };
         let direct = transient::transient(&chain, t1 + dt);
         for (a, b) in via.iter().zip(&direct) {
@@ -138,7 +149,7 @@ fn measures_consistent() {
     }
 }
 
-/// `transient_many` agrees with the scalar `transient` to 1e-12 on random
+/// A batched grid solve agrees with the scalar `transient` to 1e-12 on random
 /// chains and random (unsorted, duplicate-carrying) time grids.
 #[test]
 fn transient_many_matches_scalar() {
@@ -150,7 +161,7 @@ fn transient_many_matches_scalar() {
         if m >= 2 {
             ts[1] = ts[0]; // exercise duplicate grid points
         }
-        let batched = transient::transient_many(&chain, &ts);
+        let batched = solve(&chain, &chain.initial_distribution(), &ts);
         for (t, pi) in ts.iter().zip(&batched) {
             let scalar = transient::transient(&chain, *t);
             for (a, b) in pi.iter().zip(&scalar) {
@@ -181,36 +192,5 @@ fn first_passage_many_matches_scalar() {
                 "seed {seed} t={t}: batched {p} vs scalar {scalar}"
             );
         }
-    }
-}
-
-/// The `MeasureContext` answers every measure identically to the free
-/// functions (which are now thin wrappers over it).
-#[test]
-fn measure_context_matches_free_functions() {
-    for seed in 0..16 {
-        let mut rng = SmallRng::seed_from_u64(7000 + seed);
-        let (chain, _, _) = arb_birth_death(&mut rng);
-        let ctx = measures::MeasureContext::new(&chain);
-        let t = rng.range_f64(0.5, 10.0);
-        assert_eq!(
-            ctx.steady_state_availability(1),
-            measures::steady_state_availability(&chain, 1)
-        );
-        assert_eq!(
-            ctx.point_unavailability(1, t),
-            measures::point_unavailability(&chain, 1, t)
-        );
-        assert_eq!(
-            ctx.unreliability(1, t),
-            measures::unreliability(&chain, 1, t)
-        );
-        assert_eq!(ctx.mttf(1), measures::mttf(&chain, 1));
-        // repeated calls hit the caches and stay identical
-        assert_eq!(ctx.mttf(1), measures::mttf(&chain, 1));
-        assert_eq!(
-            ctx.unreliability(1, t),
-            measures::unreliability(&chain, 1, t)
-        );
     }
 }

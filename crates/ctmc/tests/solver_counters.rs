@@ -1,24 +1,12 @@
-//! Tests that read the process-wide DTMC step/sweep counters.
+//! Tests that read the DTMC step and sweep counters of a
+//! [`MeasureContext`].
 //!
-//! Since the counters became atomics (so sweeps on worker threads are
-//! counted), every test that resets/reads them must hold [`COUNTERS`] for
-//! its whole body — concurrent transient solves from *any* test in the
-//! same binary would otherwise leak into the measured window. Keep
-//! counter-reading tests in this file and take the lock first.
+//! Each test solves through its own contexts, so the counters it reads
+//! hold exactly the work of its own solves, whatever else runs in the
+//! same process.
 
-use std::sync::Mutex;
-
-use ctmc::transient::{
-    dtmc_steps_performed, reset_solver_counters, sweeps_performed, transient_many_with,
-    transient_with,
-};
-use ctmc::{Ctmc, TransientOptions};
-
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
-}
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{Ctmc, MeasureContext, TransientOptions};
 
 fn two_state() -> Ctmc {
     let (l, m) = (0.2, 1.5);
@@ -32,26 +20,29 @@ fn exact() -> TransientOptions {
     TransientOptions::default().with_adaptive(false)
 }
 
+/// One solve of [`two_state`] from its initial state through `ctx`.
+fn solve(ts: &[f64], opts: &TransientOptions, ctx: &MeasureContext) -> Vec<Vec<f64>> {
+    let c = two_state();
+    transient_many_from_ctx(&c, &c.initial_distribution(), ts, opts, ctx)
+}
+
 /// The batched grid sweep performs far fewer DTMC steps than one scalar
-/// solve per point (moved here from the `transient` unit tests when the
-/// counters became process-wide).
+/// solve per point.
 #[test]
 fn batched_sweep_does_less_work_than_scalar_loop() {
-    let _g = lock();
-    let c = two_state();
     let grid: Vec<f64> = (1..=50).map(|k| f64::from(k) * 4.0).collect();
     // Disable steady-state detection so the comparison measures batching
     // alone (detection would short-circuit both sides).
     let opts = exact().with_steady_tol(0.0);
-    reset_solver_counters();
+    let scalar = MeasureContext::new();
     for &t in &grid {
-        let _ = transient_with(&c, t, &opts);
+        let _ = solve(&[t], &opts, &scalar);
     }
-    let scalar_steps = dtmc_steps_performed();
-    assert_eq!(sweeps_performed(), 50);
-    reset_solver_counters();
-    let _ = transient_many_with(&c, &grid, &opts);
-    let batched_steps = dtmc_steps_performed();
+    let scalar_steps = scalar.counters.dtmc_steps();
+    assert_eq!(scalar.counters.sweeps(), 50);
+    let batched = MeasureContext::new();
+    let _ = solve(&grid, &opts, &batched);
+    let batched_steps = batched.counters.dtmc_steps();
     assert!(
         batched_steps * 5 <= scalar_steps,
         "batched {batched_steps} vs scalar {scalar_steps} DTMC steps"
@@ -62,16 +53,14 @@ fn batched_sweep_does_less_work_than_scalar_loop() {
 /// at least 2x while every grid value stays within 1e-10.
 #[test]
 fn steady_detection_cuts_long_horizon_steps() {
-    let _g = lock();
-    let c = two_state();
     // A grid that keeps stepping far past the chain's mixing time.
     let grid: Vec<f64> = (1..=40).map(|k| f64::from(k) * 25.0).collect();
-    reset_solver_counters();
-    let undetected = transient_many_with(&c, &grid, &exact().with_steady_tol(0.0));
-    let undetected_steps = dtmc_steps_performed();
-    reset_solver_counters();
-    let detected = transient_many_with(&c, &grid, &exact());
-    let detected_steps = dtmc_steps_performed();
+    let off = MeasureContext::new();
+    let undetected = solve(&grid, &exact().with_steady_tol(0.0), &off);
+    let undetected_steps = off.counters.dtmc_steps();
+    let on = MeasureContext::new();
+    let detected = solve(&grid, &exact(), &on);
+    let detected_steps = on.counters.dtmc_steps();
     assert!(
         detected_steps * 2 <= undetected_steps,
         "detection saved too little: {detected_steps} vs {undetected_steps} DTMC steps"
@@ -87,12 +76,14 @@ fn steady_detection_cuts_long_horizon_steps() {
 /// stepping: every later point answers from the converged vector.
 #[test]
 fn grid_entirely_past_convergence_steps_once() {
-    let _g = lock();
-    let c = two_state();
-    reset_solver_counters();
-    let pis = transient_many_with(&c, &[500.0, 1000.0, 2000.0, 4000.0], &exact());
-    assert_eq!(sweeps_performed(), 1, "later points must reuse the vector");
-    let steady = ctmc::steady::steady_state(&c);
+    let ctx = MeasureContext::new();
+    let pis = solve(&[500.0, 1000.0, 2000.0, 4000.0], &exact(), &ctx);
+    assert_eq!(
+        ctx.counters.sweeps(),
+        1,
+        "later points must reuse the vector"
+    );
+    let steady = ctmc::steady::steady_state(&two_state());
     for pi in &pis {
         assert!((pi[0] - steady[0]).abs() < 1e-10);
     }
@@ -101,43 +92,18 @@ fn grid_entirely_past_convergence_steps_once() {
 }
 
 /// Counter-thread-safety regression: sweeps performed on worker threads
-/// (here: an explicitly spawned thread, as the parallel `Session`
-/// prefetch and modular analysis do) must be visible to the reader — the
-/// old thread-local counters silently dropped them.
+/// (here: explicitly spawned threads sharing one context, as the parallel
+/// `Session` prefetch does) must be visible to the reader.
 #[test]
 fn counters_count_worker_thread_sweeps() {
-    let _g = lock();
-    let c = two_state();
-    reset_solver_counters();
+    let ctx = MeasureContext::new();
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                let _ = transient_with(&c, 25.0, &exact());
+                let _ = solve(&[25.0], &exact(), &ctx);
             });
         }
     });
-    assert_eq!(sweeps_performed(), 2, "worker-thread sweeps were lost");
-    assert!(dtmc_steps_performed() > 0);
-}
-
-/// A sharded step is one matrix-vector product: running the same grid
-/// with more worker threads must not change the step count.
-#[test]
-fn sharded_steps_count_once() {
-    let _g = lock();
-    let c = two_state();
-    let grid = [2.0, 6.0, 11.0];
-    let serial_opts = exact().with_steady_tol(0.0);
-    reset_solver_counters();
-    let serial = transient_many_with(&c, &grid, &serial_opts);
-    let serial_steps = dtmc_steps_performed();
-    reset_solver_counters();
-    let sharded = transient_many_with(
-        &c,
-        &grid,
-        &serial_opts.clone().with_threads(4).with_shard_min(1),
-    );
-    let sharded_steps = dtmc_steps_performed();
-    assert_eq!(serial_steps, sharded_steps);
-    assert_eq!(serial, sharded);
+    assert_eq!(ctx.counters.sweeps(), 2, "worker-thread sweeps were lost");
+    assert!(ctx.counters.dtmc_steps() > 0);
 }

@@ -2,7 +2,7 @@
 //!
 //! The fault-injection registry (`arcade::chaos`) lives above this crate
 //! in the dependency graph, but some of the boundaries worth faulting —
-//! the solver-shard partition in `ctmc::transient`, fan-out points inside
+//! the solver-shard boundary in `ctmc::transient`, fan-out points inside
 //! the aggregation pipeline — live *below* it. This module closes the
 //! loop the same way [`crate::budget`] does for cooperative cancellation:
 //! lower crates call [`hit`] at their boundaries, and the registry

@@ -18,10 +18,9 @@ use std::sync::Mutex;
 
 /// Resolves a user-facing thread-count knob: `0` means one worker per
 /// available core; any other request is **clamped to the core count** —
-/// oversubscribed workers are strictly slower than the serial path for
-/// the lockstep (barrier-synced) kernels this module feeds, because a
-/// descheduled worker stalls the whole gang at every step. Results never
-/// depend on the worker count, so the clamp is a pure scheduling change.
+/// the fan-outs this module feeds are compute-bound, so workers beyond
+/// the cores only add spawn and contention cost. Results never depend on
+/// the worker count, so the clamp is a pure scheduling change.
 pub fn effective_threads(threads: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if threads == 0 {
@@ -82,32 +81,6 @@ pub fn par_map<T: Sync, U: Send>(
         .collect()
 }
 
-/// Runs `f(worker_index)` for every index in `0..workers` concurrently on
-/// scoped threads; worker `0` runs on the caller's thread. Unlike
-/// [`par_map`] this hands out *identities*, not items — it is the
-/// primitive for gang-style kernels (e.g. the sharded uniformization
-/// step in `ctmc::transient`) where long-lived workers coordinate through
-/// shared state and barriers instead of consuming a work list.
-///
-/// With `workers <= 1` the closure runs inline on the caller's thread.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the scope joins all workers first).
-pub fn run_workers(workers: usize, f: impl Fn(usize) + Sync) {
-    if workers <= 1 {
-        f(0);
-        return;
-    }
-    std::thread::scope(|s| {
-        for w in 1..workers {
-            let f = &f;
-            s.spawn(move || f(w));
-        }
-        f(0);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,19 +118,5 @@ mod tests {
         assert_eq!(effective_threads(3), 3.min(cores));
         // Oversubscription requests collapse to the core count.
         assert_eq!(effective_threads(cores + 100), cores);
-    }
-
-    #[test]
-    fn run_workers_runs_every_identity_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        for workers in [1usize, 2, 4, 7] {
-            let seen: Vec<AtomicU32> = (0..workers).map(|_| AtomicU32::new(0)).collect();
-            run_workers(workers, |w| {
-                seen[w].fetch_add(1, Ordering::Relaxed);
-            });
-            for (w, s) in seen.iter().enumerate() {
-                assert_eq!(s.load(Ordering::Relaxed), 1, "worker {w} of {workers}");
-            }
-        }
     }
 }

@@ -4,21 +4,24 @@
 //! while agreeing with the scalar path to 1e-10 — checked on the DDS case
 //! study.
 
-use std::sync::Mutex;
-
 use arcade::build::observer::DOWN_BIT;
 use arcade::cases::dds::{dds_scaled, FIVE_WEEKS_H};
 use arcade::prelude::*;
-use ctmc::measures;
-use ctmc::transient::{dtmc_steps_performed, reset_solver_counters};
+use ctmc::measures::state_mass;
+use ctmc::transient::transient_many_from_ctx;
+use ctmc::{Ctmc, MeasureContext, TransientOptions};
 
-/// The DTMC step counters are process-wide atomics, so every test in this
-/// binary serializes through this lock — a concurrent transient solve
-/// from a sibling test would otherwise leak steps into a measured window.
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+/// The probability mass on `down` at time `t` of one scalar solve of
+/// `chain` through `ctx`.
+fn scalar_mass(chain: &Ctmc, down: &[u32], t: f64, ctx: &MeasureContext) -> f64 {
+    let pi = transient_many_from_ctx(
+        chain,
+        &chain.initial_distribution(),
+        &[t],
+        &TransientOptions::default(),
+        ctx,
+    );
+    state_mass(down, &pi[0])
 }
 
 /// A 50-point unavailability + first-passage curve on the DDS case:
@@ -27,7 +30,6 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 /// steps than the per-point scalar loop — with identical values.
 #[test]
 fn dds_curve_batched_is_5x_cheaper_and_agrees() {
-    let _g = lock();
     let def = dds_scaled(1);
     let session = Session::new(&def).expect("valid DDS");
     let grid: Vec<f64> = (1..=50)
@@ -39,9 +41,8 @@ fn dds_curve_batched_is_5x_cheaper_and_agrees() {
         .collect();
     batch.extend(grid.iter().map(|&t| Measure::UnreliabilityWithRepair(t)));
 
-    reset_solver_counters();
     let values = session.evaluate(&batch).expect("batched curve");
-    let batched_steps = dtmc_steps_performed();
+    let batched_steps = session.stats().dtmc_steps;
 
     // Laziness: both curves live on the availability configuration, so
     // exactly one aggregation ran; the absorbing-down chain was built
@@ -50,18 +51,23 @@ fn dds_curve_batched_is_5x_cheaper_and_agrees() {
     assert_eq!(session.stats().absorbing_built, 1);
 
     // The scalar loop: one independent transient solve per point and one
-    // absorbing transformation + solve per first-passage point.
+    // absorbing transformation + solve per first-passage point, all
+    // counted on one context.
     let ctmc = &session.availability_model().expect("built").ctmc;
-    reset_solver_counters();
+    let down: Vec<u32> = ctmc.states_with_label(DOWN_BIT).collect();
+    let scalar = MeasureContext::new();
     let scalar_unavail: Vec<f64> = grid
         .iter()
-        .map(|&t| measures::point_unavailability(ctmc, DOWN_BIT, t))
+        .map(|&t| scalar_mass(ctmc, &down, t, &scalar))
         .collect();
     let scalar_fp: Vec<f64> = grid
         .iter()
-        .map(|&t| measures::unreliability(ctmc, DOWN_BIT, t))
+        .map(|&t| {
+            let absorbing = ctmc.make_absorbing(down.iter().copied());
+            scalar_mass(&absorbing, &down, t, &scalar)
+        })
         .collect();
-    let scalar_steps = dtmc_steps_performed();
+    let scalar_steps = scalar.counters.dtmc_steps();
 
     assert!(
         batched_steps * 5 <= scalar_steps,
@@ -88,7 +94,6 @@ fn dds_curve_batched_is_5x_cheaper_and_agrees() {
 /// answers one measure at a time.
 #[test]
 fn session_batch_matches_analysis_report() {
-    let _g = lock();
     let mut def = SystemDef::new("xcheck");
     def.add_component(BcDef::new("pp", Dist::exp(0.02), Dist::exp(0.5)));
     def.add_component(
