@@ -309,10 +309,20 @@ fn run(args: &[String]) -> Result<(), String> {
         "modular" => {
             let times = time_values(args)?;
             let m = modular_analysis(&def, &engine_options(args)?).map_err(|e| e.to_string())?;
-            // Batched curves: one sweep per (module, measure kind).
-            let rel = m.reliability_many(&times);
-            let unrel = m.unreliability_with_repair_many(&times);
-            let a = m.steady_state_availability();
+            // One batch: one sweep per (module, measure kind).
+            let mut measures = vec![Measure::SteadyStateAvailability];
+            measures.extend(times.iter().map(|&t| Measure::Reliability(t)));
+            measures.extend(times.iter().map(|&t| Measure::UnreliabilityWithRepair(t)));
+            let values = m.evaluate(&measures).map_err(|e| e.to_string())?;
+            let (a, curves) = (values[0], &values[1..]);
+            let (rel, unrel) = curves.split_at(times.len());
+            let module_states = |module: &arcade::modular::ModuleAnalysis| {
+                module
+                    .session
+                    .availability_model()
+                    .map(|agg| agg.ctmc_stats)
+                    .map_err(|e| e.to_string())
+            };
 
             if json {
                 let mut modules = String::new();
@@ -324,7 +334,7 @@ fn run(args: &[String]) -> Result<(), String> {
                         "{{\"name\":{},\"components\":{},\"ctmc_states\":{}}}",
                         json_str(&module.name),
                         module.components.len(),
-                        module.report.ctmc_stats().states,
+                        module_states(module)?.states,
                     ));
                 }
                 let mut points = String::new();
@@ -351,7 +361,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     "{}: {} components, CTMC {}",
                     module.name,
                     module.components.len(),
-                    module.report.ctmc_stats()
+                    module_states(module)?
                 );
             }
             println!();

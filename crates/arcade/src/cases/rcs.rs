@@ -433,15 +433,23 @@ mod tests {
     fn scaled_two_lines_matches_baseline_measures() {
         use crate::engine::EngineOptions;
         use crate::modular::modular_analysis;
+        use crate::query::Measure;
         // rcs_scaled(2) only differs from rcs() in the trigger shape
         // (`Or([x])` vs `x`), which must not change any measure.
-        let base = modular_analysis(&rcs(), &EngineOptions::new()).unwrap();
-        let scaled = modular_analysis(&rcs_scaled(2), &EngineOptions::new()).unwrap();
         let (t, tol) = (50.0, 1e-12);
-        assert!((base.point_unavailability(t) - scaled.point_unavailability(t)).abs() < tol);
-        assert!(
-            (base.unreliability_with_repair(t) - scaled.unreliability_with_repair(t)).abs() < tol
-        );
+        let batch = [
+            Measure::PointUnavailability(t),
+            Measure::UnreliabilityWithRepair(t),
+        ];
+        let evaluate = |def: &SystemDef| {
+            modular_analysis(def, &EngineOptions::new())
+                .unwrap()
+                .evaluate(&batch)
+                .unwrap()
+        };
+        let (base, scaled) = (evaluate(&rcs()), evaluate(&rcs_scaled(2)));
+        assert!((base[0] - scaled[0]).abs() < tol);
+        assert!((base[1] - scaled[1]).abs() < tol);
     }
 
     #[test]

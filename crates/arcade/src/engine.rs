@@ -80,10 +80,9 @@ pub struct EngineOptions {
     /// reports are merged back in plan order.
     pub threads: usize,
     /// Configuration of the CTMC numerics the downstream measure layers
-    /// ([`crate::query::Session`], [`crate::analysis::Analysis`],
-    /// [`crate::modular::modular_analysis`]) run on the aggregated chain:
-    /// the dense-vs-iterative solver crossover, the iterative
-    /// tolerance/sweep-cap, and the transient kernels
+    /// ([`crate::query::Session`], [`crate::modular::modular_analysis`])
+    /// run on the aggregated chain: the dense-vs-iterative solver
+    /// crossover, the iterative tolerance/sweep-cap, and the transient kernels
     /// ([`ctmc::SolverOptions::transient`] — kernel selection,
     /// steady-state detection, support truncation). Aggregation itself
     /// ignores it.

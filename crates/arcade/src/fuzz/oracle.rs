@@ -271,19 +271,14 @@ pub fn check_pair(def: &SystemDef, pair: OraclePair, seed: u64) -> Result<PairCh
         OraclePair::Modular => {
             let session = Session::new(&def)?.with_options(base_opts());
             let t = pick_horizon(&def, &session)?;
-            let values = session.evaluate(&[
+            let measures = [
                 Measure::SteadyStateUnavailability,
                 Measure::PointUnavailability(t),
                 Measure::Unreliability(t),
                 Measure::UnreliabilityWithRepair(t),
-            ])?;
-            let m = modular_analysis(&def, &base_opts())?;
-            let oracle = [
-                m.steady_state_unavailability(),
-                m.point_unavailability(t),
-                1.0 - m.reliability(t),
-                m.unreliability_with_repair(t),
             ];
+            let values = session.evaluate(&measures)?;
+            let oracle = modular_analysis(&def, &base_opts())?.evaluate(&measures)?;
             let names = [
                 "steady_state_unavailability".to_owned(),
                 format!("point_unavailability({t})"),

@@ -11,126 +11,106 @@
 //! *dependency closures* overlap. The closure of a component set adds:
 //! components referenced by members' trigger/DF expressions, components
 //! sharing a repair unit, and components sharing an SMU. Modules computed
-//! this way are independent CTMCs, so
+//! this way are independent CTMCs, and the system is down iff some module
+//! is, so a measure factors over the modules when it is the probability
+//! of an event that is a union or an intersection of per-module events
+//! ([`ModularAnalysis::evaluate`]):
 //!
-//! * system unavailability `= 1 - Π (1 - u_i)`,
-//! * system unreliability `= 1 - Π (1 - ur_i)` (a first passage in any
-//!   module is the first system failure).
+//! * the down-type measures — steady-state and point unavailability,
+//!   no-repair unreliability and first-passage unreliability with repairs
+//!   (a first passage in any module is the first system failure) —
+//!   combine as `1 - Π (1 - xᵢ)`;
+//! * the up-type measures — steady-state and point availability and
+//!   no-repair reliability — combine as `Π yᵢ`.
+//!
+//! The MTTF, interval availability and bounded-until probabilities are
+//! not products of per-module values, so they need the monolithic
+//! [`Session`].
 
 use std::collections::HashSet;
 
-use crate::analysis::{Analysis, AnalysisReport};
 use crate::ast::SystemDef;
 use crate::engine::EngineOptions;
 use crate::error::ArcadeError;
 use crate::expr::Expr;
+use crate::query::{Measure, Session};
 
 /// One independent module and its analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ModuleAnalysis {
     /// Module name (`module0`, `module1`, …).
     pub name: String,
     /// The components the module contains.
     pub components: Vec<String>,
-    /// The module's own analysis report.
-    pub report: AnalysisReport,
+    /// The module's own session, with both configurations built.
+    pub session: Session,
 }
 
 /// The combined modular analysis.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ModularAnalysis {
     /// The per-module analyses.
     pub modules: Vec<ModuleAnalysis>,
 }
 
 impl ModularAnalysis {
-    /// System steady-state unavailability.
-    pub fn steady_state_unavailability(&self) -> f64 {
-        1.0 - self
+    /// Evaluates a measure batch for the whole system: every module's
+    /// session answers the batch in one pass (one transient solve per
+    /// module and measure kind), then each measure is combined over the
+    /// modules in module order — `1 - Π (1 - xᵢ)` for the down-type kinds,
+    /// `Π yᵢ` for the up-type kinds (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArcadeError::Invalid`] for [`Measure::Mttf`],
+    /// [`Measure::IntervalAvailability`] and [`Measure::BoundedUntil`],
+    /// which do not factor over independent modules; otherwise as
+    /// [`Session::evaluate`].
+    pub fn evaluate(&self, measures: &[Measure]) -> Result<Vec<f64>, ArcadeError> {
+        let up = measures
+            .iter()
+            .map(|m| match m {
+                Measure::SteadyStateAvailability
+                | Measure::PointAvailability(_)
+                | Measure::Reliability(_) => Ok(true),
+                Measure::SteadyStateUnavailability
+                | Measure::PointUnavailability(_)
+                | Measure::Unreliability(_)
+                | Measure::UnreliabilityWithRepair(_) => Ok(false),
+                Measure::Mttf | Measure::IntervalAvailability(_) | Measure::BoundedUntil { .. } => {
+                    Err(ArcadeError::invalid(format!(
+                        "{m:?} does not factor over independent modules"
+                    )))
+                }
+            })
+            .collect::<Result<Vec<bool>, _>>()?;
+        let per_module = self
             .modules
             .iter()
-            .map(|m| 1.0 - m.report.steady_state_unavailability())
-            .product::<f64>()
-    }
-
-    /// System steady-state availability.
-    pub fn steady_state_availability(&self) -> f64 {
-        1.0 - self.steady_state_unavailability()
-    }
-
-    /// System point unavailability at `t`.
-    pub fn point_unavailability(&self, t: f64) -> f64 {
-        1.0 - self
-            .modules
+            .map(|m| m.session.evaluate(measures))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(up
             .iter()
-            .map(|m| 1.0 - m.report.point_unavailability(t))
-            .product::<f64>()
-    }
-
-    /// System first-passage unreliability at `t`, repairs active (the RCS
-    /// measure).
-    pub fn unreliability_with_repair(&self, t: f64) -> f64 {
-        1.0 - self
-            .modules
-            .iter()
-            .map(|m| 1.0 - m.report.unreliability_with_repair(t))
-            .product::<f64>()
-    }
-
-    /// System no-repair reliability at `t` (the DDS Table 1 measure).
-    pub fn reliability(&self, t: f64) -> f64 {
-        self.modules
-            .iter()
-            .map(|m| m.report.reliability(t))
-            .product()
-    }
-
-    /// System point unavailability over a whole time grid: each module
-    /// answers its curve in one batched sweep, then the per-point
-    /// independent-module combination is applied.
-    pub fn point_unavailability_many(&self, ts: &[f64]) -> Vec<f64> {
-        self.combine_complement(ts, |m, ts| m.report.point_unavailability_many(ts))
-    }
-
-    /// System first-passage unreliability (repairs active) over a whole
-    /// time grid, batched per module.
-    pub fn unreliability_with_repair_many(&self, ts: &[f64]) -> Vec<f64> {
-        self.combine_complement(ts, |m, ts| m.report.unreliability_with_repair_many(ts))
-    }
-
-    /// System no-repair reliability over a whole time grid, batched per
-    /// module.
-    pub fn reliability_many(&self, ts: &[f64]) -> Vec<f64> {
-        let per_module: Vec<Vec<f64>> = self
-            .modules
-            .iter()
-            .map(|m| m.report.reliability_many(ts))
-            .collect();
-        (0..ts.len())
-            .map(|i| per_module.iter().map(|c| c[i]).product())
-            .collect()
-    }
-
-    /// `1 - Π (1 - xᵢ)` per grid point over the modules' curves.
-    fn combine_complement(
-        &self,
-        ts: &[f64],
-        curve: impl Fn(&ModuleAnalysis, &[f64]) -> Vec<f64>,
-    ) -> Vec<f64> {
-        let per_module: Vec<Vec<f64>> = self.modules.iter().map(|m| curve(m, ts)).collect();
-        (0..ts.len())
-            .map(|i| 1.0 - per_module.iter().map(|c| 1.0 - c[i]).product::<f64>())
-            .collect()
+            .enumerate()
+            .map(|(j, &up)| {
+                if up {
+                    per_module.iter().map(|v| v[j]).product()
+                } else {
+                    1.0 - per_module.iter().map(|v| 1.0 - v[j]).product::<f64>()
+                }
+            })
+            .collect())
     }
 }
 
 /// Runs a modular analysis of `def` with the given engine options.
 ///
-/// Each module's measures run through its own lazy `Session`, so the
-/// solver configuration in [`EngineOptions::solver`] — including the
-/// transient kernels ([`ctmc::SolverOptions::transient`]) — applies per
-/// module; each module's transient solves are serial while the modules
-/// themselves are solved concurrently.
+/// Each module gets its own [`Session`], with both of its configurations
+/// (availability and no-repair) aggregated here, the modules
+/// concurrently. The solver configuration in [`EngineOptions::solver`] —
+/// including the transient kernels ([`ctmc::SolverOptions::transient`]) —
+/// applies per module; [`ModularAnalysis::evaluate`] solves the modules
+/// one after another.
 ///
 /// # Errors
 ///
@@ -247,14 +227,16 @@ pub fn modular_analysis(
         opts.clone()
     };
     let results = ioimc::par::par_map(threads, &jobs, |_, (_, _, sub)| {
-        Analysis::new(sub)?.with_options(worker_opts.clone()).run()
+        let session = Session::new(sub)?.with_options(worker_opts.clone());
+        session.prefetch_all()?;
+        Ok::<_, ArcadeError>(session)
     });
     let mut modules = Vec::with_capacity(jobs.len());
-    for ((name, components, _), report) in jobs.into_iter().zip(results) {
+    for ((name, components, _), session) in jobs.into_iter().zip(results) {
         modules.push(ModuleAnalysis {
             name,
             components,
-            report: report?,
+            session: session?,
         });
     }
     Ok(ModularAnalysis { modules })
@@ -337,22 +319,26 @@ mod tests {
         let opts = EngineOptions::new();
         let modular = modular_analysis(&def, &opts).unwrap();
         assert_eq!(modular.modules.len(), 2);
-        let mono = Analysis::new(&def).unwrap().run().unwrap();
-        assert!(
-            (modular.steady_state_unavailability() - mono.steady_state_unavailability()).abs()
-                < 1e-10
-        );
         let t = 3.0;
-        assert!((modular.reliability(t) - mono.reliability(t)).abs() < 1e-9);
-        assert!(
-            (modular.unreliability_with_repair(t) - mono.unreliability_with_repair(t)).abs() < 1e-9
-        );
-        assert!((modular.point_unavailability(t) - mono.point_unavailability(t)).abs() < 1e-9);
-        assert!(
-            (modular.steady_state_availability() + modular.steady_state_unavailability() - 1.0)
-                .abs()
-                < 1e-12
-        );
+        let batch = [
+            Measure::SteadyStateUnavailability,
+            Measure::Reliability(t),
+            Measure::UnreliabilityWithRepair(t),
+            Measure::PointUnavailability(t),
+            Measure::SteadyStateAvailability,
+        ];
+        let m = modular.evaluate(&batch).unwrap();
+        let mono = Session::new(&def).unwrap().evaluate(&batch).unwrap();
+        assert!((m[0] - mono[0]).abs() < 1e-10);
+        assert!((m[1] - mono[1]).abs() < 1e-9);
+        assert!((m[2] - mono[2]).abs() < 1e-9);
+        assert!((m[3] - mono[3]).abs() < 1e-9);
+        assert!((m[4] + m[0] - 1.0).abs() < 1e-12);
+        // The MTTF is no product of per-module values.
+        assert!(matches!(
+            modular.evaluate(&[Measure::Mttf]),
+            Err(ArcadeError::Invalid(_))
+        ));
     }
 
     /// A shared repair unit couples the components into one module.

@@ -43,7 +43,21 @@
 //! [`ctmc::PoissonCache`]: a uniform grid steps by a single `Λ·Δt`, so
 //! evaluating several measure kinds over the same grid expands each
 //! Poisson weight vector once ([`SessionStats::poisson_hits`] counts the
-//! savings).
+//! savings). Every measure time must be finite and non-negative: a batch
+//! holding any other time is rejected with [`ArcadeError::Invalid`]
+//! before anything is built.
+//!
+//! # Budgets and panics
+//!
+//! To bound a query, run it inside [`guarded`] with a [`Budget`]: the
+//! budget becomes the ambient scope whose checkpoints the aggregation and
+//! solver loops poll, a tripped limit answers [`ArcadeError::Budget`],
+//! and any other panic escaping the query answers
+//! [`ArcadeError::Internal`] instead of unwinding into the caller. Hold a
+//! clone of the budget's `Arc` and call [`Budget::cancel`] from another
+//! thread to abort a query in flight. Artifacts finished before the trip
+//! stay cached; a partially built aggregation is discarded, and a later
+//! query rebuilds it.
 //!
 //! # Example
 //!
@@ -73,12 +87,11 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use ctmc::csl::StateFormula;
 use ctmc::measures::state_mass as mass;
 use ctmc::transient::transient_many_from_ctx;
-use ctmc::{Ctmc, MeasureContext, TransientOptions};
+use ctmc::{Ctmc, MeasureContext};
 use ioimc::budget::{self, Budget, BudgetExceeded};
 
 use crate::ast::SystemDef;
@@ -87,7 +100,7 @@ use crate::chaos;
 use crate::engine::{aggregate, Aggregation, EngineOptions};
 use crate::error::ArcadeError;
 use crate::model::SystemModel;
-use crate::sync::{CellError, RetryCell};
+use crate::sync::{panic_message, CellError, RetryCell};
 
 /// One dependability measure. Time-dependent variants carry their time
 /// point; a batch of them over a grid is answered by one shared sweep.
@@ -171,7 +184,7 @@ pub struct SessionStats {
     pub states_resigned: u64,
 }
 
-/// What one [`Session::evaluate_traced`] call did to the aggregation
+/// What one [`Session::prefetch_measures`] call did to the aggregation
 /// cache — the attribution record the `arcaded` server turns into its
 /// cache-hit / cache-miss / in-flight-dedup counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -315,7 +328,7 @@ pub struct SweepResult {
 /// The derived slots stay [`OnceLock`]s: their builders only panic on a
 /// budget checkpoint (or injected fault), and `std`'s `OnceLock` retries
 /// after a panicked initializer, so a later request simply recomputes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ConfigCache {
     agg: RetryCell<Result<Arc<Aggregation>, ArcadeError>, ArcadeError>,
     steady: OnceLock<Vec<f64>>,
@@ -337,10 +350,11 @@ enum Config {
 /// definition. See the module docs for the caching contract.
 ///
 /// A `Session` is `Send + Sync`: share one behind an [`Arc`] and query it
-/// from any number of threads. Every cached artifact sits in a
-/// [`OnceLock`], so concurrent first requests for the same artifact block
-/// on one build instead of duplicating it, and repeat queries are
-/// lock-free reads. Answers are identical to single-threaded evaluation —
+/// from any number of threads. Each aggregation sits in a panic-safe
+/// [`RetryCell`] and every artifact derived from it in a [`OnceLock`], so
+/// concurrent first requests for the same artifact block on one build
+/// instead of duplicating it, and repeat queries read the cached value.
+/// Answers are identical to single-threaded evaluation —
 /// the memoized artifacts are built by exactly the code the serial path
 /// runs (and the engines themselves are bitwise thread-count-invariant).
 #[derive(Debug)]
@@ -370,29 +384,6 @@ pub struct Session {
     quotient_us: AtomicU64,
     refine_rounds: AtomicU64,
     states_resigned: AtomicU64,
-}
-
-impl Clone for Session {
-    /// Clones the definition, options and every artifact cached so far
-    /// (counter snapshots included) — the clone answers warm queries warm.
-    fn clone(&self) -> Self {
-        Self {
-            def: self.def.clone(),
-            opts: self.opts.clone(),
-            availability: self.availability.clone(),
-            no_repair: self.no_repair.clone(),
-            ctx: self.ctx.clone(),
-            aggregations_built: AtomicU32::new(self.aggregations_built.load(Ordering::Relaxed)),
-            absorbing_built: AtomicU32::new(self.absorbing_built.load(Ordering::Relaxed)),
-            steady_solves: AtomicU32::new(self.steady_solves.load(Ordering::Relaxed)),
-            aggregation_us: AtomicU64::new(self.aggregation_us.load(Ordering::Relaxed)),
-            signature_us: AtomicU64::new(self.signature_us.load(Ordering::Relaxed)),
-            split_us: AtomicU64::new(self.split_us.load(Ordering::Relaxed)),
-            quotient_us: AtomicU64::new(self.quotient_us.load(Ordering::Relaxed)),
-            refine_rounds: AtomicU64::new(self.refine_rounds.load(Ordering::Relaxed)),
-            states_resigned: AtomicU64::new(self.states_resigned.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl Session {
@@ -472,7 +463,7 @@ impl Session {
     }
 
     /// The aggregation of `cfg`, built on first use. Concurrent callers
-    /// block on the same [`OnceLock`], so a cold configuration is
+    /// block on the same [`RetryCell`], so a cold configuration is
     /// aggregated exactly once no matter how many threads race for it;
     /// `opts` overrides the engine options the winning build runs with
     /// (results are thread-count-invariant, so which caller wins never
@@ -494,7 +485,7 @@ impl Session {
             // in refinement) so waiters blocked on this cell receive a
             // *typed* error instead of a silent retry, and the cell's
             // caching policy below can tell transient failures apart.
-            let agg = catch_eval(|| {
+            let agg = guarded(None, || {
                 chaos::failpoint("session.agg");
                 build_aggregation(&self.config_def(cfg), opts)
             });
@@ -566,7 +557,7 @@ impl Session {
         if missing.len() > 1 && threads > 1 {
             // Split the thread budget across the configuration builds to
             // bound the total thread count. Each worker still routes
-            // through the configuration's OnceLock, so a concurrent
+            // through the configuration's RetryCell, so a concurrent
             // evaluator racing this prefetch never duplicates a build.
             let worker_opts = self
                 .opts
@@ -594,8 +585,7 @@ impl Session {
 
     /// Eagerly builds **both** model configurations (availability and
     /// no-repair), in parallel when more than one thread is available.
-    /// Used by the eager [`crate::analysis::Analysis::run`] wrapper;
-    /// purely an optimization — the lazy per-measure path builds the same
+    /// Purely an optimization — the lazy per-measure path builds the same
     /// artifacts.
     ///
     /// # Errors
@@ -625,104 +615,24 @@ impl Session {
         self.aggregation(Config::NoRepair)
     }
 
-    fn down_states(&self, cfg: Config) -> Result<Arc<[u32]>, ArcadeError> {
-        let agg = self.aggregation(cfg)?;
-        Ok(self
-            .cache(cfg)
-            .down
-            .get_or_init(|| agg.ctmc.states_with_label(DOWN_BIT).collect())
-            .clone())
-    }
-
-    fn steady(&self, cfg: Config) -> Result<&[f64], ArcadeError> {
-        let agg = self.aggregation(cfg)?;
-        Ok(self.cache(cfg).steady.get_or_init(|| {
-            chaos::failpoint("session.solve");
-            self.steady_solves.fetch_add(1, Ordering::Relaxed);
-            ctmc::steady::steady_state_with(&agg.ctmc, &self.opts.solver)
-        }))
-    }
-
-    fn absorbing(&self, cfg: Config) -> Result<&Ctmc, ArcadeError> {
-        let down = self.down_states(cfg)?;
-        let agg = self.aggregation(cfg)?;
-        Ok(self.cache(cfg).absorbing.get_or_init(|| {
-            self.absorbing_built.fetch_add(1, Ordering::Relaxed);
-            agg.ctmc.make_absorbing(down.iter().copied())
-        }))
-    }
-
-    fn mttf(&self) -> Result<f64, ArcadeError> {
-        let down = self.down_states(Config::Availability)?;
-        let agg = self.aggregation(Config::Availability)?;
-        Ok(*self.cache(Config::Availability).mttf.get_or_init(|| {
-            chaos::failpoint("session.solve");
-            if down.is_empty() {
-                f64::INFINITY
-            } else {
-                ctmc::absorbing::mean_time_to_absorption_with(&agg.ctmc, &down, &self.opts.solver)
-            }
-        }))
-    }
-
-    fn steady_down_mass(&self) -> Result<f64, ArcadeError> {
-        let down = self.down_states(Config::Availability)?;
-        let pi = self.steady(Config::Availability)?;
-        Ok(mass(&down, pi))
-    }
-
-    /// Point unavailabilities over a grid: one batched transient sweep on
-    /// the availability CTMC (kernel and detection per
-    /// [`EngineOptions::solver`], Poisson weights from the session memo).
-    fn unavailability_curve(&self, ts: &[f64]) -> Result<Vec<f64>, ArcadeError> {
-        let down = self.down_states(Config::Availability)?;
-        let agg = self.aggregation(Config::Availability)?;
-        let ctmc = &agg.ctmc;
-        chaos::failpoint("session.solve");
-        Ok(transient_many_from_ctx(
-            ctmc,
-            &ctmc.initial_distribution(),
-            ts,
-            &self.opts.solver.transient,
-            &self.ctx,
-        )
-        .iter()
-        .map(|pi| mass(&down, pi))
-        .collect())
-    }
-
-    /// First-passage probabilities over a grid for `cfg`: one cached
-    /// absorbing transformation, one batched sweep.
-    fn first_passage_curve(&self, cfg: Config, ts: &[f64]) -> Result<Vec<f64>, ArcadeError> {
-        let down = self.down_states(cfg)?;
-        if down.is_empty() {
-            return Ok(vec![0.0; ts.len()]);
-        }
-        let absorbing = self.absorbing(cfg)?;
-        Ok(transient_many_from_ctx(
-            absorbing,
-            &absorbing.initial_distribution(),
-            ts,
-            &self.opts.solver.transient,
-            &self.ctx,
-        )
-        .iter()
-        .map(|pi| mass(&down, pi))
-        .collect())
-    }
-
     /// Builds exactly the configurations `measures` will need, without
     /// evaluating anything, and reports what that did to the aggregation
-    /// cache. A subsequent [`Session::evaluate`] of the same batch finds
-    /// every aggregation warm — the `arcaded` server uses this to time
-    /// the build phase separately from the sweep phase.
+    /// cache ([`EvalTrace`]): how many cold configurations this call built
+    /// itself, and how many builds already in flight on other threads it
+    /// blocked on. A fully warm call reports zeros for both. A subsequent
+    /// [`Session::evaluate`] of the same batch finds every aggregation
+    /// warm — the `arcaded` server uses this to time the build phase
+    /// separately from the solve phase and to attribute each request as a
+    /// cache hit, miss or dedup wait.
     ///
     /// # Errors
     ///
-    /// Propagates composition/determinism/analysis errors.
+    /// Returns [`ArcadeError::Invalid`] for a negative or non-finite
+    /// measure time; otherwise propagates composition/determinism/analysis
+    /// errors.
     pub fn prefetch_measures(&self, measures: &[Measure]) -> Result<EvalTrace, ArcadeError> {
         let trace = TraceCells::default();
-        self.prefetch(&needed_configs(measures), Some(&trace))?;
+        self.prefetch(&Grids::gather(measures)?.need(), Some(&trace))?;
         Ok(EvalTrace {
             built: trace.built.load(Ordering::Relaxed),
             waited: trace.waited.load(Ordering::Relaxed),
@@ -734,7 +644,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates composition/determinism/analysis errors.
+    /// As [`Session::evaluate`].
     pub fn value(&self, measure: &Measure) -> Result<f64, ArcadeError> {
         Ok(self.evaluate(std::slice::from_ref(measure))?[0])
     }
@@ -746,228 +656,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates composition/determinism/analysis errors.
+    /// Returns [`ArcadeError::Invalid`] for a negative or non-finite
+    /// measure time; otherwise propagates composition/determinism/analysis
+    /// errors.
     pub fn evaluate(&self, measures: &[Measure]) -> Result<Vec<f64>, ArcadeError> {
-        Ok(self.evaluate_traced(measures)?.0)
-    }
-
-    /// [`Session::evaluate`] under a wall-clock deadline: the evaluation
-    /// aborts cooperatively (at composition chunks, refinement rounds,
-    /// uniformization segments, solver sweeps) once `deadline` has
-    /// elapsed, returning [`ArcadeError::Budget`] instead of running to
-    /// completion. Artifacts finished before the trip stay cached; a
-    /// partially built aggregation is discarded, and a later call — with
-    /// a larger budget — rebuilds it from scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] on deadline expiry; otherwise as
-    /// [`Session::evaluate`].
-    pub fn evaluate_deadline(
-        &self,
-        measures: &[Measure],
-        deadline: Duration,
-    ) -> Result<Vec<f64>, ArcadeError> {
-        self.evaluate_bounded(
-            measures,
-            Arc::new(Budget::unlimited().with_deadline(deadline)),
-        )
-    }
-
-    /// [`Session::evaluate`] under an explicit [`Budget`] (deadline,
-    /// state/transition ceilings, cancellation — see [`ioimc::budget`]).
-    /// The budget is installed as the ambient scope of the evaluation and
-    /// carried across its internal fan-outs; any panic escaping the
-    /// evaluation (a budget checkpoint deep in a solver, an injected
-    /// fault) is caught here and classified into [`ArcadeError::Budget`]
-    /// or [`ArcadeError::Internal`] — it never unwinds into the caller.
-    ///
-    /// Hold a clone of the `Arc` and call [`Budget::cancel`] from another
-    /// thread to abort an evaluation in flight.
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] when a limit trips,
-    /// [`ArcadeError::Internal`] when the evaluation panicked; otherwise
-    /// as [`Session::evaluate`].
-    pub fn evaluate_bounded(
-        &self,
-        measures: &[Measure],
-        budget: Arc<Budget>,
-    ) -> Result<Vec<f64>, ArcadeError> {
-        let scoped = budget.clone();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            budget::scope(Some(scoped), || self.evaluate(measures))
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(classify_panic(payload.as_ref(), Some(&budget))),
-        }
-    }
-
-    /// [`Session::sweep`] under a wall-clock deadline — the sweep
-    /// counterpart of [`Session::evaluate_deadline`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] on deadline expiry; otherwise as
-    /// [`Session::sweep`].
-    pub fn sweep_deadline(
-        &self,
-        measures: &[Measure],
-        grid: &ParamGrid,
-        deadline: Duration,
-    ) -> Result<SweepResult, ArcadeError> {
-        self.sweep_bounded(
-            measures,
-            grid,
-            Arc::new(Budget::unlimited().with_deadline(deadline)),
-        )
-    }
-
-    /// [`Session::sweep`] under an explicit [`Budget`] — the sweep
-    /// counterpart of [`Session::evaluate_bounded`].
-    ///
-    /// # Errors
-    ///
-    /// [`ArcadeError::Budget`] when a limit trips,
-    /// [`ArcadeError::Internal`] when the sweep panicked; otherwise as
-    /// [`Session::sweep`].
-    pub fn sweep_bounded(
-        &self,
-        measures: &[Measure],
-        grid: &ParamGrid,
-        budget: Arc<Budget>,
-    ) -> Result<SweepResult, ArcadeError> {
-        let scoped = budget.clone();
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            budget::scope(Some(scoped), || self.sweep(measures, grid))
-        })) {
-            Ok(r) => r,
-            Err(payload) => Err(classify_panic(payload.as_ref(), Some(&budget))),
-        }
-    }
-
-    /// Like [`Session::evaluate`], additionally reporting what this call
-    /// did to the aggregation cache: how many cold configurations it
-    /// built itself, and how many builds already in flight on other
-    /// threads it blocked on ([`EvalTrace`]). A fully warm call reports
-    /// zeros for both — the attribution the `arcaded` server's
-    /// cache-hit/miss/dedup counters are made of.
-    ///
-    /// # Errors
-    ///
-    /// Propagates composition/determinism/analysis errors.
-    pub fn evaluate_traced(
-        &self,
-        measures: &[Measure],
-    ) -> Result<(Vec<f64>, EvalTrace), ArcadeError> {
-        let trace = TraceCells::default();
-        // Gather the time grids per (configuration, kind).
-        let mut unavail_ts = Vec::new();
-        let mut fp_repair_ts = Vec::new();
-        let mut fp_norepair_ts = Vec::new();
-        let mut needs_avail = false;
-        for m in measures {
-            match m {
-                Measure::PointAvailability(t) | Measure::PointUnavailability(t) => {
-                    unavail_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::UnreliabilityWithRepair(t) => {
-                    fp_repair_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::Reliability(t) | Measure::Unreliability(t) => {
-                    fp_norepair_ts.push(*t);
-                }
-                _ => needs_avail = true,
-            }
-        }
-        // When the batch spans both configurations and neither is built
-        // yet, aggregate them concurrently instead of back to back.
-        let mut need: Vec<Config> = Vec::new();
-        if needs_avail {
-            need.push(Config::Availability);
-        }
-        if !fp_norepair_ts.is_empty() {
-            need.push(Config::NoRepair);
-        }
-        self.prefetch(&need, Some(&trace))?;
-        let unavail = if unavail_ts.is_empty() {
-            Vec::new()
-        } else {
-            self.unavailability_curve(&unavail_ts)?
-        };
-        let fp_repair = if fp_repair_ts.is_empty() {
-            Vec::new()
-        } else {
-            self.first_passage_curve(Config::Availability, &fp_repair_ts)?
-        };
-        let fp_norepair = if fp_norepair_ts.is_empty() {
-            Vec::new()
-        } else {
-            self.first_passage_curve(Config::NoRepair, &fp_norepair_ts)?
-        };
-
-        // Read the batched results back out in measure order.
-        let (mut ui, mut ri, mut ni) = (0usize, 0usize, 0usize);
-        let mut out = Vec::with_capacity(measures.len());
-        for m in measures {
-            let v = match m {
-                Measure::SteadyStateAvailability => 1.0 - self.steady_down_mass()?,
-                Measure::SteadyStateUnavailability => self.steady_down_mass()?,
-                Measure::PointAvailability(_) => {
-                    ui += 1;
-                    1.0 - unavail[ui - 1]
-                }
-                Measure::PointUnavailability(_) => {
-                    ui += 1;
-                    unavail[ui - 1]
-                }
-                Measure::UnreliabilityWithRepair(_) => {
-                    ri += 1;
-                    fp_repair[ri - 1]
-                }
-                Measure::Reliability(_) => {
-                    ni += 1;
-                    1.0 - fp_norepair[ni - 1]
-                }
-                Measure::Unreliability(_) => {
-                    ni += 1;
-                    fp_norepair[ni - 1]
-                }
-                Measure::Mttf => self.mttf()?,
-                Measure::IntervalAvailability(t) => {
-                    let agg = self.aggregation(Config::Availability)?;
-                    1.0 - ctmc::csl::interval_down_fraction_ctx(
-                        &agg.ctmc,
-                        &StateFormula::down(),
-                        *t,
-                        &self.opts.solver.transient,
-                        &self.ctx,
-                    )
-                }
-                Measure::BoundedUntil { phi, psi, t } => {
-                    let agg = self.aggregation(Config::Availability)?;
-                    ctmc::csl::until_bounded_ctx(
-                        &agg.ctmc,
-                        phi,
-                        psi,
-                        *t,
-                        &self.opts.solver.transient,
-                        &self.ctx,
-                    )
-                }
-            };
-            out.push(v);
-        }
-        Ok((
-            out,
-            EvalTrace {
-                built: trace.built.load(Ordering::Relaxed),
-                waited: trace.waited.load(Ordering::Relaxed),
-            },
-        ))
+        self.run_batch(measures, None)
     }
 
     /// Evaluates a measure batch at one parameter point of a parametric
@@ -986,34 +679,17 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`ArcadeError::Invalid`] if the model declares no
-    /// parameters, the arity is wrong, or a value is not positive finite;
-    /// otherwise propagates aggregation/analysis errors.
+    /// parameters, the arity is wrong, a value is not positive finite, or
+    /// a measure time is negative or non-finite; otherwise propagates
+    /// aggregation/analysis errors.
     pub fn evaluate_at(
         &self,
         measures: &[Measure],
         values: &[f64],
     ) -> Result<Vec<f64>, ArcadeError> {
-        if self.def.params.is_empty() {
-            return Err(ArcadeError::invalid(
-                "evaluate_at needs declared rate parameters (SystemDef::add_param)",
-            ));
-        }
-        if values.len() != self.def.params.len() {
-            return Err(ArcadeError::invalid(format!(
-                "expected {} parameter values, got {}",
-                self.def.params.len(),
-                values.len()
-            )));
-        }
-        for (p, &v) in self.def.params.iter().zip(values) {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(ArcadeError::invalid(format!(
-                    "parameter `{}`: value {v} must be positive and finite",
-                    p.name
-                )));
-            }
-        }
-        self.evaluate_at_full(measures, values)
+        let names: Vec<String> = self.def.params.iter().map(|p| p.name.clone()).collect();
+        let full = self.param_vectors(&names, &[values.to_vec()])?;
+        self.run_batch(measures, Some(&full[0]))
     }
 
     /// Evaluates a measure batch over a whole [`ParamGrid`]: each needed
@@ -1036,59 +712,20 @@ impl Session {
     /// # Errors
     ///
     /// Returns [`ArcadeError::Invalid`] for unknown/duplicate grid
-    /// parameter names, ragged explicit points, or non-positive values;
-    /// otherwise propagates aggregation/analysis errors.
+    /// parameter names, ragged explicit points, non-positive values, or a
+    /// negative or non-finite measure time; otherwise propagates
+    /// aggregation/analysis errors.
     pub fn sweep(
         &self,
         measures: &[Measure],
         grid: &ParamGrid,
     ) -> Result<SweepResult, ArcadeError> {
-        if self.def.params.is_empty() {
-            return Err(ArcadeError::invalid(
-                "sweep needs declared rate parameters (SystemDef::add_param)",
-            ));
-        }
-        let mut pids: Vec<usize> = Vec::with_capacity(grid.names().len());
-        for n in grid.names() {
-            let pid = self
-                .def
-                .param_index(n)
-                .ok_or_else(|| ArcadeError::invalid(format!("unknown parameter `{n}`")))?;
-            if pids.contains(&pid) {
-                return Err(ArcadeError::invalid(format!(
-                    "parameter `{n}` appears twice in the grid"
-                )));
-            }
-            pids.push(pid);
-        }
         let points = grid.points();
-        let base: Vec<f64> = self.def.params.iter().map(|p| p.base).collect();
-        let mut fulls: Vec<Vec<f64>> = Vec::with_capacity(points.len());
-        for pt in &points {
-            if pt.len() != pids.len() {
-                return Err(ArcadeError::invalid(format!(
-                    "point {pt:?} has {} values for {} grid parameters",
-                    pt.len(),
-                    pids.len()
-                )));
-            }
-            let mut full = base.clone();
-            for (k, &pid) in pids.iter().enumerate() {
-                let v = pt[k];
-                if !v.is_finite() || v <= 0.0 {
-                    return Err(ArcadeError::invalid(format!(
-                        "parameter `{}`: value {v} must be positive and finite",
-                        grid.names()[k]
-                    )));
-                }
-                full[pid] = v;
-            }
-            fulls.push(full);
-        }
+        let fulls = self.param_vectors(grid.names(), &points)?;
         // Warm the needed aggregations before fanning out, so the workers
         // never race a cold build and the whole sweep costs exactly one
         // aggregation per configuration.
-        self.prefetch(&needed_configs(measures), None)?;
+        self.prefetch(&Grids::gather(measures)?.need(), None)?;
         let threads = ioimc::par::effective_threads(self.opts.threads);
         // Per-point solves honor the caller's ambient budget too: the
         // thread-local is re-installed inside each worker.
@@ -1100,9 +737,9 @@ impl Session {
                 // budget so an injected delay observes the request
                 // deadline on worker threads too. An injected panic
                 // propagates through the scoped join and is classified by
-                // `sweep_bounded` / the server's per-request ring.
+                // the caller's `guarded` ring.
                 chaos::failpoint("session.sweep_point");
-                self.evaluate_at_full(measures, full)
+                self.run_batch(measures, Some(full))
             })
         });
         let mut values = Vec::with_capacity(results.len());
@@ -1118,184 +755,160 @@ impl Session {
         })
     }
 
-    /// Re-rates the cached quotient of `cfg` to the full parameter vector
-    /// `full` (one value per declared parameter).
-    fn rerated(&self, cfg: Config, full: &[f64]) -> Result<Ctmc, ArcadeError> {
-        Ok(self.aggregation(cfg)?.ctmc.rerate(full)?)
+    /// Checks the points of a sweep over the parameters `names` and
+    /// expands each into a full parameter vector: one value per declared
+    /// parameter, in declaration order, with the declared base value for
+    /// every parameter `names` leaves out.
+    fn param_vectors(
+        &self,
+        names: &[String],
+        points: &[Vec<f64>],
+    ) -> Result<Vec<Vec<f64>>, ArcadeError> {
+        if self.def.params.is_empty() {
+            return Err(ArcadeError::invalid(
+                "parametric evaluation needs declared rate parameters (SystemDef::add_param)",
+            ));
+        }
+        let mut pids: Vec<usize> = Vec::with_capacity(names.len());
+        for n in names {
+            let pid = self
+                .def
+                .param_index(n)
+                .ok_or_else(|| ArcadeError::invalid(format!("unknown parameter `{n}`")))?;
+            if pids.contains(&pid) {
+                return Err(ArcadeError::invalid(format!(
+                    "parameter `{n}` appears twice in the grid"
+                )));
+            }
+            pids.push(pid);
+        }
+        let base: Vec<f64> = self.def.params.iter().map(|p| p.base).collect();
+        points
+            .iter()
+            .map(|pt| {
+                if pt.len() != pids.len() {
+                    return Err(ArcadeError::invalid(format!(
+                        "point {pt:?} has {} values for {} parameters",
+                        pt.len(),
+                        pids.len()
+                    )));
+                }
+                let mut full = base.clone();
+                for ((&pid, &v), n) in pids.iter().zip(pt).zip(names) {
+                    if !v.is_finite() || v <= 0.0 {
+                        return Err(ArcadeError::invalid(format!(
+                            "parameter `{n}`: value {v} must be positive and finite"
+                        )));
+                    }
+                    full[pid] = v;
+                }
+                Ok(full)
+            })
+            .collect()
     }
 
-    /// The per-point evaluation path shared by [`Session::evaluate_at`]
-    /// and [`Session::sweep`]: mirrors [`Session::evaluate_traced`]'s
-    /// batching exactly, but on freshly re-rated chains instead of the
-    /// per-configuration memo — so a point at the declared base values
-    /// reproduces the memoized path bitwise.
-    fn evaluate_at_full(
+    /// The one batch evaluator: [`Session::evaluate`] runs it on the
+    /// memoized configurations (`point` is `None`), [`Session::evaluate_at`]
+    /// and [`Session::sweep`] on the cached quotients re-rated to a full
+    /// parameter vector. It gathers one time grid per (configuration,
+    /// kind), runs one transient solve per grid, and reads the results
+    /// out in measure order. Both chain sources run the same arithmetic,
+    /// so a point at the declared base values reproduces the memoized
+    /// path bitwise.
+    fn run_batch(
         &self,
         measures: &[Measure],
-        full: &[f64],
+        point: Option<&[f64]>,
     ) -> Result<Vec<f64>, ArcadeError> {
-        let mut unavail_ts = Vec::new();
-        let mut fp_repair_ts = Vec::new();
-        let mut fp_norepair_ts = Vec::new();
-        let mut needs_avail = false;
-        for m in measures {
-            match m {
-                Measure::PointAvailability(t) | Measure::PointUnavailability(t) => {
-                    unavail_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::UnreliabilityWithRepair(t) => {
-                    fp_repair_ts.push(*t);
-                    needs_avail = true;
-                }
-                Measure::Reliability(t) | Measure::Unreliability(t) => {
-                    fp_norepair_ts.push(*t);
-                }
-                _ => needs_avail = true,
-            }
-        }
-        let mut need: Vec<Config> = Vec::new();
-        if needs_avail {
-            need.push(Config::Availability);
-        }
-        if !fp_norepair_ts.is_empty() {
-            need.push(Config::NoRepair);
-        }
-        self.prefetch(&need, None)?;
-
-        let avail = if needs_avail {
-            Some(self.rerated(Config::Availability, full)?)
+        let grids = Grids::gather(measures)?;
+        // When the batch spans both configurations and neither is built
+        // yet, aggregate them concurrently instead of back to back.
+        self.prefetch(&grids.need(), None)?;
+        let avail_view = if grids.needs_avail {
+            Some(self.view(Config::Availability, point)?)
         } else {
             None
         };
-        let norepair = if fp_norepair_ts.is_empty() {
+        let norepair_view = if grids.fp_norepair.is_empty() {
             None
         } else {
-            Some(self.rerated(Config::NoRepair, full)?)
+            Some(self.view(Config::NoRepair, point)?)
         };
-        let avail_chain = || avail.as_ref().expect("availability chain was re-rated");
-        let avail_down: Vec<u32> = avail
+        let avail = || {
+            avail_view
+                .as_ref()
+                .expect("the batch needs the availability configuration")
+        };
+        let mut unavail = avail_view
             .as_ref()
-            .map(|c| c.states_with_label(DOWN_BIT).collect())
-            .unwrap_or_default();
+            .map_or_else(Vec::new, |v| v.unavailability(&grids.unavail))
+            .into_iter();
+        let mut fp_repair = avail_view
+            .as_ref()
+            .map_or_else(Vec::new, |v| v.first_passage(&grids.fp_repair))
+            .into_iter();
+        let mut fp_norepair = norepair_view
+            .map_or_else(Vec::new, |v| v.first_passage(&grids.fp_norepair))
+            .into_iter();
+        let next =
+            |it: &mut std::vec::IntoIter<f64>| it.next().expect("one grid value per measure");
 
-        let needs_steady = measures.iter().any(|m| {
-            matches!(
-                m,
-                Measure::SteadyStateAvailability | Measure::SteadyStateUnavailability
-            )
-        });
-        let steady_down = if needs_steady {
-            let pi = ctmc::steady::steady_state_with(avail_chain(), &self.opts.solver);
-            Some(mass(&avail_down, &pi))
-        } else {
-            None
-        };
-        let mttf = if measures.iter().any(|m| matches!(m, Measure::Mttf)) {
-            Some(if avail_down.is_empty() {
-                f64::INFINITY
-            } else {
-                ctmc::absorbing::mean_time_to_absorption_with(
-                    avail_chain(),
-                    &avail_down,
-                    &self.opts.solver,
-                )
-            })
-        } else {
-            None
-        };
-        let unavail = if unavail_ts.is_empty() {
-            Vec::new()
-        } else {
-            let c = avail_chain();
-            transient_many_from_ctx(
-                c,
-                &c.initial_distribution(),
-                &unavail_ts,
-                &self.opts.solver.transient,
-                &self.ctx,
-            )
-            .iter()
-            .map(|pi| mass(&avail_down, pi))
-            .collect()
-        };
-        let fp_repair = if fp_repair_ts.is_empty() {
-            Vec::new()
-        } else {
-            point_first_passage(
-                avail_chain(),
-                &avail_down,
-                &fp_repair_ts,
-                &self.opts.solver.transient,
-                &self.ctx,
-            )
-        };
-        let fp_norepair = if fp_norepair_ts.is_empty() {
-            Vec::new()
-        } else {
-            let c = norepair.as_ref().expect("no-repair chain was re-rated");
-            let down: Vec<u32> = c.states_with_label(DOWN_BIT).collect();
-            point_first_passage(
-                c,
-                &down,
-                &fp_norepair_ts,
-                &self.opts.solver.transient,
-                &self.ctx,
-            )
-        };
-
-        let (mut ui, mut ri, mut ni) = (0usize, 0usize, 0usize);
+        let (mut steady_down, mut mttf) = (None, None);
         let mut out = Vec::with_capacity(measures.len());
         for m in measures {
-            let v = match m {
+            out.push(match m {
                 Measure::SteadyStateAvailability => {
-                    1.0 - steady_down.expect("steady mass was computed")
+                    1.0 - *steady_down.get_or_insert_with(|| avail().steady_down_mass())
                 }
                 Measure::SteadyStateUnavailability => {
-                    steady_down.expect("steady mass was computed")
+                    *steady_down.get_or_insert_with(|| avail().steady_down_mass())
                 }
-                Measure::PointAvailability(_) => {
-                    ui += 1;
-                    1.0 - unavail[ui - 1]
-                }
-                Measure::PointUnavailability(_) => {
-                    ui += 1;
-                    unavail[ui - 1]
-                }
-                Measure::UnreliabilityWithRepair(_) => {
-                    ri += 1;
-                    fp_repair[ri - 1]
-                }
-                Measure::Reliability(_) => {
-                    ni += 1;
-                    1.0 - fp_norepair[ni - 1]
-                }
-                Measure::Unreliability(_) => {
-                    ni += 1;
-                    fp_norepair[ni - 1]
-                }
-                Measure::Mttf => mttf.expect("MTTF was computed"),
-                Measure::IntervalAvailability(t) => {
-                    1.0 - ctmc::csl::interval_down_fraction_ctx(
-                        avail_chain(),
-                        &StateFormula::down(),
-                        *t,
-                        &self.opts.solver.transient,
-                        &self.ctx,
-                    )
-                }
+                Measure::PointAvailability(_) => 1.0 - next(&mut unavail),
+                Measure::PointUnavailability(_) => next(&mut unavail),
+                Measure::UnreliabilityWithRepair(_) => next(&mut fp_repair),
+                Measure::Reliability(_) => 1.0 - next(&mut fp_norepair),
+                Measure::Unreliability(_) => next(&mut fp_norepair),
+                Measure::Mttf => *mttf.get_or_insert_with(|| avail().mttf()),
+                Measure::IntervalAvailability(t) => avail().interval_availability(*t),
                 Measure::BoundedUntil { phi, psi, t } => ctmc::csl::until_bounded_ctx(
-                    avail_chain(),
+                    avail().chain(),
                     phi,
                     psi,
                     *t,
                     &self.opts.solver.transient,
                     &self.ctx,
                 ),
-            };
-            out.push(v);
+            });
         }
         Ok(out)
+    }
+
+    /// The chain [`Session::run_batch`] solves for `cfg`: the memoized
+    /// aggregation, or its quotient re-rated to the full parameter vector
+    /// `point`.
+    fn view(&self, cfg: Config, point: Option<&[f64]>) -> Result<View<'_>, ArcadeError> {
+        let agg = self.aggregation(cfg)?;
+        let (rerated, down) = match point {
+            None => {
+                let down = self
+                    .cache(cfg)
+                    .down
+                    .get_or_init(|| agg.ctmc.states_with_label(DOWN_BIT).collect());
+                (None, Arc::clone(down))
+            }
+            Some(full) => {
+                let chain = agg.ctmc.rerate(full)?;
+                let down = chain.states_with_label(DOWN_BIT).collect();
+                (Some(chain), down)
+            }
+        };
+        Ok(View {
+            session: self,
+            cfg,
+            agg,
+            rerated,
+            down,
+        })
     }
 }
 
@@ -1307,46 +920,199 @@ struct TraceCells {
     waited: AtomicU32,
 }
 
-/// The model configurations a measure batch needs: the no-repair
-/// configuration for (un)reliability, the availability configuration for
-/// everything else — the same rule [`Session::evaluate`] applies while
-/// gathering its grids.
-fn needed_configs(measures: &[Measure]) -> Vec<Config> {
-    let mut need = Vec::new();
-    if measures
-        .iter()
-        .any(|m| !matches!(m, Measure::Reliability(_) | Measure::Unreliability(_)))
-    {
-        need.push(Config::Availability);
-    }
-    if measures
-        .iter()
-        .any(|m| matches!(m, Measure::Reliability(_) | Measure::Unreliability(_)))
-    {
-        need.push(Config::NoRepair);
-    }
-    need
+/// A measure batch split the way [`Session::run_batch`] solves it: one
+/// time grid per batched (configuration, kind) pair — point
+/// (un)availability and first passage with repairs on the availability
+/// configuration, first passage on the no-repair configuration — and
+/// whether any measure needs the availability configuration.
+#[derive(Debug, Default)]
+struct Grids {
+    unavail: Vec<f64>,
+    fp_repair: Vec<f64>,
+    fp_norepair: Vec<f64>,
+    needs_avail: bool,
 }
 
-/// First-passage probabilities over a grid for one sweep point: an
-/// absorbing transform on the re-rated chain, one batched sweep. The
-/// per-point transform is sweep scratch, not a session artifact, so it is
-/// not recorded in [`SessionStats::absorbing_built`].
-fn point_first_passage(
-    ctmc: &Ctmc,
-    down: &[u32],
-    ts: &[f64],
-    opts: &TransientOptions,
-    ctx: &MeasureContext,
-) -> Vec<f64> {
-    if down.is_empty() {
-        return vec![0.0; ts.len()];
+impl Grids {
+    /// Splits `measures`, rejecting a negative or non-finite time (the
+    /// transient kernels assume a valid horizon) before anything is built.
+    fn gather(measures: &[Measure]) -> Result<Self, ArcadeError> {
+        let mut g = Self::default();
+        for m in measures {
+            let time = |t: f64| {
+                if t.is_finite() && t >= 0.0 {
+                    Ok(t)
+                } else {
+                    Err(ArcadeError::invalid(format!(
+                        "{m:?}: time must be finite and non-negative"
+                    )))
+                }
+            };
+            match m {
+                Measure::PointAvailability(t) | Measure::PointUnavailability(t) => {
+                    g.unavail.push(time(*t)?);
+                    g.needs_avail = true;
+                }
+                Measure::UnreliabilityWithRepair(t) => {
+                    g.fp_repair.push(time(*t)?);
+                    g.needs_avail = true;
+                }
+                Measure::Reliability(t) | Measure::Unreliability(t) => {
+                    g.fp_norepair.push(time(*t)?);
+                }
+                Measure::IntervalAvailability(t) | Measure::BoundedUntil { t, .. } => {
+                    time(*t)?;
+                    g.needs_avail = true;
+                }
+                Measure::SteadyStateAvailability
+                | Measure::SteadyStateUnavailability
+                | Measure::Mttf => g.needs_avail = true,
+            }
+        }
+        Ok(g)
     }
-    let absorbing = ctmc.make_absorbing(down.iter().copied());
-    transient_many_from_ctx(&absorbing, &absorbing.initial_distribution(), ts, opts, ctx)
+
+    /// The configurations the batch needs, in `Config` declaration order:
+    /// the no-repair configuration for (un)reliability, the availability
+    /// configuration for everything else.
+    fn need(&self) -> Vec<Config> {
+        let mut need = Vec::new();
+        if self.needs_avail {
+            need.push(Config::Availability);
+        }
+        if !self.fp_norepair.is_empty() {
+            need.push(Config::NoRepair);
+        }
+        need
+    }
+}
+
+/// One configuration's chain as [`Session::run_batch`] reads it: either
+/// the memoized aggregation, whose derived artifacts live in the
+/// session's [`ConfigCache`] (each built once, counted in
+/// [`SessionStats`], behind the `session.solve` failpoint), or one sweep
+/// point's re-rated copy, whose derived artifacts are uncounted per-point
+/// scratch.
+struct View<'s> {
+    session: &'s Session,
+    cfg: Config,
+    agg: Arc<Aggregation>,
+    /// A sweep point's re-rated chain; `None` on the memoized path.
+    rerated: Option<Ctmc>,
+    down: Arc<[u32]>,
+}
+
+impl View<'_> {
+    fn chain(&self) -> &Ctmc {
+        self.rerated.as_ref().unwrap_or(&self.agg.ctmc)
+    }
+
+    /// The configuration's memo cells, on the memoized path only.
+    fn memo(&self) -> Option<&ConfigCache> {
+        self.rerated.is_none().then(|| self.session.cache(self.cfg))
+    }
+
+    /// The probability mass on the down states at each time of `ts`: one
+    /// batched transient solve of `chain` from its initial state (kernel
+    /// and detection per [`EngineOptions::solver`], Poisson weights from
+    /// the session memo).
+    fn down_mass(&self, chain: &Ctmc, ts: &[f64]) -> Vec<f64> {
+        let s = self.session;
+        transient_many_from_ctx(
+            chain,
+            &chain.initial_distribution(),
+            ts,
+            &s.opts.solver.transient,
+            &s.ctx,
+        )
         .iter()
-        .map(|pi| mass(down, pi))
+        .map(|pi| mass(&self.down, pi))
         .collect()
+    }
+
+    /// Point unavailabilities over a grid.
+    fn unavailability(&self, ts: &[f64]) -> Vec<f64> {
+        if ts.is_empty() {
+            return Vec::new();
+        }
+        if self.memo().is_some() {
+            chaos::failpoint("session.solve");
+        }
+        self.down_mass(self.chain(), ts)
+    }
+
+    /// First-passage probabilities over a grid: the absorbing-down
+    /// transform of the chain, then one batched solve.
+    fn first_passage(&self, ts: &[f64]) -> Vec<f64> {
+        if ts.is_empty() || self.down.is_empty() {
+            return vec![0.0; ts.len()];
+        }
+        let absorb = || self.chain().make_absorbing(self.down.iter().copied());
+        match self.memo() {
+            Some(cache) => {
+                let absorbing = cache.absorbing.get_or_init(|| {
+                    self.session.absorbing_built.fetch_add(1, Ordering::Relaxed);
+                    absorb()
+                });
+                self.down_mass(absorbing, ts)
+            }
+            None => self.down_mass(&absorb(), ts),
+        }
+    }
+
+    /// The long-run probability of being down.
+    fn steady_down_mass(&self) -> f64 {
+        let solve = || ctmc::steady::steady_state_with(self.chain(), &self.session.opts.solver);
+        match self.memo() {
+            Some(cache) => mass(
+                &self.down,
+                cache.steady.get_or_init(|| {
+                    chaos::failpoint("session.solve");
+                    self.session.steady_solves.fetch_add(1, Ordering::Relaxed);
+                    solve()
+                }),
+            ),
+            None => mass(&self.down, &solve()),
+        }
+    }
+
+    /// The mean time to the first down state.
+    fn mttf(&self) -> f64 {
+        let solve = || {
+            if self.down.is_empty() {
+                f64::INFINITY
+            } else {
+                ctmc::absorbing::mean_time_to_absorption_with(
+                    self.chain(),
+                    &self.down,
+                    &self.session.opts.solver,
+                )
+            }
+        };
+        match self.memo() {
+            Some(cache) => *cache.mttf.get_or_init(|| {
+                chaos::failpoint("session.solve");
+                solve()
+            }),
+            None => solve(),
+        }
+    }
+
+    /// The expected up fraction of `[0, t]`; at `t = 0` its limit `A(0)`,
+    /// one minus the initial down mass.
+    fn interval_availability(&self, t: f64) -> f64 {
+        let chain = self.chain();
+        if t == 0.0 {
+            return 1.0 - mass(&self.down, &chain.initial_distribution());
+        }
+        1.0 - ctmc::csl::interval_down_fraction_ctx(
+            chain,
+            &StateFormula::down(),
+            t,
+            &self.session.opts.solver.transient,
+            &self.session.ctx,
+        )
+    }
 }
 
 /// Central-difference sensitivities over a cartesian grid: for point `i`,
@@ -1407,16 +1173,26 @@ fn build_aggregation(def: &SystemDef, opts: &EngineOptions) -> Result<Aggregatio
     aggregate(&model, opts)
 }
 
-/// Runs `f`, converting any panic into a structured [`ArcadeError`] via
-/// [`classify_panic`] (with the ambient budget consulted for trips whose
-/// typed payload did not survive a scoped-thread join).
-fn catch_eval<R>(f: impl FnOnce() -> Result<R, ArcadeError>) -> Result<R, ArcadeError> {
-    match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+/// Runs `f` with `budget`, when one is given, installed as the ambient
+/// [`ioimc::budget`] scope (the session carries it across its internal
+/// fan-outs), and converts any panic escaping `f` into a typed error with
+/// `classify_panic`, consulting `budget` or, without one, the ambient
+/// budget. Without a budget the ambient scope is left as it is. See the
+/// module docs on budgets and panics.
+///
+/// # Errors
+///
+/// [`ArcadeError::Budget`] when a budget limit trips,
+/// [`ArcadeError::Internal`] when `f` panicked otherwise; else whatever
+/// `f` returns.
+pub fn guarded<R>(
+    budget: Option<Arc<Budget>>,
+    f: impl FnOnce() -> Result<R, ArcadeError>,
+) -> Result<R, ArcadeError> {
+    let consulted = budget.clone().or_else(budget::current);
+    match std::panic::catch_unwind(AssertUnwindSafe(|| budget::scope(budget, f))) {
         Ok(r) => r,
-        Err(payload) => Err(classify_panic(
-            payload.as_ref(),
-            budget::current().as_deref(),
-        )),
+        Err(payload) => Err(classify_panic(payload.as_ref(), consulted.as_deref())),
     }
 }
 
@@ -1424,24 +1200,14 @@ fn catch_eval<R>(f: impl FnOnce() -> Result<R, ArcadeError>) -> Result<R, Arcade
 /// trip recorded on `budget` — scoped-thread joins may swallow the typed
 /// payload) becomes [`ArcadeError::Budget`]; anything else becomes
 /// [`ArcadeError::Internal`] carrying the panic message.
-pub(crate) fn classify_panic(
-    payload: &(dyn std::any::Any + Send),
-    budget: Option<&Budget>,
-) -> ArcadeError {
+fn classify_panic(payload: &(dyn std::any::Any + Send), budget: Option<&Budget>) -> ArcadeError {
     if let Some(e) = payload.downcast_ref::<BudgetExceeded>() {
         return ArcadeError::Budget(*e);
     }
     if let Some(e) = budget.and_then(Budget::tripped) {
         return ArcadeError::Budget(e);
     }
-    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    };
-    ArcadeError::Internal(msg)
+    ArcadeError::Internal(panic_message(payload))
 }
 
 #[cfg(test)]
@@ -1528,6 +1294,80 @@ mod tests {
             .unwrap();
         assert!((v[0] + v[1] - 1.0).abs() < 1e-12);
         assert!((v[2] + v[3] - 1.0).abs() < 1e-12);
+        // steady unavailability + availability = 1
+        let u = session.value(&Measure::SteadyStateUnavailability).unwrap();
+        assert!((u + a - 1.0).abs() < 1e-12);
+        // point availability starts at 1 and decreases toward steady state
+        let p = session
+            .evaluate(&[
+                Measure::PointAvailability(0.0),
+                Measure::PointUnavailability(1000.0),
+            ])
+            .unwrap();
+        assert!((p[0] - 1.0).abs() < 1e-12);
+        assert!(p[1] > 0.0);
+        // MTTF of a series system: 1/(λ1+λ2) (both dedicated repairs can't
+        // prevent the first failure)
+        let mttf = session.value(&Measure::Mttf).unwrap();
+        assert!((mttf - 1.0 / 0.03).abs() < 1e-6);
+    }
+
+    #[test]
+    fn first_passage_differs_from_no_repair_reliability() {
+        // redundant pair with repair: first-passage unreliability is much
+        // smaller than the no-repair unreliability
+        let mut def = SystemDef::new("t");
+        def.add_component(BcDef::new("a", Dist::exp(0.1), Dist::exp(5.0)));
+        def.add_component(BcDef::new("b", Dist::exp(0.1), Dist::exp(5.0)));
+        def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+        def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
+        def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
+        let t = 10.0;
+        let v = Session::new(&def)
+            .unwrap()
+            .evaluate(&[
+                Measure::UnreliabilityWithRepair(t),
+                Measure::Unreliability(t),
+            ])
+            .unwrap();
+        let (with_repair, without) = (v[0], v[1]);
+        assert!(with_repair < without);
+        assert!(with_repair > 0.0);
+    }
+
+    /// A negative or non-finite time is refused before anything is built,
+    /// on the memoized and the sweep path alike; interval availability at
+    /// `t = 0` answers its limit `A(0)`.
+    #[test]
+    fn bad_measure_times_are_invalid() {
+        let session = Session::new(&param_pair()).unwrap();
+        let grid = ParamGrid::cartesian([("lambda_a", vec![0.01])]);
+        let until = |t| Measure::BoundedUntil {
+            phi: StateFormula::up(),
+            psi: StateFormula::down(),
+            t,
+        };
+        for bad in [
+            Measure::Reliability(-1.0),
+            Measure::PointUnavailability(f64::NAN),
+            Measure::PointUnavailability(f64::INFINITY),
+            Measure::IntervalAvailability(-1.0),
+            until(-1.0),
+            Measure::UnreliabilityWithRepair(f64::NAN),
+        ] {
+            let batch = [Measure::SteadyStateAvailability, bad];
+            assert!(
+                matches!(session.evaluate(&batch), Err(ArcadeError::Invalid(_))),
+                "evaluate {batch:?}"
+            );
+            assert!(
+                matches!(session.sweep(&batch, &grid), Err(ArcadeError::Invalid(_))),
+                "sweep {batch:?}"
+            );
+        }
+        assert_eq!(session.stats().aggregations_built, 0);
+        let a0 = session.value(&Measure::IntervalAvailability(0.0)).unwrap();
+        assert_eq!(a0, 1.0);
     }
 
     #[test]

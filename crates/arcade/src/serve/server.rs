@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ioimc::budget::{self, Budget, BudgetKind};
+use ioimc::budget::{Budget, BudgetKind};
 
 use super::json::Json;
 use super::metrics::Metrics;
@@ -60,7 +60,7 @@ use super::registry::Registry;
 use crate::chaos;
 use crate::engine::EngineOptions;
 use crate::error::ArcadeError;
-use crate::query::SessionStats;
+use crate::query::{guarded, EvalTrace, Measure, ParamGrid, Session, SessionStats};
 use crate::sync::panic_message;
 
 /// Protocol schema version stamped into every response envelope.
@@ -512,24 +512,6 @@ fn request_budget(limits: Limits) -> Option<Arc<Budget>> {
     Some(Arc::new(b))
 }
 
-/// Runs one evaluation phase with the request budget installed as the
-/// ambient budget and every panic converted to a typed [`ArcadeError`]
-/// (budget trips keep their structure; anything else becomes
-/// [`ArcadeError::Internal`]).
-fn eval_guarded<R>(
-    budget: &Option<Arc<Budget>>,
-    f: impl FnOnce() -> Result<R, ArcadeError>,
-) -> Result<R, ArcadeError> {
-    let scoped = budget.clone();
-    match std::panic::catch_unwind(AssertUnwindSafe(|| budget::scope(scoped, f))) {
-        Ok(r) => r,
-        Err(payload) => Err(crate::query::classify_panic(
-            payload.as_ref(),
-            budget.as_deref(),
-        )),
-    }
-}
-
 /// Maps an evaluation error to its wire code — `deadline` for an expired
 /// wall clock, `budget` for a size ceiling or cancellation,
 /// `internal_panic` for a contained panic, `model_error` otherwise — and
@@ -554,11 +536,22 @@ fn arcade_error_response(inner: &Inner, e: &ArcadeError) -> Json {
     ProtoError::with_code(code, e.to_string()).to_json()
 }
 
-fn query_response(
+/// The part `query` and `sweep` requests share: looks up the model's
+/// session, runs the build phase — aggregating exactly the
+/// configurations `measures` need, deduplicated inside the shared session
+/// — and attributes the request as a cache hit, miss or dedup wait, then
+/// runs `eval` as the separately timed evaluate phase. Both phases run
+/// under the request budget inside [`guarded`]. The response carries the
+/// model name, the fields `render` makes of the result and the build
+/// trace, then the session counters and the phase timings; a failure
+/// answers its error response.
+fn evaluate_request<R>(
     inner: &Inner,
     model: &str,
-    measures: &[crate::query::Measure],
+    measures: &[Measure],
     limits: Limits,
+    eval: impl FnOnce(&Session) -> Result<R, ArcadeError>,
+    render: impl FnOnce(R, &EvalTrace) -> Vec<(&'static str, Json)>,
 ) -> Json {
     let budget = request_budget(limits);
     let build_started = Instant::now();
@@ -575,16 +568,12 @@ fn query_response(
             return e.to_json();
         }
     };
-    // Build phase: aggregate exactly the configurations the batch needs
-    // (deduplicated inside the shared session), timed separately from the
-    // sweeps.
-    let trace = match eval_guarded(&budget, || session.prefetch_measures(measures)) {
+    let trace = match guarded(budget.clone(), || session.prefetch_measures(measures)) {
         Ok(t) => t,
         Err(e) => return arcade_error_response(inner, &e),
     };
     let build_elapsed = build_started.elapsed();
     inner.metrics.build.record(build_elapsed);
-    let cold = trace.built > 0 || trace.waited > 0;
     if trace.built > 0 {
         Metrics::bump(&inner.metrics.cache_misses);
     } else if trace.waited > 0 {
@@ -593,130 +582,98 @@ fn query_response(
         Metrics::bump(&inner.metrics.cache_hits);
     }
     let eval_started = Instant::now();
-    let values = match eval_guarded(&budget, || session.evaluate(measures)) {
-        Ok(v) => v,
-        Err(e) => return arcade_error_response(inner, &e),
-    };
-    let eval_elapsed = eval_started.elapsed();
-    inner.metrics.evaluate.record(eval_elapsed);
-    ok_envelope(vec![
-        ("model", Json::str(model)),
-        (
-            "values",
-            Json::Arr(values.into_iter().map(Json::Num).collect()),
-        ),
-        ("cold", Json::Bool(cold)),
-        (
-            "trace",
-            Json::obj([
-                ("built", Json::Num(f64::from(trace.built))),
-                ("waited", Json::Num(f64::from(trace.waited))),
-            ]),
-        ),
-        ("session", session_stats_json(&session.stats())),
-        (
-            "timings",
-            Json::obj([
-                ("build_us", Json::Num(build_elapsed.as_micros() as f64)),
-                ("evaluate_us", Json::Num(eval_elapsed.as_micros() as f64)),
-            ]),
-        ),
-    ])
-}
-
-fn sweep_response(
-    inner: &Inner,
-    model: &str,
-    measures: &[crate::query::Measure],
-    grid: &crate::query::ParamGrid,
-    limits: Limits,
-) -> Json {
-    let budget = request_budget(limits);
-    let build_started = Instant::now();
-    let (session, retried) = inner.registry.session_traced(model);
-    if retried {
-        Metrics::bump(&inner.metrics.retries);
-    }
-    let session = match session {
-        Ok(s) => s,
-        Err(e) => {
-            if e.code == "internal_panic" {
-                Metrics::bump(&inner.metrics.panics_caught);
-            }
-            return e.to_json();
-        }
-    };
-    // Same build-phase attribution as a query: the sweep itself re-rates
-    // the prefetched aggregations, so everything after this line is
-    // per-point solver work.
-    let trace = match eval_guarded(&budget, || session.prefetch_measures(measures)) {
-        Ok(t) => t,
-        Err(e) => return arcade_error_response(inner, &e),
-    };
-    let build_elapsed = build_started.elapsed();
-    inner.metrics.build.record(build_elapsed);
-    let cold = trace.built > 0 || trace.waited > 0;
-    if trace.built > 0 {
-        Metrics::bump(&inner.metrics.cache_misses);
-    } else if trace.waited > 0 {
-        Metrics::bump(&inner.metrics.dedup_waits);
-    } else {
-        Metrics::bump(&inner.metrics.cache_hits);
-    }
-    let eval_started = Instant::now();
-    let result = match eval_guarded(&budget, || session.sweep(measures, grid)) {
+    let result = match guarded(budget, || eval(&session)) {
         Ok(r) => r,
         Err(e) => return arcade_error_response(inner, &e),
     };
     let eval_elapsed = eval_started.elapsed();
     inner.metrics.evaluate.record(eval_elapsed);
-    let rows = |rows: &[Vec<f64>]| {
-        Json::Arr(
-            rows.iter()
-                .map(|row| Json::Arr(row.iter().copied().map(Json::Num).collect()))
+    let mut fields = vec![("model", Json::str(model))];
+    fields.extend(render(result, &trace));
+    fields.push(("session", session_stats_json(&session.stats())));
+    fields.push((
+        "timings",
+        Json::obj([
+            ("build_us", Json::Num(build_elapsed.as_micros() as f64)),
+            ("evaluate_us", Json::Num(eval_elapsed.as_micros() as f64)),
+        ]),
+    ));
+    ok_envelope(fields)
+}
+
+/// Whether the request had to build (or wait for) an aggregation.
+fn cold(trace: &EvalTrace) -> Json {
+    Json::Bool(trace.built > 0 || trace.waited > 0)
+}
+
+fn query_response(inner: &Inner, model: &str, measures: &[Measure], limits: Limits) -> Json {
+    let eval = |s: &Session| s.evaluate(measures);
+    evaluate_request(inner, model, measures, limits, eval, |values, trace| {
+        vec![
+            (
+                "values",
+                Json::Arr(values.into_iter().map(Json::Num).collect()),
+            ),
+            ("cold", cold(trace)),
+            (
+                "trace",
+                Json::obj([
+                    ("built", Json::Num(f64::from(trace.built))),
+                    ("waited", Json::Num(f64::from(trace.waited))),
+                ]),
+            ),
+        ]
+    })
+}
+
+fn sweep_response(
+    inner: &Inner,
+    model: &str,
+    measures: &[Measure],
+    grid: &ParamGrid,
+    limits: Limits,
+) -> Json {
+    let eval = |s: &Session| s.sweep(measures, grid);
+    evaluate_request(inner, model, measures, limits, eval, |result, trace| {
+        let rows = |rows: &[Vec<f64>]| {
+            Json::Arr(
+                rows.iter()
+                    .map(|row| Json::Arr(row.iter().copied().map(Json::Num).collect()))
+                    .collect(),
+            )
+        };
+        let sensitivities = Json::Arr(
+            result
+                .sensitivities
+                .iter()
+                .map(|per_measure| {
+                    Json::Arr(
+                        per_measure
+                            .iter()
+                            .map(|per_param| {
+                                Json::Arr(
+                                    per_param
+                                        .iter()
+                                        .map(|s| s.map_or(Json::Null, Json::Num))
+                                        .collect(),
+                                )
+                            })
+                            .collect(),
+                    )
+                })
                 .collect(),
-        )
-    };
-    let sensitivities = Json::Arr(
-        result
-            .sensitivities
-            .iter()
-            .map(|per_measure| {
-                Json::Arr(
-                    per_measure
-                        .iter()
-                        .map(|per_param| {
-                            Json::Arr(
-                                per_param
-                                    .iter()
-                                    .map(|s| s.map_or(Json::Null, Json::Num))
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect(),
-    );
-    ok_envelope(vec![
-        ("model", Json::str(model)),
-        (
-            "params",
-            Json::Arr(result.names.iter().map(Json::str).collect()),
-        ),
-        ("points", rows(&result.points)),
-        ("values", rows(&result.values)),
-        ("sensitivities", sensitivities),
-        ("cold", Json::Bool(cold)),
-        ("session", session_stats_json(&session.stats())),
-        (
-            "timings",
-            Json::obj([
-                ("build_us", Json::Num(build_elapsed.as_micros() as f64)),
-                ("evaluate_us", Json::Num(eval_elapsed.as_micros() as f64)),
-            ]),
-        ),
-    ])
+        );
+        vec![
+            (
+                "params",
+                Json::Arr(result.names.iter().map(Json::str).collect()),
+            ),
+            ("points", rows(&result.points)),
+            ("values", rows(&result.values)),
+            ("sensitivities", sensitivities),
+            ("cold", cold(trace)),
+        ]
+    })
 }
 
 fn stats_response(inner: &Inner) -> Json {

@@ -86,18 +86,6 @@ impl<T, E> Default for RetryCell<T, E> {
     }
 }
 
-impl<T: Clone, E> Clone for RetryCell<T, E> {
-    /// Clones the cached value if one is ready; an in-flight build is
-    /// *not* carried over (the clone starts empty and builds its own).
-    fn clone(&self) -> Self {
-        let cell = Self::default();
-        if let Some(v) = self.get() {
-            cell.inner.lock().unwrap().state = State::Ready(v);
-        }
-        cell
-    }
-}
-
 impl<T: Clone, E> RetryCell<T, E> {
     /// Creates an empty cell.
     pub fn new() -> Self {
@@ -317,13 +305,5 @@ mod tests {
             }
         });
         assert_eq!(runs.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn clone_carries_the_value_only() {
-        let cell: RetryCell<u32, String> = RetryCell::new();
-        assert_eq!(cell.clone().get(), None);
-        let _ = cell.get_or_try_init(|| Ok(11));
-        assert_eq!(cell.clone().get(), Some(11));
     }
 }

@@ -7,13 +7,15 @@
 //! own integration-test binary (a separate process from the chaos-free
 //! `serve_protocol` tests) and serialize on [`chaos::test_lock`].
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use arcade::chaos::{self, Action};
 use arcade::engine::EngineOptions;
-use arcade::query::{Measure, ParamGrid, Session};
+use arcade::query::{guarded, Measure, ParamGrid, Session};
 use arcade::serve::{serve, Client, Json, ServerConfig};
 use arcade::ArcadeError;
+use ioimc::budget::{Budget, BudgetKind};
 
 fn test_server(workers: usize) -> (arcade::serve::ServerHandle, String) {
     let config = ServerConfig {
@@ -138,7 +140,10 @@ fn sweep_point_delay_observes_the_deadline_on_worker_threads() {
 
     chaos::arm("session.sweep_point", Action::Delay(10_000), None);
     let t0 = Instant::now();
-    let result = session.sweep_deadline(&measures, &grid(1.2), Duration::from_millis(100));
+    let budget = Budget::unlimited().with_deadline(Duration::from_millis(100));
+    let result = guarded(Some(Arc::new(budget)), || {
+        session.sweep(&measures, &grid(1.2))
+    });
     let elapsed = t0.elapsed();
     chaos::disarm_all();
     assert!(
@@ -149,4 +154,44 @@ fn sweep_point_delay_observes_the_deadline_on_worker_threads() {
         elapsed < Duration::from_secs(5),
         "deadline answered only after {elapsed:?}"
     );
+}
+
+/// Cancelling a budget from another thread aborts an evaluation in
+/// flight: a chaos delay in the aggregation build polls the budget, so
+/// the guarded evaluation answers a `Cancelled` budget error long before
+/// the delay would end, and the aggregation cell heals for the next,
+/// unbudgeted evaluation.
+#[test]
+fn cancel_aborts_an_evaluation_in_flight_and_the_cell_heals() {
+    let _guard = chaos::test_lock();
+    chaos::disarm_all();
+    let session = Session::new(&arcade::cases::dds()).expect("DDS session");
+    let measures = [Measure::SteadyStateUnavailability];
+    chaos::arm("session.agg", Action::Delay(60_000), None);
+    let budget = Arc::new(Budget::unlimited());
+    let (started, waiting) = std::sync::mpsc::channel();
+    let t0 = Instant::now();
+    let result = std::thread::scope(|s| {
+        let evaluation = s.spawn(|| {
+            started.send(()).expect("test thread waits");
+            guarded(Some(Arc::clone(&budget)), || session.evaluate(&measures))
+        });
+        waiting.recv().expect("evaluation thread started");
+        budget.cancel();
+        evaluation.join().expect("guarded evaluation never unwinds")
+    });
+    let elapsed = t0.elapsed();
+    chaos::disarm_all();
+    assert!(
+        matches!(&result, Err(ArcadeError::Budget(e)) if e.kind == BudgetKind::Cancelled),
+        "cancel must abort the evaluation: {result:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "cancel answered only after {elapsed:?}"
+    );
+    let values = session
+        .evaluate(&measures)
+        .expect("the aggregation cell healed");
+    assert_eq!(values.len(), 1);
 }

@@ -334,6 +334,49 @@ fn huge_horizon_unavailability_answers_within_its_deadline() {
     handle.join();
 }
 
+/// Interval availability at `t = 0` answers its limit `A(0)` in both
+/// request forms instead of panicking inside the solver.
+#[test]
+fn interval_availability_at_time_zero_answers_its_limit() {
+    let (handle, addr) = test_server();
+    let mut client = Client::connect(&addr).expect("connect");
+    let object_form = client
+        .expect_ok(&Json::obj([
+            ("model", Json::str("dds")),
+            (
+                "measures",
+                Json::Arr(vec![Json::obj([
+                    ("kind", Json::str("interval_availability")),
+                    ("t", Json::Num(0.0)),
+                ])]),
+            ),
+        ]))
+        .expect("t = 0 answers");
+    assert_eq!(Client::values(&object_form).expect("values"), vec![1.0]);
+    let grid_form = client
+        .expect_ok(&Json::obj([
+            ("model", Json::str("dds")),
+            (
+                "measures",
+                Json::Arr(vec![Json::str("interval_availability")]),
+            ),
+            ("times", Json::Arr(vec![Json::Num(0.0), Json::Num(10.0)])),
+        ]))
+        .expect("times [0, 10] answer");
+    let v = Client::values(&grid_form).expect("values");
+    assert_eq!(v[0], 1.0);
+    assert!(v[1] > 0.0 && v[1] <= 1.0, "A over [0, 10] = {}", v[1]);
+    let stats = client.stats().expect("stats");
+    let caught = stats
+        .get("server")
+        .and_then(|s| s.get("panics_caught"))
+        .and_then(Json::as_f64)
+        .expect("panics_caught counter");
+    assert_eq!(caught, 0.0, "no request may panic");
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn max_states_caps_a_loaded_combinatorial_model() {
     let (handle, addr) = test_server();

@@ -131,10 +131,9 @@ fn traced_evaluation_attributes_builder_and_waiters() {
                 let session = Arc::clone(&session);
                 let measures = &measures;
                 s.spawn(move || {
-                    session
-                        .evaluate_traced(measures)
-                        .expect("traced evaluate")
-                        .1
+                    let trace = session.prefetch_measures(measures).expect("prefetch");
+                    session.evaluate(measures).expect("evaluate");
+                    trace
                 })
             })
             .collect();
@@ -151,7 +150,7 @@ fn traced_evaluation_attributes_builder_and_waiters() {
     assert_eq!(session.stats().aggregations_built, 1);
 
     // Warm: no builds, no waits.
-    let (_, trace) = session.evaluate_traced(&measures).expect("warm");
+    let trace = session.prefetch_measures(&measures).expect("warm");
     assert_eq!(
         (trace.built, trace.waited),
         (0, 0),

@@ -7,14 +7,20 @@ use arcade::cases::dds::{dds_scaled, FIVE_WEEKS_H};
 use arcade::cases::rcs::rcs;
 use arcade::engine::EngineOptions;
 use arcade::modular::modular_analysis;
+use arcade::Measure;
 use arcade_bench::bench;
 
 fn main() {
     // Table 1 measures through the modular analysis.
     let def = dds_scaled(6);
     bench("dds/table1-modular", 10, || {
-        let m = modular_analysis(&def, &EngineOptions::new()).expect("dds");
-        (m.steady_state_availability(), m.reliability(FIVE_WEEKS_H))
+        modular_analysis(&def, &EngineOptions::new())
+            .expect("dds")
+            .evaluate(&[
+                Measure::SteadyStateAvailability,
+                Measure::Reliability(FIVE_WEEKS_H),
+            ])
+            .expect("dds measures")
     });
 
     // Scaling sweep over the number of disk clusters.
@@ -23,17 +29,20 @@ fn main() {
         bench(&format!("dds-scaling/clusters/{clusters}"), 10, || {
             modular_analysis(&def, &EngineOptions::new())
                 .expect("dds")
-                .steady_state_availability()
+                .evaluate(&[Measure::SteadyStateAvailability])
+                .expect("dds availability")
         });
     }
 
     // RCS 50-hour measures.
     let def = rcs();
     bench("rcs/modular-50h", 10, || {
-        let m = modular_analysis(&def, &EngineOptions::new()).expect("rcs");
-        (
-            m.point_unavailability(50.0),
-            m.unreliability_with_repair(50.0),
-        )
+        modular_analysis(&def, &EngineOptions::new())
+            .expect("rcs")
+            .evaluate(&[
+                Measure::PointUnavailability(50.0),
+                Measure::UnreliabilityWithRepair(50.0),
+            ])
+            .expect("rcs measures")
     });
 }

@@ -8,6 +8,7 @@ use arcade::cases::rcs::rcs;
 use arcade::engine::EngineOptions;
 use arcade::modular::modular_analysis;
 use arcade::sim;
+use arcade::Measure;
 use arcade_bench::Table;
 
 fn main() {
@@ -21,6 +22,7 @@ fn main() {
     let mut table = Table::new(&["module", "components", "CTMC", "largest intermediate"]);
     for m in &modular.modules {
         let is_pump = m.components.iter().any(|c| c == "P1");
+        let agg = m.session.availability_model().expect("module aggregated");
         let name = if is_pump {
             "pump subsystem"
         } else {
@@ -31,13 +33,13 @@ fn main() {
             m.components.len().to_string(),
             format!(
                 "{} st / {} tr",
-                m.report.ctmc_stats().states,
-                m.report.ctmc_stats().transitions()
+                agg.ctmc_stats.states,
+                agg.ctmc_stats.transitions()
             ),
             format!(
                 "{} st / {} tr",
-                m.report.largest_intermediate().states,
-                m.report.largest_intermediate().transitions()
+                agg.largest_intermediate.states,
+                agg.largest_intermediate.transitions()
             ),
         ]);
     }
@@ -51,8 +53,13 @@ fn main() {
     // The whole 50-hour curve is answered batched: one uniformization
     // sweep per (module, measure kind) instead of one per time point.
     let grid: Vec<f64> = (1..=10).map(|k| t * f64::from(k) / 10.0).collect();
-    let unavail_curve = modular.point_unavailability_many(&grid);
-    let unrel_curve = modular.unreliability_with_repair_many(&grid);
+    let mut curves: Vec<Measure> = grid
+        .iter()
+        .map(|&tp| Measure::PointUnavailability(tp))
+        .collect();
+    curves.extend(grid.iter().map(|&tp| Measure::UnreliabilityWithRepair(tp)));
+    let values = modular.evaluate(&curves).expect("RCS curves");
+    let (unavail_curve, unrel_curve) = values.split_at(grid.len());
     println!("50-hour curves (batched, one sweep per module and measure):");
     let mut ctable = Table::new(&["t (h)", "unavailability", "unreliability"]);
     for (i, &tp) in grid.iter().enumerate() {
@@ -91,7 +98,8 @@ fn main() {
     }
     let exact = modular_analysis(&inflated, &EngineOptions::new())
         .expect("inflated RCS")
-        .unreliability_with_repair(t);
+        .evaluate(&[Measure::UnreliabilityWithRepair(t)])
+        .expect("inflated RCS unreliability")[0];
     let mc = sim::simulate_unreliability(&inflated, t, 30_000, 52, true).expect("simulation");
     println!(
         "structure cross-check (rates x1000): engine {exact:.4e}, MC {:.4e} ± {:.1e}",

@@ -9,6 +9,7 @@
 use arcade::cases::rcs::rcs_with_valves;
 use arcade::engine::EngineOptions;
 use arcade::modular::modular_analysis;
+use arcade::Measure;
 use arcade_bench::Table;
 
 fn main() {
@@ -22,9 +23,14 @@ fn main() {
     ]);
     for v in 1..=4usize {
         let def = rcs_with_valves(v);
-        let m = modular_analysis(&def, &EngineOptions::new()).expect("rcs");
-        let ua = m.point_unavailability(t);
-        let ur = m.unreliability_with_repair(t);
+        let m = modular_analysis(&def, &EngineOptions::new())
+            .expect("rcs")
+            .evaluate(&[
+                Measure::PointUnavailability(t),
+                Measure::UnreliabilityWithRepair(t),
+            ])
+            .expect("rcs measures");
+        let (ua, ur) = (m[0], m[1]);
         table.row(&[
             v.to_string(),
             format!("{ua:.5e}"),

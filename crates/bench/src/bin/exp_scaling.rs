@@ -218,7 +218,8 @@ fn main() {
     let sparse_u = rcs_u;
     let modular_u = modular_analysis(&rcs_def, &EngineOptions::new())
         .expect("modular analysis succeeds")
-        .steady_state_unavailability();
+        .evaluate(&[Measure::SteadyStateUnavailability])
+        .expect("modular steady unavailability")[0];
     let rel = (sparse_u - modular_u).abs() / modular_u.max(1e-300);
     assert!(
         rel < 1e-6,

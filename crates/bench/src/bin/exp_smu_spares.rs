@@ -49,15 +49,19 @@ fn main() {
                 continue;
             }
             let def = processors(n, failover.clone());
-            let report = Analysis::new(&def).expect("valid").run().expect("analysis");
+            let session = Session::new(&def).expect("valid");
+            let v = session
+                .evaluate(&[Measure::SteadyStateUnavailability, Measure::Mttf])
+                .expect("analysis");
+            let agg = session.availability_model().expect("aggregated");
             table.row(&[
                 n.to_string(),
                 failover
                     .as_ref()
                     .map_or("instant".to_owned(), ToString::to_string),
-                format!("{:.3e}", report.steady_state_unavailability()),
-                format!("{:.3e}", report.mttf()),
-                report.ctmc_stats().states.to_string(),
+                format!("{:.3e}", v[0]),
+                format!("{:.3e}", v[1]),
+                agg.ctmc_stats.states.to_string(),
             ]);
         }
     }

@@ -10,15 +10,18 @@ use arcade::cases::dds::{dds, FIVE_WEEKS_H};
 use arcade::engine::EngineOptions;
 use arcade::modular::modular_analysis;
 use arcade::sim;
+use arcade::Measure;
 use arcade_bench::{fmt6, Table};
 
 fn main() {
     let def = dds();
     let t = FIVE_WEEKS_H;
 
-    let modular = modular_analysis(&def, &EngineOptions::new()).expect("DDS analysis");
-    let a = modular.steady_state_availability();
-    let r = modular.reliability(t);
+    let v = modular_analysis(&def, &EngineOptions::new())
+        .expect("DDS analysis")
+        .evaluate(&[Measure::SteadyStateAvailability, Measure::Reliability(t)])
+        .expect("DDS measures");
+    let (a, r) = (v[0], v[1]);
 
     let r_static = analytic::static_reliability(&def.without_repair(), t).expect("static FT");
     let a_indep = analytic::independent_availability(&def).expect("independent availability");

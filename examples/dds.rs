@@ -12,7 +12,7 @@ use arcade::cases::dds::{dds, FIVE_WEEKS_H};
 use arcade::engine::EngineOptions;
 use arcade::modular::modular_analysis;
 use arcade::sim;
-use arcade::ArcadeError;
+use arcade::{ArcadeError, Measure};
 
 fn main() -> Result<(), ArcadeError> {
     let def = dds();
@@ -24,8 +24,8 @@ fn main() -> Result<(), ArcadeError> {
 
     // Arcade pipeline, modularized over the 9 independent subsystems.
     let modular = modular_analysis(&def, &EngineOptions::new())?;
-    let a = modular.steady_state_availability();
-    let r = modular.reliability(t);
+    let v = modular.evaluate(&[Measure::SteadyStateAvailability, Measure::Reliability(t)])?;
+    let (a, r) = (v[0], v[1]);
     println!("Arcade (this work):   A = {a:.6}    R(5 weeks) = {r:.6}");
 
     // Analytic static fault tree (Galileo's role for the reliability).
@@ -50,7 +50,7 @@ fn main() -> Result<(), ArcadeError> {
             "  {}: {} components, CTMC {}",
             m.name,
             m.components.len(),
-            m.report.ctmc_stats()
+            m.session.availability_model()?.ctmc_stats
         );
     }
     Ok(())

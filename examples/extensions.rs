@@ -35,48 +35,46 @@ fn build(pand: bool) -> SystemDef {
 fn main() -> Result<(), ArcadeError> {
     let t = 1000.0;
     println!("=== Priority-AND vs AND (paper footnote 8) ===");
-    let and_report = Analysis::new(&build(false))?.run()?;
-    let pand_report = Analysis::new(&build(true))?.run()?;
+    let batch = [
+        Measure::UnreliabilityWithRepair(t),
+        Measure::SteadyStateUnavailability,
+        Measure::Mttf,
+    ];
+    let and = Session::new(&build(false))?.evaluate(&batch)?;
+    let pand_session = Session::new(&build(true))?;
+    let pand = pand_session.evaluate(&batch)?;
 
     println!(
         "{:<6} {:>16} {:>16} {:>14}",
         "gate", "unrel w/ repair", "unavailability", "MTTF (h)"
     );
-    for (name, r) in [("AND", &and_report), ("PAND", &pand_report)] {
-        println!(
-            "{:<6} {:>16.6e} {:>16.6e} {:>14.0}",
-            name,
-            r.unreliability_with_repair(t),
-            r.steady_state_unavailability(),
-            r.mttf()
-        );
+    for (name, v) in [("AND", &and), ("PAND", &pand)] {
+        println!("{:<6} {:>16.6e} {:>16.6e} {:>14.0}", name, v[0], v[1], v[2]);
     }
     // Both components down happens either order; fan-then-cpu is one of the
     // two orders, so the PAND events are a strict subset of the AND events.
-    assert!(
-        pand_report.unreliability_with_repair(t) < and_report.unreliability_with_repair(t),
-        "PAND must be rarer than AND"
-    );
-    assert!(pand_report.mttf() > and_report.mttf());
+    assert!(pand[0] < and[0], "PAND must be rarer than AND");
+    assert!(pand[2] > and[2]);
 
     println!();
     println!("=== CSL-style queries (paper §6 future work) ===");
-    let up = StateFormula::up();
-    let down = StateFormula::down();
+    let until = |t| Measure::BoundedUntil {
+        phi: StateFormula::up(),
+        psi: StateFormula::down(),
+        t,
+    };
     for &h in &[100.0, 1000.0] {
+        let v = pand_session.evaluate(&[until(h), Measure::IntervalAvailability(h)])?;
         println!(
             "P[ up U<={h} down ]      = {:.6e}   (first dangerous-order failure)",
-            pand_report.until_bounded(&up, &down, h)
+            v[0]
         );
-        println!(
-            "interval availability({h}) = {:.10}",
-            pand_report.interval_availability(h)
-        );
+        println!("interval availability({h}) = {:.10}", v[1]);
     }
     // consistency: P[up U<=t down] from the initial (up) state equals the
     // first-passage unreliability
-    let q = pand_report.until_bounded(&up, &down, t);
-    let fp = pand_report.unreliability_with_repair(t);
+    let v = pand_session.evaluate(&[until(t), Measure::UnreliabilityWithRepair(t)])?;
+    let (q, fp) = (v[0], v[1]);
     assert!(
         (q - fp).abs() < 1e-12,
         "CSL until vs first passage: {q} vs {fp}"

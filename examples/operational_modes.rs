@@ -53,27 +53,28 @@ fn build() -> SystemDef {
 
 fn main() -> Result<(), ArcadeError> {
     let sys = build();
-    let report = Analysis::new(&sys)?.run()?;
+    let session = Session::new(&sys)?;
+    let v = session.evaluate(&[
+        Measure::SteadyStateUnavailability,
+        Measure::Mttf,
+        Measure::Reliability(100.0),
+    ])?;
 
     println!("=== operational-mode groups (§3.1.1) ===");
-    println!("final CTMC: {}", report.ctmc_stats());
+    println!("final CTMC: {}", session.availability_model()?.ctmc_stats);
     println!();
-    let u = report.steady_state_unavailability();
+    let u = v[0];
     println!("service unavailability: {u:.6e}");
-    println!("MTTF:                   {:.1} h", report.mttf());
-    println!("R(100 h):               {:.6}", report.reliability(100.0));
+    println!("MTTF:                   {:.1} h", v[1]);
+    println!("R(100 h):               {:.6}", v[2]);
 
     // Decompose the outage sources by re-analyzing restricted criteria.
     let mut only_db = sys.clone();
     only_db.set_system_down(Expr::down("db"));
-    let u_db = Analysis::new(&only_db)?
-        .run()?
-        .steady_state_unavailability();
+    let u_db = Session::new(&only_db)?.value(&Measure::SteadyStateUnavailability)?;
     let mut only_psu = sys.clone();
     only_psu.set_system_down(Expr::down("psu"));
-    let u_psu = Analysis::new(&only_psu)?
-        .run()?
-        .steady_state_unavailability();
+    let u_psu = Session::new(&only_psu)?.value(&Measure::SteadyStateUnavailability)?;
     println!();
     println!("outage decomposition (overlapping):");
     println!("  db down (inherent, inaccessible): {u_db:.6e}");

@@ -11,7 +11,7 @@
 use arcade::cases::rcs::rcs;
 use arcade::engine::EngineOptions;
 use arcade::modular::modular_analysis;
-use arcade::ArcadeError;
+use arcade::{ArcadeError, Measure};
 
 fn main() -> Result<(), ArcadeError> {
     let def = rcs();
@@ -26,15 +26,19 @@ fn main() -> Result<(), ArcadeError> {
             m.components.len(),
             m.components.join(", ")
         );
-        println!("  CTMC: {}", m.report.ctmc_stats());
+        let agg = m.session.availability_model()?;
+        println!("  CTMC: {}", agg.ctmc_stats);
         println!(
             "  largest intermediate I/O-IMC: {}",
-            m.report.largest_intermediate()
+            agg.largest_intermediate
         );
     }
     println!();
-    let unavail = modular.point_unavailability(t);
-    let unrel = modular.unreliability_with_repair(t);
+    let v = modular.evaluate(&[
+        Measure::PointUnavailability(t),
+        Measure::UnreliabilityWithRepair(t),
+    ])?;
+    let (unavail, unrel) = (v[0], v[1]);
     println!("system unavailability at {t} h:  {unavail:.5e}");
     println!("system unreliability  at {t} h:  {unrel:.5e}");
     println!();

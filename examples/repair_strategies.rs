@@ -68,14 +68,15 @@ fn main() -> Result<(), ArcadeError> {
             .filter(|b| b.name.contains("rep") || b.name == "shop")
             .map(|b| b.imc.num_states())
             .sum();
-        let report = Analysis::new(&def)?.run()?;
+        let session = Session::new(&def)?;
+        let v = session.evaluate(&[Measure::SteadyStateUnavailability, Measure::Mttf])?;
         println!(
             "{:<12} {:>14.6e} {:>12.1} {:>10} {:>12}",
             name,
-            report.steady_state_unavailability(),
-            report.mttf(),
+            v[0],
+            v[1],
             ru_states,
-            report.ctmc_stats().states,
+            session.availability_model()?.ctmc_stats.states,
         );
     }
     println!();

@@ -42,20 +42,19 @@ fn main() -> Result<(), ArcadeError> {
         "failover", "unreliability", "MTTF (h)"
     );
 
-    let instant = Analysis::new(&build(None))?.run()?;
+    let batch = [Measure::UnreliabilityWithRepair(t), Measure::Mttf];
+    let instant = Session::new(&build(None))?.evaluate(&batch)?;
     println!(
         "{:<22} {:>14.6e} {:>14.1}",
-        "instantaneous (Fig. 8)",
-        instant.unreliability_with_repair(t),
-        instant.mttf()
+        "instantaneous (Fig. 8)", instant[0], instant[1]
     );
     for &delta in &[100.0, 10.0, 1.0, 0.1] {
-        let report = Analysis::new(&build(Some(Dist::exp(delta))))?.run()?;
+        let v = Session::new(&build(Some(Dist::exp(delta))))?.evaluate(&batch)?;
         println!(
             "{:<22} {:>14.6e} {:>14.1}",
             format!("exp({delta}) (Fig. 9)"),
-            report.unreliability_with_repair(t),
-            report.mttf()
+            v[0],
+            v[1]
         );
     }
     println!();
@@ -68,8 +67,8 @@ fn main() -> Result<(), ArcadeError> {
 
     // Convergence check: a very fast failover must match the instantaneous
     // SMU closely.
-    let fast = Analysis::new(&build(Some(Dist::exp(1e5))))?.run()?;
-    let gap = (fast.unreliability_with_repair(t) - instant.unreliability_with_repair(t)).abs();
+    let fast = Session::new(&build(Some(Dist::exp(1e5))))?.value(&batch[0])?;
+    let gap = (fast - instant[0]).abs();
     assert!(
         gap < 1e-5,
         "fast failover should converge to instantaneous, gap {gap}"

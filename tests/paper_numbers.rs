@@ -14,8 +14,13 @@ use arcade::query::{Measure, Session};
 #[test]
 fn table1_dds_measures() {
     let m = modular_analysis(&dds(), &EngineOptions::new()).expect("DDS analysis");
-    let a = m.steady_state_availability();
-    let r = m.reliability(FIVE_WEEKS_H);
+    let v = m
+        .evaluate(&[
+            Measure::SteadyStateAvailability,
+            Measure::Reliability(FIVE_WEEKS_H),
+        ])
+        .expect("DDS measures");
+    let (a, r) = (v[0], v[1]);
     assert!(
         (a - 0.999997).abs() < 5e-7,
         "availability {a} drifted from the paper's 0.999997"
@@ -123,8 +128,13 @@ fn dds_final_ctmc_is_exactly_the_papers() {
 fn rcs_measures_within_inventory_band() {
     let m = modular_analysis(&rcs(), &EngineOptions::new()).expect("RCS analysis");
     assert_eq!(m.modules.len(), 2, "pump + heat-exchanger subsystems");
-    let ua = m.point_unavailability(50.0);
-    let ur = m.unreliability_with_repair(50.0);
+    let v = m
+        .evaluate(&[
+            Measure::PointUnavailability(50.0),
+            Measure::UnreliabilityWithRepair(50.0),
+        ])
+        .expect("RCS measures");
+    let (ua, ur) = (v[0], v[1]);
     let ratio_a = ua / 6.52100e-10;
     let ratio_r = ur / 5.29242e-9;
     assert!(

@@ -175,14 +175,20 @@ fn engine_matches_analytic() {
     for seed in 0..24 {
         let mut rng = SmallRng::seed_from_u64(5000 + seed);
         let (def, t) = arb_system(&mut rng);
-        let report = Analysis::new(&def).expect("valid").run().expect("analysis");
-        let a_engine = report.steady_state_unavailability();
+        let v = Session::new(&def)
+            .expect("valid")
+            .evaluate(&[
+                Measure::SteadyStateUnavailability,
+                Measure::Unreliability(t),
+            ])
+            .expect("analysis");
+        let a_engine = v[0];
         let a_analytic = analytic::independent_unavailability(&def).expect("analytic");
         assert!(
             (a_engine - a_analytic).abs() < 1e-9,
             "seed {seed} availability: engine {a_engine} vs analytic {a_analytic}"
         );
-        let r_engine = report.unreliability(t);
+        let r_engine = v[1];
         let r_analytic =
             analytic::static_unreliability(&def.without_repair(), t).expect("analytic");
         assert!(
@@ -198,14 +204,22 @@ fn measures_are_probabilities() {
     for seed in 0..24 {
         let mut rng = SmallRng::seed_from_u64(6000 + seed);
         let (def, t) = arb_system(&mut rng);
-        let report = Analysis::new(&def).expect("valid").run().expect("analysis");
-        let a = report.steady_state_availability();
+        let v = Session::new(&def)
+            .expect("valid")
+            .evaluate(&[
+                Measure::SteadyStateAvailability,
+                Measure::Reliability(t),
+                Measure::Reliability(t * 2.0),
+                Measure::UnreliabilityWithRepair(t),
+                Measure::Unreliability(t),
+            ])
+            .expect("analysis");
+        let a = v[0];
         assert!((0.0..=1.0).contains(&a));
-        let r1 = report.reliability(t);
-        let r2 = report.reliability(t * 2.0);
+        let (r1, r2) = (v[1], v[2]);
         assert!((0.0..=1.0).contains(&r1));
         assert!(r2 <= r1 + 1e-12, "reliability must be non-increasing");
         // first passage with repair never exceeds no-repair unreliability
-        assert!(report.unreliability_with_repair(t) <= report.unreliability(t) + 1e-9);
+        assert!(v[3] <= v[4] + 1e-9);
     }
 }

@@ -63,14 +63,18 @@ fn dds_exact_measures_lie_in_simulation_confidence_intervals() {
 
 /// RCS: no-repair unreliability at long horizons (where the failure
 /// probability is MC-sized), exact values from the modular analysis
-/// (each module a `Session`-backed report; the decomposition is exact
-/// for independent modules).
+/// (each module its own `Session`; the decomposition is exact for
+/// independent modules).
 #[test]
 fn rcs_exact_measures_lie_in_simulation_confidence_intervals() {
     let def = rcs();
-    let modular = modular_analysis(&def, &EngineOptions::new()).expect("RCS analysis");
-    for (t, seed) in [(200_000.0, 11u64), (400_000.0, 12)] {
-        let exact = 1.0 - modular.reliability(t);
+    let horizons = [(200_000.0, 11u64), (400_000.0, 12)];
+    let reliability = modular_analysis(&def, &EngineOptions::new())
+        .expect("RCS analysis")
+        .evaluate(&horizons.map(|(t, _)| Measure::Reliability(t)))
+        .expect("RCS reliabilities");
+    for ((t, seed), r) in horizons.into_iter().zip(reliability) {
+        let exact = 1.0 - r;
         let est = simulate_unreliability(&def, t, 20_000, seed, false).expect("sim runs");
         assert!(
             est.mean > 0.05 && est.mean < 0.95,

@@ -29,12 +29,11 @@ fn more_spares_help() {
     let mut last_mttf = 0.0;
     let mut last_avail = 0.0;
     for n in 1..=3usize {
-        let report = Analysis::new(&n_spare_system(n, false))
+        let v = Session::new(&n_spare_system(n, false))
             .unwrap()
-            .run()
+            .evaluate(&[Measure::Mttf, Measure::SteadyStateAvailability])
             .unwrap();
-        let mttf = report.mttf();
-        let avail = report.steady_state_availability();
+        let (mttf, avail) = (v[0], v[1]);
         assert!(
             mttf > last_mttf,
             "{n} spares: MTTF {mttf} not better than {last_mttf}"
@@ -48,22 +47,23 @@ fn more_spares_help() {
 /// A cold spare (cannot fail while inactive) beats a hot spare.
 #[test]
 fn cold_spare_beats_hot_spare() {
-    let hot = Analysis::new(&n_spare_system(1, false))
-        .unwrap()
-        .run()
-        .unwrap();
-    let cold = Analysis::new(&n_spare_system(1, true))
-        .unwrap()
-        .run()
-        .unwrap();
-    assert!(cold.mttf() > hot.mttf());
     let t = 100.0;
-    assert!(cold.reliability(t) > hot.reliability(t));
+    let batch = [Measure::Mttf, Measure::Reliability(t)];
+    let hot = Session::new(&n_spare_system(1, false))
+        .unwrap()
+        .evaluate(&batch)
+        .unwrap();
+    let cold = Session::new(&n_spare_system(1, true))
+        .unwrap()
+        .evaluate(&batch)
+        .unwrap();
+    assert!(cold[0] > hot[0]);
+    assert!(cold[1] > hot[1]);
     // cold-spare closed form without repair: hypoexponential(λ, λ):
     // R(t) = e^{-λt}(1 + λt)
     let l = 0.02;
     let expected = (-l * t).exp() * (1.0 + l * t);
-    let got = cold.reliability(t);
+    let got = cold[1];
     assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
 }
 
@@ -71,16 +71,13 @@ fn cold_spare_beats_hot_spare() {
 /// give an Erlang-3 system lifetime.
 #[test]
 fn two_cold_spares_erlang_lifetime() {
-    let report = Analysis::new(&n_spare_system(2, true))
-        .unwrap()
-        .run()
-        .unwrap();
+    let session = Session::new(&n_spare_system(2, true)).unwrap();
     let (l, t) = (0.02f64, 120.0);
     // no repair: pp fails, sp0 activated, fails, sp1 activated, fails:
     // total lifetime Erlang-3(λ)
     let x = l * t;
     let expected = (-x).exp() * (1.0 + x + x * x / 2.0);
-    let got = report.reliability(t);
+    let got = session.value(&Measure::Reliability(t)).unwrap();
     assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
 }
 
@@ -100,14 +97,14 @@ fn priorities_help_the_critical_component() {
         }
         def.add_repair_unit(ru);
         def.set_system_down(Expr::down("c0"));
-        Analysis::new(&def).unwrap().run().unwrap()
+        Session::new(&def)
+            .unwrap()
+            .value(&Measure::SteadyStateUnavailability)
+            .unwrap()
     };
-    let fcfs = build(RepairStrategy::Fcfs, vec![]);
-    let pnp = build(RepairStrategy::NonPreemptivePriority, vec![3, 1, 1]);
-    let pp = build(RepairStrategy::PreemptivePriority, vec![3, 1, 1]);
-    let u_fcfs = fcfs.steady_state_unavailability();
-    let u_pnp = pnp.steady_state_unavailability();
-    let u_pp = pp.steady_state_unavailability();
+    let u_fcfs = build(RepairStrategy::Fcfs, vec![]);
+    let u_pnp = build(RepairStrategy::NonPreemptivePriority, vec![3, 1, 1]);
+    let u_pp = build(RepairStrategy::PreemptivePriority, vec![3, 1, 1]);
     assert!(u_pnp < u_fcfs, "PNP {u_pnp} vs FCFS {u_fcfs}");
     assert!(u_pp < u_pnp, "PP {u_pp} vs PNP {u_pnp}");
 }
