@@ -147,8 +147,8 @@ pub struct SessionStats {
     pub aggregations_built: u32,
     /// Absorbing-down transformations built (≤ 2, one per configuration).
     pub absorbing_built: u32,
-    /// Steady-state solves run (≤ 1 — only the availability steady state
-    /// is ever needed).
+    /// Steady-state solves completed (≤ 1 — only the availability steady
+    /// state is ever needed; a solve aborted by its budget is not counted).
     pub steady_solves: u32,
     /// Poisson weight lookups answered from the session memo.
     pub poisson_hits: u64,
@@ -1068,8 +1068,11 @@ impl View<'_> {
                 &self.down,
                 cache.steady.get_or_init(|| {
                     chaos::failpoint("session.solve");
+                    // Counted once it returns: an aborted solve caches
+                    // nothing, so it must not count either.
+                    let pi = solve();
                     self.session.steady_solves.fetch_add(1, Ordering::Relaxed);
-                    solve()
+                    pi
                 }),
             ),
             None => mass(&self.down, &solve()),

@@ -8,6 +8,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use arcade::query::{Measure, Session};
 use arcade::serve::{serve, Client, Json, ServerConfig};
 
 /// Starts a small test server (2 workers, tight line cap so the
@@ -330,6 +331,72 @@ fn huge_horizon_unavailability_answers_within_its_deadline() {
         (u - steady).abs() < 1e-12,
         "U(1e12) = {u:e}, steady state {steady:e}"
     );
+    handle.shutdown();
+    handle.join();
+}
+
+/// `timeout_ms` bounds the steady-state solve itself: on a warm DDS
+/// session (aggregated, steady vector not yet solved) the GTH elimination
+/// polls the request's deadline and answers `deadline`. The aborted solve
+/// caches and counts nothing, so the same request without a deadline then
+/// answers `ok` with the value of a direct `Session::evaluate`.
+#[test]
+fn timeout_ms_bounds_the_steady_state_solve() {
+    let (handle, addr) = test_server();
+    let mut client = Client::connect(&addr).expect("connect");
+    client
+        .query(
+            "dds",
+            Json::Arr(vec![Json::str("unavailability")]),
+            Some(Json::Arr(vec![Json::Num(1.0)])),
+        )
+        .expect("warm the DDS session");
+    let steady = || Json::Arr(vec![Json::str("steady_state_unavailability")]);
+    let steady_solves = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        stats
+            .get("models")
+            .and_then(Json::as_arr)
+            .and_then(|models| {
+                models
+                    .iter()
+                    .find(|m| m.get("name").and_then(Json::as_str) == Some("dds"))
+            })
+            .and_then(|m| m.get("stats"))
+            .and_then(|s| s.get("steady_solves"))
+            .and_then(Json::as_f64)
+            .expect("the dds session's steady_solves")
+    };
+
+    // The DDS GTH takes tens of milliseconds even in release builds.
+    let v = client
+        .roundtrip(&Json::obj([
+            ("model", Json::str("dds")),
+            ("measures", steady()),
+            ("timeout_ms", Json::Num(1.0)),
+        ]))
+        .expect("roundtrip");
+    assert_eq!(error_code(&v), "deadline", "{v}");
+    assert_eq!(
+        steady_solves(&mut client),
+        0.0,
+        "an aborted solve is not counted"
+    );
+
+    let response = client
+        .query("dds", steady(), None)
+        .expect("the unbudgeted retry solves");
+    let served = Client::values(&response).expect("values")[0];
+    let direct = Session::new(&arcade::cases::dds())
+        .expect("DDS session")
+        .evaluate(&[Measure::SteadyStateUnavailability])
+        .expect("direct evaluate")[0];
+    assert_eq!(
+        served.to_bits(),
+        direct.to_bits(),
+        "served {served:e} vs direct {direct:e}"
+    );
+    assert_eq!(steady_solves(&mut client), 1.0);
     handle.shutdown();
     handle.join();
 }

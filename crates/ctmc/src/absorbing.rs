@@ -154,6 +154,7 @@ pub fn mean_time_to_absorption_with(ctmc: &Ctmc, targets: &[u32], opts: &SolverO
 /// Dense solve of the restricted system `A x = -1` (A = Q over the
 /// restricted transient states) by Gaussian elimination with partial
 /// pivoting. All restricted states reach a target, so A is nonsingular.
+/// Polls the ambient [`ioimc::budget`] once per pivot.
 fn dense_hitting_time(
     ctmc: &Ctmc,
     is_target: &[bool],
@@ -172,6 +173,7 @@ fn dense_hitting_time(
         a[i * m + i] -= ctmc.exit_rate(s);
     }
     for col in 0..m {
+        ioimc::budget::checkpoint();
         let pivot_row = (col..m)
             .max_by(|&i, &j| a[i * m + col].abs().total_cmp(&a[j * m + col].abs()))
             .expect("non-empty");
@@ -224,7 +226,8 @@ fn dense_hitting_time(
 /// tail bound — `ρ` estimated from consecutive sweep changes, remaining
 /// error bounded by `diff·ρ/(1−ρ)` — and if the sweep cap runs out
 /// before the bound is met, falls back to the exact dense elimination
-/// instead of returning the silently unconverged iterate.
+/// instead of returning the silently unconverged iterate. Polls the
+/// ambient [`ioimc::budget`] once per sweep.
 fn sparse_hitting_time(
     ctmc: &Ctmc,
     is_target: &[bool],
@@ -236,6 +239,7 @@ fn sparse_hitting_time(
     let mut x = vec![0.0f64; m];
     let mut prev_diff = f64::INFINITY;
     for _ in 0..opts.max_sweeps {
+        ioimc::budget::checkpoint();
         let mut diff = 0.0f64; // max absolute change this sweep
         let mut scale = 0.0f64; // max |x_i| after this sweep
         for (i, &s) in restricted.iter().enumerate() {
@@ -269,7 +273,57 @@ fn sparse_hitting_time(
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
+
+    use ioimc::budget::{self, Budget, BudgetExceeded, BudgetKind};
+
     use super::*;
+
+    /// Runs `f` under a cancelled ambient budget and returns the
+    /// [`BudgetExceeded`] payload it must unwind with.
+    fn cancelled_unwind<R>(f: impl FnOnce() -> R) -> BudgetExceeded {
+        let cancelled = Arc::new(Budget::unlimited());
+        cancelled.cancel();
+        let payload =
+            std::panic::catch_unwind(AssertUnwindSafe(|| budget::scope(Some(cancelled), f)))
+                .err()
+                .expect("a cancelled budget aborts the solve");
+        *payload
+            .downcast_ref::<BudgetExceeded>()
+            .expect("a BudgetExceeded payload")
+    }
+
+    /// Birth–death chain on `0..=k` absorbed at `k`.
+    fn absorbed_birth_death(l: f64, m: f64, k: usize) -> Ctmc {
+        let rows: Vec<Vec<(f64, u32)>> = (0..=k)
+            .map(|i| {
+                let mut row = Vec::new();
+                if i < k {
+                    row.push((l, (i + 1) as u32));
+                }
+                if i > 0 && i < k {
+                    row.push((m, (i - 1) as u32));
+                }
+                row
+            })
+            .collect();
+        Ctmc::new(rows, vec![0; k + 1], 0).unwrap()
+    }
+
+    /// Both hitting-time solvers poll the ambient budget: a cancelled
+    /// one unwinds the dense elimination and the sparse sweeps.
+    #[test]
+    fn mttf_honors_the_ambient_budget() {
+        let c = absorbed_birth_death(0.2, 1.5, 20);
+        let dense =
+            cancelled_unwind(|| mean_time_to_absorption_with(&c, &[20], &SolverOptions::default()));
+        assert_eq!(dense.kind, BudgetKind::Cancelled);
+        let sparse = cancelled_unwind(|| {
+            mean_time_to_absorption_with(&c, &[20], &SolverOptions::default().with_dense_limit(0))
+        });
+        assert_eq!(sparse.kind, BudgetKind::Cancelled);
+    }
 
     #[test]
     fn first_passage_of_pure_death() {
@@ -333,21 +387,8 @@ mod tests {
     /// The sparse path agrees with the dense path on the same chain.
     #[test]
     fn sparse_mttf_matches_dense() {
-        let (l, m, k) = (0.2, 1.5, 20usize);
-        // birth-death with absorption at k
-        let rows: Vec<Vec<(f64, u32)>> = (0..=k)
-            .map(|i| {
-                let mut row = Vec::new();
-                if i < k {
-                    row.push((l, (i + 1) as u32));
-                }
-                if i > 0 && i < k {
-                    row.push((m, (i - 1) as u32));
-                }
-                row
-            })
-            .collect();
-        let c = Ctmc::new(rows, vec![0; k + 1], 0).unwrap();
+        let k = 20usize;
+        let c = absorbed_birth_death(0.2, 1.5, k);
         let dense = mean_time_to_absorption(&c, &[k as u32]);
         let sparse = mean_time_to_absorption_with(
             &c,

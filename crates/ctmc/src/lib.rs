@@ -29,14 +29,19 @@
 //!
 //! The dense-vs-iterative split and the iteration controls are configured
 //! by [`SolverOptions`] (default: dense direct solves up to 3 000 states —
-//! subtraction-free GTH state elimination for the steady state, Gaussian
-//! elimination with partial pivoting for mean times to absorption —
-//! Gauss–Seidel above with 1e-14 relative tolerance, with a Krylov
-//! fallback for chains where Gauss–Seidel stalls): see
+//! subtraction-free GTH state elimination for the steady state, which
+//! skips structural zeros so that its cost follows the chain's fill
+//! pattern rather than `n³`, and Gaussian elimination with partial
+//! pivoting for mean times to absorption; Gauss–Seidel above, stopped by
+//! a certified geometric-tail bound at 1e-14 and residual-checked, with a
+//! Krylov fallback for chains where Gauss–Seidel stalls): see
 //! [`steady::steady_state_with`] and
 //! [`absorbing::mean_time_to_absorption_with`]. The defaults reproduce
 //! the historical behavior, so plain [`steady::steady_state`] etc. are
-//! unchanged.
+//! unchanged. Every solver loop polls the ambient [`budget`] (at each
+//! elimination pivot, iterative sweep or restart, and transient segment),
+//! so a deadline or cancellation stops a steady-state, MTTF or transient
+//! solve part-way.
 //!
 //! # Transient kernels and steady-state detection
 //!

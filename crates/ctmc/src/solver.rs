@@ -148,17 +148,28 @@ impl TransientOptions {
 ///   by dense direct methods: the steady state by subtraction-free GTH
 ///   state elimination (entrywise relative accuracy, robust for stiff
 ///   chains), mean times to absorption by Gaussian elimination with
-///   partial pivoting. Larger chains use the sparse iterative path. The default (3 000) is the historical built-in
-///   threshold, so existing small-model results are bit-for-bit
-///   unchanged.
-/// * `tol` — iterative convergence criterion: the sweep-to-sweep
-///   **maximum relative change** over all vector components,
-///   `max_i |x'_i - x_i| / max(|x'_i|, 1e-300)`. Iteration stops at the
-///   first sweep where this drops below `tol`.
-/// * `max_sweeps` — hard cap on iterative sweeps. If the tolerance is not
-///   reached the solver returns the current iterate (it does not error):
-///   dependability pipelines prefer a slightly stale vector over an
-///   abort, and callers can tighten/loosen the pair as needed.
+///   partial pivoting. Larger chains use the sparse iterative path. The
+///   GTH elimination skips structural zeros, so its time follows the
+///   fill pattern of the chain's own state order, not `n³`: the paper's
+///   2,100-state DDS takes 34 M multiply-adds. Its `n × n` matrix is
+///   still allocated (35 MB at 2,100 states). The default (3 000) is the
+///   historical built-in threshold, so existing small-model results are
+///   bit-for-bit unchanged.
+/// * `tol` — iterative convergence criterion. The sparse solvers do not
+///   stop on the raw sweep-to-sweep change `Δ`, which under-reports the
+///   remaining error when the chain contracts slowly: they estimate the
+///   contraction `ρ` from consecutive sweeps and stop once the geometric
+///   tail bound `Δ·ρ/(1−ρ) ≤ tol` certifies the remaining drift. For the
+///   steady state `Δ` is the maximum relative change
+///   `max_i |x'_i - x_i| / max(|x'_i|, 1e-300)`; for hitting times it is
+///   the maximum absolute change, bounded by `tol · max_i |x_i|`.
+/// * `max_sweeps` — hard cap on iterative sweeps (Krylov matvecs count as
+///   sweeps). Neither a converged nor a capped iterate is trusted as is:
+///   every steady-state iterate must pass an O(nnz) balance-residual
+///   check, and one that fails is re-solved by GTH on chains of at most
+///   2,048 states (larger chains keep the iterate). A hitting-time run
+///   whose cap ends before the tail bound certifies it falls back to the
+///   dense elimination, at any size.
 /// * `method` — which iterative kernel runs above the dense limit.
 /// * `transient` — configuration of the transient kernels (kernel
 ///   selection, steady-state detection, support truncation); see
@@ -167,7 +178,8 @@ impl TransientOptions {
 pub struct SolverOptions {
     /// Largest chain solved densely (see type docs).
     pub dense_limit: usize,
-    /// Relative sweep-to-sweep convergence tolerance (see type docs).
+    /// Tolerance of the certified geometric-tail stopping bound (see type
+    /// docs).
     pub tol: f64,
     /// Iteration cap for the sparse solvers (see type docs).
     pub max_sweeps: usize,

@@ -7,7 +7,8 @@
 //! **cancellation flag**. Budgets are *cooperative*: long-running kernels
 //! poll [`Budget::check`] (or the ambient [`checkpoint`]) at safe
 //! boundaries — composition BFS chunks, refinement rounds, uniformization
-//! segments and sweeps, Gauss–Seidel/Krylov sweeps — and abort with a
+//! segments and sweeps, Gauss–Seidel/Krylov sweeps, the pivots of the
+//! dense steady-state and hitting-time eliminations — and abort with a
 //! structured [`BudgetExceeded`] instead of wedging their thread.
 //!
 //! # Ambient propagation
