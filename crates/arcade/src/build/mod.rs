@@ -11,13 +11,14 @@
 //! * [`observer`] — the two-state block that turns the top gate's signals
 //!   into the CTMC's "system down" label bit.
 //!
-//! All builders share one discipline, enforced by the [`explore`] driver:
-//! a block is a deterministic reactive machine whose abstract states expose
-//! **at most one urgent output** (the pending announcement), react to
-//! every input, and race Markovian transitions only when no announcement
-//! is pending. This guarantees the composed system is weakly deterministic
-//! (up to the confluent interleaving diamonds the reduction pipeline
-//! resolves), which `bisim::vanishing::eliminate_vanishing` requires.
+//! All builders share one discipline, enforced by the internal `explore`
+//! driver: a block is a deterministic reactive machine whose abstract
+//! states expose **at most one urgent output** (the pending
+//! announcement), react to every input, and race Markovian transitions
+//! only when no announcement is pending. This guarantees the composed
+//! system is weakly deterministic (up to the confluent interleaving
+//! diamonds the reduction pipeline resolves), which
+//! `bisim::vanishing::eliminate_vanishing` requires.
 
 pub mod bc;
 pub mod gate;

@@ -20,11 +20,11 @@
 use std::collections::HashSet;
 
 use bisim::pipeline::{
-    reduce_legacy, reduce_seeded, reduce_threaded, ReduceOptions, Reduced, RefineStats, Strategy,
+    reduce_legacy, reduce_threaded, ReduceOptions, Reduced, RefineStats, Strategy,
 };
 use bisim::vanishing::eliminate_vanishing;
 use ctmc::Ctmc;
-use ioimc::compose::{parallel, parallel_with_pairs};
+use ioimc::compose::parallel;
 use ioimc::hide::{hide_outputs, prune_inputs};
 use ioimc::{ActionId, IoImc, Stats};
 
@@ -32,35 +32,26 @@ use crate::error::ArcadeError;
 use crate::model::SystemModel;
 use crate::order::{resolve_plan, OrderPolicy, Plan};
 
-/// How each intermediate reduction obtains its initial partition and
-/// refinement loop (see the `bisim` crate docs for the cross-step
-/// incremental contract).
+/// Which refinement loop each reduction runs. Both start from the label
+/// partition of the automaton being reduced and build the same quotient.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RefineMode {
-    /// Worklist refinement seeded with the quotient partition of the
-    /// previous step: after `parallel(prev, next)` every product state
-    /// remembers which (already minimal) `prev` class it came from, and
-    /// refinement of the product starts from the meet of that hint with
-    /// the label partition. The seed is a *finer* start than the label
-    /// partition, so a from-labels confirmation pass must still run on
-    /// the seeded quotient; on strongly symmetric models (e.g. the RCS
-    /// pump lines) the carried classes forbid exactly the cross-component
-    /// merges minimization would make, and that confirmation pass re-pays
-    /// most of the refinement — which is why this is not the default.
-    Incremental,
-    /// Worklist refinement from the label partition at every step. The
-    /// default: measured on `rcs_scaled(2)` it beats both the legacy
-    /// recompute-all loop (~2.7×) and the seeded mode (~1.3×).
+    /// The worklist refiners ([`bisim::pipeline::reduce_threaded`]): only
+    /// states whose signature can have changed are re-signed, and the
+    /// signatures fan out over [`EngineOptions::threads`]. The default:
+    /// measured on `rcs_scaled(2)` it beats the legacy recompute-all loop
+    /// ~2.7×.
     #[default]
     Fresh,
     /// The pre-worklist recompute-all refinement loops
     /// ([`bisim::pipeline::reduce_legacy`]), serial only. Kept as the
-    /// differential-testing oracle for the `exp_scaling --smoke` gate.
+    /// differential-testing oracle: it must build the same CTMC, step log
+    /// and peak as [`RefineMode::Fresh`].
     Legacy,
 }
 
 /// Options controlling the aggregation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// Bisimulation strategy for intermediate and final reductions.
     pub strategy: Strategy,
@@ -100,10 +91,10 @@ pub struct EngineOptions {
     pub max_transitions: u64,
 }
 
-impl EngineOptions {
+impl Default for EngineOptions {
     /// The default configuration: branching bisimulation, hierarchical
     /// bottom-up order, intermediate reductions on, auto thread count.
-    pub fn new() -> Self {
+    fn default() -> Self {
         Self {
             strategy: Strategy::Branching,
             refine: RefineMode::Fresh,
@@ -115,18 +106,18 @@ impl EngineOptions {
             max_transitions: 0,
         }
     }
+}
+
+impl EngineOptions {
+    /// The default configuration (see [`EngineOptions::default`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
 
     /// Returns a copy with the given worker thread count (see
     /// [`EngineOptions::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns a copy with the given CTMC solver configuration (see
-    /// [`EngineOptions::solver`]).
-    pub fn with_solver(mut self, solver: ctmc::SolverOptions) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -146,7 +137,7 @@ impl EngineOptions {
 }
 
 /// The record of one composition step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// Name of the block (or `"<group>"`) composed in this step.
     pub block: String,
@@ -214,15 +205,12 @@ fn aggregate_inner(model: &SystemModel, opts: &EngineOptions) -> Result<Aggregat
     let mut largest = out.largest;
     let mut refine = out.refine;
 
-    // Close the system completely and reduce. Hiding does not renumber
-    // states, so the final reduce could in principle be seeded too; it is
-    // left unseeded because the close dominates neither the work nor the
-    // timings.
+    // Close the system completely and reduce.
     let outs = acc.outputs().to_vec();
     acc = hide_outputs(acc, &outs);
     let ins = acc.inputs().to_vec();
     acc = prune_inputs(acc, &ins);
-    let red = reduce_step(env.refine, &acc, &env.ropts, env.threads, None);
+    let red = reduce_step(env.refine, &acc, &env.ropts, env.threads);
     refine.merge(&red.refine);
     acc = red.imc;
     largest = largest.max(Stats::of(&acc));
@@ -238,18 +226,9 @@ fn aggregate_inner(model: &SystemModel, opts: &EngineOptions) -> Result<Aggregat
     })
 }
 
-/// Dispatches one reduction to the configured refinement engine. The hint
-/// (previous-step quotient classes per state) is only consulted by
-/// [`RefineMode::Incremental`].
-fn reduce_step(
-    mode: RefineMode,
-    imc: &IoImc,
-    ropts: &ReduceOptions,
-    threads: usize,
-    hint: Option<&[u32]>,
-) -> Reduced {
+/// Dispatches one reduction to the configured refinement engine.
+fn reduce_step(mode: RefineMode, imc: &IoImc, ropts: &ReduceOptions, threads: usize) -> Reduced {
     match mode {
-        RefineMode::Incremental => reduce_seeded(imc, ropts, threads, hint),
         RefineMode::Fresh => reduce_threaded(imc, ropts, threads),
         RefineMode::Legacy => reduce_legacy(imc, ropts),
     }
@@ -387,21 +366,7 @@ fn eval_plan(env: &EvalEnv<'_>, plan: &Plan, external: &Interface) -> Result<Eva
                 acc = Some(match acc {
                     None => part,
                     Some(prev) => {
-                        // Incremental refinement: `prev` is already minimal,
-                        // so the left component of each product state is a
-                        // valid coarse grouping of the product — carry it as
-                        // the refinement seed of this step. Hiding/pruning
-                        // below never renumber states, so the per-state hint
-                        // stays aligned.
-                        let seeded =
-                            env.reduce_intermediate && env.refine == RefineMode::Incremental;
-                        let (mut composed, hint) = if seeded {
-                            let (c, pairs) = parallel_with_pairs(&prev, &part)?;
-                            let hint: Vec<u32> = pairs.into_iter().map(|(l, _)| l).collect();
-                            (c, Some(hint))
-                        } else {
-                            (parallel(&prev, &part)?, None)
-                        };
+                        let mut composed = parallel(&prev, &part)?;
                         let composed_stats = Stats::of(&composed);
                         largest = largest.max(composed_stats);
                         // Outside of the accumulation: external plus the
@@ -412,13 +377,7 @@ fn eval_plan(env: &EvalEnv<'_>, plan: &Plan, external: &Interface) -> Result<Eva
                         }
                         composed = hide_and_prune(composed, &outside);
                         composed = if env.reduce_intermediate {
-                            let red = reduce_step(
-                                env.refine,
-                                &composed,
-                                &env.ropts,
-                                env.threads,
-                                hint.as_deref(),
-                            );
+                            let red = reduce_step(env.refine, &composed, &env.ropts, env.threads);
                             refine.merge(&red.refine);
                             red.imc
                         } else {
@@ -644,12 +603,7 @@ mod tests {
             let par = aggregate(&model, &EngineOptions::new().with_threads(threads)).unwrap();
             assert_eq!(par.ctmc, seq.ctmc, "{threads} threads: CTMC differs");
             assert_eq!(par.largest_intermediate, seq.largest_intermediate);
-            assert_eq!(par.steps.len(), seq.steps.len());
-            for (p, s) in par.steps.iter().zip(&seq.steps) {
-                assert_eq!(p.block, s.block, "{threads} threads: step order differs");
-                assert_eq!(p.composed, s.composed);
-                assert_eq!(p.reduced, s.reduced);
-            }
+            assert_eq!(par.steps, seq.steps, "{threads} threads: step log differs");
             let a_seq = measures::steady_state_availability(&seq.ctmc, 1);
             let a_par = measures::steady_state_availability(&par.ctmc, 1);
             assert_eq!(
@@ -657,6 +611,44 @@ mod tests {
                 a_seq.to_bits(),
                 "measure not bitwise equal"
             );
+        }
+    }
+
+    /// `EngineOptions::default()` is the configuration `new()` documents:
+    /// compositional aggregation with intermediate reductions, not the
+    /// flat no-reduction ablation.
+    #[test]
+    fn default_is_the_documented_configuration() {
+        let opts = EngineOptions::default();
+        assert_eq!(format!("{opts:?}"), format!("{:?}", EngineOptions::new()));
+        assert!(opts.reduce_intermediate);
+        assert_eq!(opts.strategy, Strategy::Branching);
+        assert_eq!(opts.refine, RefineMode::Fresh);
+        assert_eq!(opts.order, OrderPolicy::BottomUp);
+        assert_eq!(opts.threads, 0);
+        assert_eq!((opts.max_states, opts.max_transitions), (0, 0));
+        assert_eq!(opts.solver, ctmc::SolverOptions::default());
+    }
+
+    /// The legacy recompute-all refiners, kept as the oracle, build the
+    /// same CTMC, step log and peak as the default worklist refiners on
+    /// a DDS and a stiff RCS.
+    #[test]
+    fn legacy_refinement_matches_fresh() {
+        for def in [crate::cases::dds_scaled(2), crate::cases::rcs_stiff(2)] {
+            let model = SystemModel::build(&def).unwrap();
+            let fresh = aggregate(&model, &EngineOptions::new()).unwrap();
+            let legacy = aggregate(
+                &model,
+                &EngineOptions {
+                    refine: RefineMode::Legacy,
+                    ..EngineOptions::new()
+                },
+            )
+            .unwrap();
+            assert_eq!(legacy.ctmc, fresh.ctmc, "{}: CTMC differs", def.name);
+            assert_eq!(legacy.steps, fresh.steps, "{}: step log differs", def.name);
+            assert_eq!(legacy.largest_intermediate, fresh.largest_intermediate);
         }
     }
 

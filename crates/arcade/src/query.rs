@@ -155,7 +155,7 @@ pub struct SessionStats {
     /// Poisson weight lookups that had to expand a fresh vector.
     pub poisson_misses: u64,
     /// Poisson weight vectors evicted from the session's bounded memo
-    /// (see [`ctmc::poisson::DEFAULT_CAPACITY`]).
+    /// (see [`ctmc::PoissonCache::DEFAULT_CAPACITY`]).
     pub poisson_evictions: u64,
     /// DTMC matrix-vector products this session performed. Counted
     /// through the session's own [`ctmc::MeasureContext`], so concurrent

@@ -601,16 +601,15 @@ fn param_sweep_bench(smoke: bool, threads: usize) -> SweepBenchRecord {
 }
 
 /// The 1-thread `rcs_scaled(2)` aggregation wall time committed with the
-/// pre-worklist engine (recompute-all refinement, no cross-step seeding) —
-/// the baseline the worklist refactor is gated against.
+/// pre-worklist engine (recompute-all refinement) — the baseline the
+/// worklist refactor is gated against.
 const SEED_AGGREGATION_SECS: f64 = 8.647185;
 
 /// The worklist-refiner regression gate (smoke mode): re-aggregates
 /// `rcs_scaled(2)` with the legacy recompute-all engine and asserts the
 /// worklist quotient is the same CTMC (sizes equal, steady measure within
-/// 1e-12 — rate sums may associate differently under cross-step seeding)
-/// and that the worklist aggregation beats the committed pre-worklist
-/// seed time.
+/// 1e-12) and that the worklist aggregation beats the committed
+/// pre-worklist seed time.
 fn worklist_gate(
     def: &arcade::ast::SystemDef,
     agg: &Aggregation,

@@ -3,7 +3,7 @@
 //! Each `exp_*` binary regenerates one table or figure of the paper (see
 //! the experiment index in `DESIGN.md`); the plain-harness benches under
 //! `benches/` measure the runtime of the pipeline stages with the
-//! dependency-free [`bench`] helper. Shared helpers live here.
+//! dependency-free [`bench`](fn@bench) helper. Shared helpers live here.
 
 use arcade::ast::SystemDef;
 use arcade::engine::{aggregate, Aggregation, EngineOptions};

@@ -39,12 +39,13 @@ pub fn refine_branching(imc: &IoImc, initial: Partition) -> (Partition, Vec<Sign
 /// [`refine_branching`] with the per-state signature computation spread
 /// over `threads` scoped workers.
 ///
-/// Implemented by the worklist/splitter refiner (see [`crate::worklist`]).
-/// A state's branching signature reads the signatures of its inert tau
-/// successors, so dirty states are scheduled by *tau depth*: layer 0 holds
-/// the tau-sinks (the overwhelming majority after the SCC collapse), layer
-/// `d + 1` the states whose deepest tau successor sits in layer `d`.
-/// Layers run in ascending order; within a layer every state is
+/// Implemented by the worklist/splitter refiner (the crate-internal
+/// `worklist` module; see the crate docs). A state's branching signature
+/// reads the signatures of its inert tau successors, so dirty states are
+/// scheduled by *tau depth*: layer 0 holds the tau-sinks (the
+/// overwhelming majority after the SCC collapse), layer `d + 1` the
+/// states whose deepest tau successor sits in layer `d`. Layers run in
+/// ascending order; within a layer every state is
 /// independent and computed in parallel, with interning done on the
 /// coordinating thread in layer order — so the refinement is bitwise
 /// deterministic for every thread count and identical to

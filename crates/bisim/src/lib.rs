@@ -20,16 +20,18 @@
 //! # The worklist refiner
 //!
 //! Both refiners are implemented by a single splitter-driven worklist loop
-//! ([`worklist`], internal). The first round signs every state; afterwards
-//! only *dirty* states are re-signed: the states moved by the previous
-//! round's splits plus their predecessors (over all transitions, via the
-//! transposed CSR from [`ioimc::IoImc::incoming`]), closed under
-//! tau-predecessors for branching signatures (which embed the signatures of
-//! inert successors). Splits use a retained-id discipline — the sub-block
-//! containing a block's first member keeps the block's id — so signature
-//! entries of untouched states stay valid across rounds. Signatures are
-//! hash-consed in a [`signature::SigTable`]; split comparisons are interned
-//! `u32` ids, not structural.
+//! (the crate-internal `worklist` module), starting from the label
+//! partition of the automaton being reduced. The first round signs every
+//! state; afterwards only *dirty* states are re-signed: the states moved
+//! by the previous round's splits plus their predecessors (over all
+//! transitions, via the transposed CSR from [`ioimc::IoImc::incoming`]),
+//! closed under tau-predecessors for branching signatures (which embed
+//! the signatures of inert successors). Splits use a retained-id
+//! discipline — the sub-block containing a block's first member keeps the
+//! block's id — so signature entries of untouched states stay valid
+//! across rounds. Signatures are hash-consed in a
+//! [`signature::SigTable`]; split comparisons are interned `u32` ids, not
+//! structural.
 //!
 //! # Determinism discipline
 //!
@@ -43,28 +45,6 @@
 //! reproduces the legacy refiners' numbering exactly — the legacy loops
 //! ([`strong::refine_strong_legacy`], [`branching::refine_branching_legacy`])
 //! are kept as differential-testing oracles.
-//!
-//! # Cross-step incremental contract
-//!
-//! [`pipeline::reduce_seeded`] accepts an optional per-state hint — any
-//! map under which equal states are candidates for equivalence, e.g. the
-//! already-reduced left component of a [`ioimc::compose::parallel_with_pairs`]
-//! product. The hint is met with the label partition to seed refinement.
-//! Seeding is applied only for [`Strategy::Branching`], whose fixpoint loop
-//! re-coarsens from a finer-than-coarsest start; the quotient is the same
-//! automaton up to the order rate sums are accumulated (≤ 1e-12 on the
-//! pinned measures). Renumbering passes (`restrict_reachable`,
-//! `collapse_tau_sccs`) carry the hint through their new→old provenance
-//! maps.
-//!
-//! Because the seed starts *finer* than the label partition, a
-//! from-labels pass must still confirm (and usually re-coarsen) the
-//! seeded quotient. Whether the carry pays therefore depends on how much
-//! cross-hint merging minimization performs: on strongly symmetric
-//! models (the RCS pump lines) it forbids exactly the merges that shrink
-//! the product, and measurements show a fresh worklist refinement is
-//! faster — which is why the engine defaults to fresh and keeps the
-//! seeded path selectable.
 //!
 //! # Example
 //!
@@ -106,8 +86,7 @@ pub(crate) mod worklist;
 
 pub use partition::Partition;
 pub use pipeline::{
-    reduce, reduce_legacy, reduce_seeded, reduce_threaded, ReduceOptions, Reduced, RefineStats,
-    Strategy,
+    reduce, reduce_legacy, reduce_threaded, ReduceOptions, Reduced, RefineStats, Strategy,
 };
 pub use vanishing::NondeterminismError;
 

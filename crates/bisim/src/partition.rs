@@ -97,33 +97,6 @@ impl Partition {
         BlockMembers { offsets, states }
     }
 
-    /// The coarsest partition refining both `self` and the grouping given
-    /// by `hint` (an arbitrary per-state group id, not necessarily dense):
-    /// two states share a block iff they share a block of `self` *and* a
-    /// hint group. Blocks are numbered by first occurrence in ascending
-    /// state order, the same canonical numbering the refiners produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hint.len()` differs from the number of states.
-    pub fn meet(&self, hint: &[u32]) -> Partition {
-        assert_eq!(hint.len(), self.block.len(), "hint length mismatch");
-        let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
-        let block: Vec<u32> = self
-            .block
-            .iter()
-            .zip(hint)
-            .map(|(&b, &h)| {
-                let next = ids.len() as u32;
-                *ids.entry((b, h)).or_insert(next)
-            })
-            .collect();
-        Partition {
-            block,
-            num_blocks: ids.len(),
-        }
-    }
-
     /// Whether two states are in the same block.
     pub fn same_block(&self, a: StateId, b: StateId) -> bool {
         self.block[a as usize] == self.block[b as usize]

@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 use ioimc::mp::maximal_progress_cut;
-use ioimc::reach::{restrict_reachable, restrict_reachable_with_map};
-use ioimc::scc::{collapse_tau_sccs, collapse_tau_sccs_with_map};
+use ioimc::reach::restrict_reachable;
+use ioimc::scc::collapse_tau_sccs;
 use ioimc::{ActionId, IoImc, Stats};
 
 use crate::branching::{refine_branching, refine_branching_legacy};
@@ -100,68 +100,14 @@ pub fn reduce(imc: &IoImc, opts: &ReduceOptions) -> Reduced {
 /// loops spread over `threads` scoped workers. The result is bitwise
 /// identical for every thread count.
 pub fn reduce_threaded(imc: &IoImc, opts: &ReduceOptions, threads: usize) -> Reduced {
-    reduce_seeded(imc, opts, threads, None)
-}
-
-/// [`reduce_threaded`] with an optional initial-partition hint carried
-/// from an earlier pipeline step (see the crate docs for the cross-step
-/// incremental contract).
-///
-/// `seed` gives an arbitrary (not necessarily dense) group id per state of
-/// `imc`; the refinement starts from the *meet* of the label partition and
-/// the hint instead of from labels alone. Since the hint can separate
-/// states the coarsest partition would merge, a seeded single refinement
-/// pass may yield a non-minimal (though always stable and sound) quotient;
-/// the hint is therefore only applied under [`Strategy::Branching`], whose
-/// re-refinement loop restarts from labels on the (much smaller) quotient
-/// and restores the coarsest fixpoint. Final states and partition blocks
-/// are identical to the unseeded path; lumped rates are accumulated through
-/// the intermediate quotient, so they can differ from the unseeded path in
-/// the last floating-point bits (well below the `1e-10` measure gates).
-pub fn reduce_seeded(
-    imc: &IoImc,
-    opts: &ReduceOptions,
-    threads: usize,
-    seed: Option<&[u32]>,
-) -> Reduced {
     let before = Stats::of(imc);
     let mut refine = RefineStats::default();
-    // The hint only helps Branching (see above); drop it otherwise rather
-    // than change the Strong/None results.
-    let seed = match opts.strategy {
-        Strategy::Branching => seed,
-        Strategy::None | Strategy::Strong => None,
-    };
-    // Prefix passes, carrying the per-state hint through each renumbering
-    // when present.
-    let mut carry: Option<Vec<u32>> = None;
-    let mut cur = match seed {
-        None => restrict_reachable(imc),
-        Some(hint) => {
-            let (r, old_of) = restrict_reachable_with_map(imc);
-            carry = Some(old_of.iter().map(|&o| hint[o as usize]).collect());
-            r
-        }
-    };
+    let mut cur = restrict_reachable(imc);
     if opts.strategy != Strategy::None || !cur.internals().is_empty() {
-        match &mut carry {
-            None => cur = collapse_tau_sccs(&cur),
-            Some(hint) => {
-                let (r, old_of) = collapse_tau_sccs_with_map(&cur);
-                *hint = old_of.iter().map(|&o| hint[o as usize]).collect();
-                cur = r;
-            }
-        }
+        cur = collapse_tau_sccs(&cur);
     }
     maximal_progress_cut(&mut cur); // in place: no renumbering
-    match &mut carry {
-        None => cur = restrict_reachable(&cur),
-        Some(hint) => {
-            let (r, old_of) = restrict_reachable_with_map(&cur);
-            *hint = old_of.iter().map(|&o| hint[o as usize]).collect();
-            cur = r;
-        }
-    }
+    cur = restrict_reachable(&cur);
     match opts.strategy {
         Strategy::None => {}
         Strategy::Strong => {
@@ -182,21 +128,16 @@ pub fn reduce_seeded(
         Strategy::Branching => {
             // Quotients can expose new tau cycles between blocks that were
             // separated by labels; iterate to a fixpoint (usually 1 round).
-            // The first round may start from a carried hint; later rounds
-            // restart from labels, which also erases any over-splitting the
-            // hint introduced.
-            let mut first = true;
             loop {
                 let states_before = cur.num_states();
-                let seeded_round = first && carry.is_some();
-                let initial = match (&carry, seeded_round) {
-                    (Some(hint), true) => Partition::by_label(&cur).meet(hint),
-                    _ => Partition::by_label(&cur),
-                };
-                first = false;
                 let mut counters = RefineCounters::default();
-                let (p, sigs) =
-                    refine_worklist_blocks(&cur, &initial, threads, Mode::Branching, &mut counters);
+                let (p, sigs) = refine_worklist_blocks(
+                    &cur,
+                    &Partition::by_label(&cur),
+                    threads,
+                    Mode::Branching,
+                    &mut counters,
+                );
                 refine.absorb(&counters);
                 let t0 = Instant::now();
                 cur = quotient_blocks(&cur, &p, &sigs, opts.tau);
@@ -205,13 +146,6 @@ pub fn reduce_seeded(
                 cur = collapse_tau_sccs(&cur);
                 maximal_progress_cut(&mut cur);
                 cur = restrict_reachable(&cur);
-                // A seeded round may be over-split by the hint, so it never
-                // terminates the loop: the following from-labels round on
-                // its (already shrunken) quotient restores the coarsest
-                // fixpoint.
-                if seeded_round {
-                    continue;
-                }
                 // The quotient of the *coarsest* stable partition has
                 // pairwise non-bisimilar states, so if the post passes left
                 // it untouched (no tau cycle collapsed, no rate cut, no

@@ -18,10 +18,11 @@ use crate::signature::{canonicalize, push_rate_entries, SigEntry, Signature};
 /// Refines `initial` to the coarsest strong-bisimulation partition of
 /// `imc`, returning the partition and the fixpoint signature of each state.
 ///
-/// Implemented by the worklist/splitter refiner (see [`crate::worklist`]):
-/// only states whose signature can have changed since the last round are
-/// re-signed. The result — partition numbering and signatures — is
-/// identical to [`refine_strong_legacy`].
+/// Implemented by the worklist/splitter refiner (the crate-internal
+/// `worklist` module; see the crate docs): only states whose signature
+/// can have changed since the last round are re-signed. The result —
+/// partition numbering and signatures — is identical to
+/// [`refine_strong_legacy`].
 pub fn refine_strong(imc: &IoImc, initial: Partition) -> (Partition, Vec<Signature>) {
     refine_strong_threaded(imc, initial, 1)
 }

@@ -7,9 +7,7 @@ use smallrand::SmallRng;
 
 use bisim::branching::{refine_branching, refine_branching_legacy, refine_branching_threaded};
 use bisim::partition::Partition;
-use bisim::pipeline::{
-    reduce, reduce_legacy, reduce_seeded, ReduceOptions, Strategy as Equivalence,
-};
+use bisim::pipeline::{reduce, reduce_legacy, ReduceOptions, Strategy as Equivalence};
 use bisim::quotient::quotient;
 use bisim::strong::{refine_strong, refine_strong_legacy, refine_strong_threaded};
 use ioimc::builder::IoImcBuilder;
@@ -249,7 +247,7 @@ fn worklist_branching_matches_legacy() {
 }
 
 /// The full worklist pipeline reproduces the legacy pipeline's automaton
-/// exactly (both strategies, unseeded).
+/// exactly (every strategy).
 #[test]
 fn reduce_matches_reduce_legacy() {
     for seed in 0..CASES {
@@ -263,35 +261,5 @@ fn reduce_matches_reduce_legacy() {
             let l = reduce_legacy(&a, &opts(strategy)).imc;
             assert_eq!(w, l, "seed {seed}, {strategy:?}");
         }
-    }
-}
-
-/// A cross-step refinement seed — any grouping hint, however adversarial
-/// — never changes the minimized model: the seeded quotient has the same
-/// size as the unseeded one and is bisimilar to it. (Rates here are
-/// integers, so lumped sums are exact and the equivalence check is
-/// float-noise-free.)
-#[test]
-fn seeded_reduce_agrees_with_unseeded() {
-    for seed in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(11_000 + seed);
-        let a = arb_automaton(&mut rng);
-        let groups = rng.range_u32(1, 4);
-        let hint: Vec<u32> = (0..a.num_states())
-            .map(|_| rng.range_u32(0, 7) % groups)
-            .collect();
-        let o = opts(Equivalence::Branching);
-        let plain = reduce(&a, &o).imc;
-        let seeded = reduce_seeded(&a, &o, 1, Some(&hint)).imc;
-        assert_eq!(seeded.num_states(), plain.num_states(), "seed {seed}");
-        assert_eq!(
-            seeded.num_interactive() + seeded.num_markovian(),
-            plain.num_interactive() + plain.num_markovian(),
-            "seed {seed}"
-        );
-        assert!(
-            bisim::pipeline::equivalent(&seeded, &plain, &o),
-            "seed {seed}: seeded quotient not bisimilar to the unseeded one"
-        );
     }
 }

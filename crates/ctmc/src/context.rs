@@ -98,15 +98,6 @@ impl MeasureContext {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Creates a fresh context whose Poisson memo holds at most
-    /// `capacity` weight vectors (see [`PoissonCache::with_capacity`]).
-    pub fn with_poisson_capacity(capacity: usize) -> Self {
-        Self {
-            poisson: PoissonCache::with_capacity(capacity),
-            counters: SolveCounters::new(),
-        }
-    }
 }
 
 #[cfg(test)]

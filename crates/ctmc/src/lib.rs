@@ -27,14 +27,15 @@
 //! ([`Ctmc::from_csr`]) or zero-conversion from a reduced I/O-IMC's own
 //! CSR storage ([`Ctmc::from_ioimc`]).
 //!
-//! The dense-vs-iterative split and the iteration controls are configured
-//! by [`SolverOptions`] (default: dense direct solves up to 3 000 states —
-//! subtraction-free GTH state elimination for the steady state, which
-//! skips structural zeros so that its cost follows the chain's fill
-//! pattern rather than `n³`, and Gaussian elimination with partial
-//! pivoting for mean times to absorption; Gauss–Seidel above, stopped by
-//! a certified geometric-tail bound at 1e-14 and residual-checked, with a
-//! Krylov fallback for chains where Gauss–Seidel stalls): see
+//! The dense-vs-iterative crossover and the iteration controls are
+//! configured by [`SolverOptions`]. Chains up to its `dense_limit`
+//! (default 3 000 states) are solved directly: subtraction-free GTH state
+//! elimination for the steady state, which skips structural zeros so
+//! that its cost follows the chain's fill pattern rather than `n³`, and
+//! Gaussian elimination with partial pivoting for mean times to
+//! absorption. Larger chains are solved by Gauss–Seidel, stopped by a
+//! certified geometric-tail bound (default 1e-14) and residual-checked,
+//! with a Krylov fallback for chains where Gauss–Seidel stalls: see
 //! [`steady::steady_state_with`] and
 //! [`absorbing::mean_time_to_absorption_with`]. The defaults reproduce
 //! the historical behavior, so plain [`steady::steady_state`] etc. are
@@ -92,4 +93,4 @@ pub use chain::{Ctmc, CtmcError, Incoming};
 pub use context::{MeasureContext, SolveCounters};
 pub use ioimc::budget;
 pub use poisson::PoissonCache;
-pub use solver::{IterativeMethod, SolverOptions, TransientOptions};
+pub use solver::{SolverOptions, TransientOptions};

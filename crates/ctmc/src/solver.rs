@@ -12,31 +12,8 @@
 /// Head-room factor applied to the maximum exit rate when uniformizing
 /// (`Λ = headroom · max exit`): the strict inequality keeps every state's
 /// self-loop probability positive, so the DTMC is aperiodic. Shared by
-/// the transient engine and the DTMC-based steady kernels.
+/// the transient engine and the Krylov steady-state kernel.
 pub(crate) const UNIF_HEADROOM: f64 = 1.02;
-
-/// The iterative kernel used above [`SolverOptions::dense_limit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IterativeMethod {
-    /// Gauss–Seidel sweeps over the balance equations (default). Updates
-    /// propagate within a sweep, which converges far faster than power
-    /// iteration on the stiff chains dependability models produce. When
-    /// the sweep-to-sweep progress stalls far above the tolerance, the
-    /// solver falls back to the Krylov kernel with the remaining sweep
-    /// budget (see [`crate::steady`]).
-    #[default]
-    GaussSeidel,
-    /// Power iteration on the uniformized DTMC (`P = I + Q/Λ`). Slower —
-    /// its convergence rate is the subdominant eigenvalue of `P` — but
-    /// useful as a cross-check because it only ever mixes distributions.
-    Power,
-    /// Restarted Arnoldi iteration on the uniformized DTMC: builds a small
-    /// Krylov basis per restart and extracts the Ritz vector of the unit
-    /// eigenvalue, followed by a short Gauss–Seidel polish for full
-    /// relative accuracy on stiff chains. Converges where plain
-    /// Gauss–Seidel stalls (nearly-decoupled or badly ordered chains).
-    Krylov,
-}
 
 /// Configuration of the transient kernels: kernel selection, the
 /// uniformization engines' steady-state detection and support truncation
@@ -148,13 +125,14 @@ impl TransientOptions {
 ///   by dense direct methods: the steady state by subtraction-free GTH
 ///   state elimination (entrywise relative accuracy, robust for stiff
 ///   chains), mean times to absorption by Gaussian elimination with
-///   partial pivoting. Larger chains use the sparse iterative path. The
-///   GTH elimination skips structural zeros, so its time follows the
-///   fill pattern of the chain's own state order, not `n³`: the paper's
-///   2,100-state DDS takes 34 M multiply-adds. Its `n × n` matrix is
-///   still allocated (35 MB at 2,100 states). The default (3 000) is the
-///   historical built-in threshold, so existing small-model results are
-///   bit-for-bit unchanged.
+///   partial pivoting. Larger chains use the sparse iterative path
+///   (Gauss–Seidel, with a Krylov fallback when it stalls; see
+///   [`crate::steady`]). The GTH elimination skips structural zeros, so
+///   its time follows the fill pattern of the chain's own state order,
+///   not `n³`: the paper's 2,100-state DDS takes 34 M multiply-adds. Its
+///   `n × n` matrix is still allocated (35 MB at 2,100 states). The
+///   default (3 000) is the historical built-in threshold, so existing
+///   small-model results are bit-for-bit unchanged.
 /// * `tol` — iterative convergence criterion. The sparse solvers do not
 ///   stop on the raw sweep-to-sweep change `Δ`, which under-reports the
 ///   remaining error when the chain contracts slowly: they estimate the
@@ -170,7 +148,6 @@ impl TransientOptions {
 ///   2,048 states (larger chains keep the iterate). A hitting-time run
 ///   whose cap ends before the tail bound certifies it falls back to the
 ///   dense elimination, at any size.
-/// * `method` — which iterative kernel runs above the dense limit.
 /// * `transient` — configuration of the transient kernels (kernel
 ///   selection, steady-state detection, support truncation); see
 ///   [`TransientOptions`].
@@ -183,8 +160,6 @@ pub struct SolverOptions {
     pub tol: f64,
     /// Iteration cap for the sparse solvers (see type docs).
     pub max_sweeps: usize,
-    /// Iterative kernel choice.
-    pub method: IterativeMethod,
     /// Transient kernel configuration (selection, detection, truncation).
     pub transient: TransientOptions,
 }
@@ -195,7 +170,6 @@ impl Default for SolverOptions {
             dense_limit: 3000,
             tol: 1e-14,
             max_sweeps: 200_000,
-            method: IterativeMethod::GaussSeidel,
             transient: TransientOptions::default(),
         }
     }
@@ -210,27 +184,9 @@ impl SolverOptions {
         self
     }
 
-    /// Returns a copy with the given relative tolerance.
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
     /// Returns a copy with the given sweep cap.
     pub fn with_max_sweeps(mut self, max_sweeps: usize) -> Self {
         self.max_sweeps = max_sweeps;
-        self
-    }
-
-    /// Returns a copy using the given iterative kernel.
-    pub fn with_method(mut self, method: IterativeMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Returns a copy with the given uniformization engine configuration.
-    pub fn with_transient(mut self, transient: TransientOptions) -> Self {
-        self.transient = transient;
         self
     }
 }

@@ -8,31 +8,29 @@
 //! elimination updates only at the non-zero entries of each pivot row,
 //! so its cost follows the fill pattern of the chain's own state order
 //! rather than `n³`, and its result is bitwise that of sweeping every
-//! entry: a skipped term would have added `+0`. Larger
-//! chains use the configured sparse iterative kernel over the transposed
-//! CSR adjacency ([`crate::chain::Incoming`]): Gauss–Seidel sweeps by
-//! default, power iteration on the uniformized DTMC or restarted Arnoldi
-//! (Krylov) as alternatives — and every iterative answer is accepted
-//! only after an O(nnz) balance-residual check, with an exact rescue for
-//! chains small enough to re-solve.
+//! entry: a skipped term would have added `+0`. Larger chains use
+//! Gauss–Seidel sweeps over the transposed CSR adjacency
+//! ([`crate::chain::Incoming`]), with a Krylov fallback when they stall,
+//! and every iterative answer is accepted only after an O(nnz)
+//! balance-residual check, with an exact rescue for chains small enough
+//! to re-solve.
 //!
-//! # The Krylov kernel and the Gauss–Seidel stall fallback
+//! # The Gauss–Seidel stall fallback
 //!
-//! [`IterativeMethod::Krylov`] runs restarted Arnoldi on the uniformized
-//! DTMC `P = I + Q/Λ`: per restart it builds a small orthonormal Krylov
-//! basis, extracts the Ritz vector of the (known) unit eigenvalue by
-//! inverse iteration on the projected Hessenberg matrix, and restarts
-//! from it. A short Gauss–Seidel polish afterwards restores full
-//! *relative* accuracy on stiff chains (Arnoldi works in probability
-//! space, where 1e-8 components carry no weight). The default
-//! Gauss–Seidel kernel watches its own sweep-to-sweep progress and falls
-//! back to this Krylov kernel (with the remaining sweep budget) when it
-//! stalls — less than 2× residual improvement across a 64-sweep window
-//! while still far from tolerance — which happens on nearly-decoupled
-//! chains where local propagation mixes too slowly.
+//! Gauss–Seidel watches its own sweep-to-sweep progress. When it stalls
+//! — less than 2× residual improvement across a 64-sweep window while
+//! still far from tolerance, which happens on nearly-decoupled chains
+//! where local propagation mixes too slowly — it hands its iterate and
+//! the remaining sweep budget to a Krylov kernel: restarted Arnoldi on
+//! the uniformized DTMC `P = I + Q/Λ`. Per restart that kernel builds a
+//! small orthonormal Krylov basis, extracts the Ritz vector of the
+//! (known) unit eigenvalue by inverse iteration on the projected
+//! Hessenberg matrix, and restarts from it. A short Gauss–Seidel polish
+//! afterwards restores full *relative* accuracy on stiff chains (Arnoldi
+//! works in probability space, where 1e-8 components carry no weight).
 
 use crate::chain::Ctmc;
-use crate::solver::{IterativeMethod, SolverOptions, UNIF_HEADROOM};
+use crate::solver::{SolverOptions, UNIF_HEADROOM};
 use crate::transient::prescaled_transpose;
 
 /// Computes the steady-state distribution of an irreducible CTMC with
@@ -63,8 +61,8 @@ const EXACT_RESCUE_LIMIT: usize = 2048;
 /// caught the Krylov kernel doing exactly that on a nearly-decomposable
 /// 6-state chain — restarts stopped moving while the answer was off by
 /// 1e-4). A converged sweep lands at residual ~1e-15; an uncertified
-/// one sits orders of magnitude higher, and chains up to
-/// [`EXACT_RESCUE_LIMIT`] states are then re-solved exactly.
+/// one sits orders of magnitude higher, and chains up to 2,048 states
+/// (`EXACT_RESCUE_LIMIT`) are then re-solved exactly.
 pub fn steady_state_with(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
     let n = ctmc.num_states();
     if n == 1 {
@@ -73,13 +71,7 @@ pub fn steady_state_with(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
     if n <= opts.dense_limit {
         return dense_solve(ctmc);
     }
-    let pi = match opts.method {
-        IterativeMethod::GaussSeidel => gauss_seidel(ctmc, opts),
-        IterativeMethod::Power => power_iteration(ctmc, opts),
-        IterativeMethod::Krylov => {
-            krylov_from(ctmc, opts, vec![1.0 / n as f64; n], opts.max_sweeps)
-        }
-    };
+    let pi = gauss_seidel(ctmc, opts);
     // Residual acceptance: sqrt(tol) sits between the ~1e-15 residual of
     // a genuinely converged sweep and the ≥1e-5 residual of the failure
     // modes observed in fuzzing, and scales with the requested accuracy.
@@ -437,8 +429,7 @@ fn krylov_from(ctmc: &Ctmc, opts: &SolverOptions, x0: Vec<f64>, budget: usize) -
     // loop) pays no per-transition division and cannot drift from the
     // transient kernel.
     let (stay, inc_off, inc_p, inc_src) = prescaled_transpose(ctmc, unif);
-    // y = x Pᵀ over the transposed adjacency (the same operator the power
-    // iteration applies).
+    // y = x Pᵀ over the transposed adjacency.
     let matvec = |x: &[f64], y: &mut [f64]| {
         for (i, yi) in y.iter_mut().enumerate() {
             let (lo, hi) = (inc_off[i] as usize, inc_off[i + 1] as usize);
@@ -616,64 +607,6 @@ fn normalize_l1(v: &mut [f64]) {
             *a /= total;
         }
     }
-}
-
-/// Power iteration on the uniformized DTMC: `π ← π (I + Q/Λ)` with
-/// `Λ = UNIF_HEADROOM · max exit rate`, over the transposed CSR adjacency.
-/// Converges for any irreducible chain (the head-room keeps the DTMC
-/// aperiodic) but only at the subdominant-eigenvalue rate — prefer
-/// Gauss–Seidel except as a cross-check.
-fn power_iteration(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
-    let n = ctmc.num_states();
-    let max_exit = ctmc.max_exit_rate();
-    if max_exit == 0.0 {
-        return ctmc.initial_distribution();
-    }
-    let unif = max_exit * UNIF_HEADROOM;
-    let incoming = ctmc.incoming();
-    let stay: Vec<f64> = (0..n as u32)
-        .map(|s| 1.0 - ctmc.exit_rate(s) / unif)
-        .collect();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-    let mut prev_rel = f64::INFINITY;
-    for _ in 0..opts.max_sweeps {
-        ioimc::budget::checkpoint();
-        let mut max_rel = 0.0f64;
-        for i in 0..n {
-            let inflow: f64 = incoming
-                .row(i as u32)
-                .iter()
-                .map(|&(r, j)| r * pi[j as usize])
-                .sum();
-            next[i] = pi[i] * stay[i] + inflow / unif;
-        }
-        let total: f64 = next.iter().sum();
-        if total > 0.0 {
-            for v in &mut next {
-                *v /= total;
-            }
-        }
-        for i in 0..n {
-            let denom = next[i].abs().max(1e-300);
-            max_rel = max_rel.max((next[i] - pi[i]).abs() / denom);
-        }
-        std::mem::swap(&mut pi, &mut next);
-        // Same geometric-tail certificate as the Gauss–Seidel kernel:
-        // the raw step change alone under-reports the remaining error
-        // when the subdominant eigenvalue is close to 1.
-        if max_rel == 0.0 {
-            break;
-        }
-        if prev_rel.is_finite() && max_rel < prev_rel {
-            let rho = max_rel / prev_rel;
-            if max_rel * rho / (1.0 - rho) <= opts.tol {
-                break;
-            }
-        }
-        prev_rel = max_rel;
-    }
-    pi
 }
 
 #[cfg(test)]
@@ -877,27 +810,23 @@ mod tests {
         assert!((pi[1] - expected).abs() / expected < 1e-10);
     }
 
-    /// All sparse paths agree with the dense path on the same chain.
+    /// The Krylov kernel from a uniform start, as the stall fallback
+    /// runs it but with the whole sweep budget and no residual rescue.
+    fn krylov(c: &Ctmc) -> Vec<f64> {
+        let opts = SolverOptions::default();
+        let n = c.num_states();
+        krylov_from(c, &opts, vec![1.0 / n as f64; n], opts.max_sweeps)
+    }
+
+    /// Both sparse kernels agree with the dense path on the same chain.
     #[test]
     fn iterative_paths_match_dense() {
         let c = birth_death(0.3, 1.0, 9);
         let dense = steady_state(&c);
         let gs = steady_state_with(&c, &SolverOptions::default().with_dense_limit(0));
-        let pow = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_method(IterativeMethod::Power),
-        );
-        let kry = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_method(IterativeMethod::Krylov),
-        );
+        let kry = krylov(&c);
         for i in 0..c.num_states() {
             assert!((dense[i] - gs[i]).abs() < 1e-10, "GS state {i}");
-            assert!((dense[i] - pow[i]).abs() < 1e-9, "power state {i}");
             assert!((dense[i] - kry[i]).abs() < 1e-9, "Krylov state {i}");
         }
     }
@@ -908,12 +837,7 @@ mod tests {
     fn krylov_resolves_stiff_mass() {
         let (l, m) = (1e-7, 0.1);
         let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
-        let pi = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_method(IterativeMethod::Krylov),
-        );
+        let pi = krylov(&c);
         let expected = l / (l + m);
         assert!((pi[1] - expected).abs() / expected < 1e-9, "{}", pi[1]);
     }
@@ -924,12 +848,7 @@ mod tests {
     fn krylov_restarts_on_long_chain() {
         let c = birth_death(0.9, 1.0, 120);
         let dense = steady_state_with(&c, &SolverOptions::default().with_dense_limit(1000));
-        let kry = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_method(IterativeMethod::Krylov),
-        );
+        let kry = krylov(&c);
         for i in 0..c.num_states() {
             assert!(
                 (dense[i] - kry[i]).abs() < 1e-9,

@@ -106,25 +106,6 @@ pub fn check_compatible(a: &IoImc, b: &IoImc) -> Result<(), ComposeError> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn parallel(a: &IoImc, b: &IoImc) -> Result<IoImc, ComposeError> {
-    Ok(parallel_with_pairs(a, b)?.0)
-}
-
-/// [`parallel`], additionally returning the provenance of every product
-/// state: `pairs[s] = (sa, sb)` is the component state pair the composite
-/// state `s` was built from. The numbering is the BFS discovery order used
-/// by [`parallel`] itself (normalization sorts transition rows in place and
-/// never renumbers states), so the map stays valid for the returned
-/// automaton. The aggregation engine uses it to carry the quotient
-/// partition of step N into the refinement of step N+1.
-///
-/// # Errors
-///
-/// Returns a [`ComposeError`] if the automata are not composable.
-#[allow(clippy::type_complexity)]
-pub fn parallel_with_pairs(
-    a: &IoImc,
-    b: &IoImc,
-) -> Result<(IoImc, Vec<(StateId, StateId)>), ComposeError> {
     check_compatible(a, b)?;
 
     // Composite signature.
@@ -275,7 +256,7 @@ pub fn parallel_with_pairs(
         out.attach_forms(forms);
     }
     out.normalize();
-    Ok((out, pairs))
+    Ok(out)
 }
 
 /// Folds [`parallel`] over a non-empty slice of automata, left to right.

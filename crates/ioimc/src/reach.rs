@@ -9,14 +9,6 @@ use crate::automaton::{IoImc, StateId};
 /// can disconnect parts of the state space; call this afterwards to keep
 /// state counts honest.
 pub fn restrict_reachable(imc: &IoImc) -> IoImc {
-    restrict_reachable_with_map(imc).0
-}
-
-/// [`restrict_reachable`], additionally returning the provenance map
-/// `old_of[new] = old`: the original id of every surviving state, indexed
-/// by its new (BFS-order) id. Passes that carry an initial-partition hint
-/// across renumbering pipeline steps compose these maps.
-pub fn restrict_reachable_with_map(imc: &IoImc) -> (IoImc, Vec<StateId>) {
     let n = imc.num_states();
     let mut map: Vec<Option<StateId>> = vec![None; n];
     let mut order: Vec<StateId> = Vec::new();
@@ -47,7 +39,7 @@ pub fn restrict_reachable_with_map(imc: &IoImc) -> (IoImc, Vec<StateId>) {
     if order.len() == n && order.iter().enumerate().all(|(i, &s)| i as StateId == s) {
         let mut out = imc.clone();
         out.normalize();
-        return (out, order);
+        return out;
     }
     // Emit the renumbered transitions straight into CSR form: the states
     // are visited in their new order, so each state's slice is contiguous.
@@ -84,7 +76,7 @@ pub fn restrict_reachable_with_map(imc: &IoImc) -> (IoImc, Vec<StateId>) {
         out.attach_forms(forms);
     }
     out.normalize();
-    (out, order)
+    out
 }
 
 #[cfg(test)]

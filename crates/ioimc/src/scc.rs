@@ -20,17 +20,6 @@ use crate::automaton::{IoImc, StateId};
 /// anything merges it is also reachability-restricted (when nothing merges
 /// the input comes back unchanged — callers restrict beforehand).
 pub fn collapse_tau_sccs(imc: &IoImc) -> IoImc {
-    collapse_tau_sccs_with_map(imc).0
-}
-
-/// [`collapse_tau_sccs`], additionally returning the provenance map
-/// `old_of[new] = old`: for every state of the result, the *smallest*
-/// original state id of the merged SCC it represents. Since all states of
-/// a tau SCC are weakly bisimilar, any member is an equally valid
-/// representative for carrying an initial-partition hint; picking the
-/// minimum keeps the map deterministic. The internal reachability
-/// restriction at the end is composed into the map.
-pub fn collapse_tau_sccs_with_map(imc: &IoImc) -> (IoImc, Vec<StateId>) {
     let n = imc.num_states();
     // Tau adjacency in flat CSR form (counting pass + fill pass).
     let is_tau = |a| imc.internals().binary_search(&a).is_ok();
@@ -66,7 +55,7 @@ pub fn collapse_tau_sccs_with_map(imc: &IoImc) -> (IoImc, Vec<StateId>) {
     if num_comp == n && !tau_self_loop {
         let mut out = imc.clone();
         out.normalize();
-        return (out, (0..n as StateId).collect());
+        return out;
     }
 
     let mut interactive: Vec<Vec<(crate::ActionId, StateId)>> = vec![Vec::new(); num_comp];
@@ -109,17 +98,7 @@ pub fn collapse_tau_sccs_with_map(imc: &IoImc) -> (IoImc, Vec<StateId>) {
         out.attach_forms(form_rows.into_iter().flatten().collect());
     }
     out.normalize();
-    // Smallest original member of each component (ascending scan: the
-    // first state hitting a component is its minimum).
-    let mut rep: Vec<StateId> = vec![StateId::MAX; num_comp];
-    for (s, &c) in comp.iter().enumerate().take(n) {
-        if rep[c as usize] == StateId::MAX {
-            rep[c as usize] = s as StateId;
-        }
-    }
-    let (restricted, comp_of) = crate::reach::restrict_reachable_with_map(&out);
-    let old_of = comp_of.iter().map(|&c| rep[c as usize]).collect();
-    (restricted, old_of)
+    crate::reach::restrict_reachable(&out)
 }
 
 /// Iterative Tarjan SCC over a CSR adjacency (`next[next_off[v]..next_off[v+1]]`
