@@ -22,9 +22,12 @@
 //! * `serve.build` — inside the server registry's session builder,
 //! * `session.agg` — inside [`crate::query::Session`]'s aggregation build,
 //! * `session.solve` — before a session's numerical solve,
-//! * `session.shard` — at the solver-shard partition boundary inside
-//!   `ctmc::transient` (reached through the [`ioimc::failpoint`] hook,
-//!   since `ctmc` sits below this crate in the dependency graph),
+//! * `session.shard` — once at the start of every transient solve in
+//!   `ctmc::transient`, as its kernel (exact, windowed or dense) builds
+//!   its operator (reached through the [`ioimc::failpoint`] hook, since
+//!   `ctmc` sits below this crate in the dependency graph; the name
+//!   predates the removal of the solver shards and is kept for existing
+//!   chaos specs),
 //! * `session.sweep_point` — at the per-point fan-out boundary of
 //!   [`crate::query::Session::sweep`],
 //! * `serve.respond` — before a response line is written to the socket.
@@ -139,7 +142,7 @@ pub fn enabled() -> bool {
 }
 
 /// The bridge installed into [`ioimc::failpoint`]: lower crates (`ctmc`'s
-/// solver-shard boundary) call their ambient hook, which lands here and
+/// transient kernels) call their ambient hook, which lands here and
 /// runs the same registry lookup every in-crate failpoint runs. `Torn` is
 /// meaningless below the wire layer and is ignored.
 fn ioimc_hook(point: &str) {

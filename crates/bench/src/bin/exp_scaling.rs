@@ -30,6 +30,10 @@
 //! states, ≈1.1M transitions), which the run asserts is solved without
 //! the dense path, and `rcs_stiff(3)`, whose repair rates sit seven
 //! orders of magnitude above its failure rates (the adaptive-Λ stress).
+//! The `rcs_scaled(2)` chain's MTTF is solved too, with default options:
+//! its regenerative chain (10,647 up states plus one renewal state) goes
+//! through Gauss–Seidel, and the run asserts the result within 1e-12 of a
+//! pinned dense GTH solve of the same chain and prints its wall time.
 //!
 //! After the family sweeps a **parametric sweep benchmark** runs: a
 //! `dds_scaled_parametric` session evaluates a multi-hundred-point rate
@@ -77,6 +81,7 @@ use arcade::model::SystemModel;
 use arcade::modular::modular_analysis;
 use arcade::query::{Measure, ParamGrid, Session};
 use arcade_bench::Table;
+use ctmc::absorbing::mean_time_to_absorption_with;
 use ctmc::measures::state_mass;
 use ctmc::transient::{select_kernel, transient_many_from_ctx, TransientKernel};
 use ctmc::{steady, Ctmc, MeasureContext, SolverOptions, TransientOptions};
@@ -234,6 +239,7 @@ fn main() {
          {sparse_u:.6e} vs {modular_u:.6e} (rel diff {rel:.1e})",
         rcs_agg.ctmc.num_states()
     );
+    rcs_mttf_gate(&rcs_agg.ctmc);
     println!();
     println!(
         "every multi-threaded CTMC was verified identical to the 1-thread result, and \
@@ -256,6 +262,39 @@ fn main() {
         .expect("write BENCH_transient.json");
         println!("wrote {} transient records to {path}", records.len());
     }
+}
+
+/// The MTTF of `rcs_scaled(2)` from a dense GTH solve of its regenerative
+/// chain (`dense_limit = usize::MAX`: 10,647 up states plus the renewal
+/// state, a 0.9 GB matrix, 80 s on a 2-CPU host).
+const RCS_MTTF_GTH: f64 = 9.327_874_649_134_187e8;
+
+/// Solves the MTTF of the `rcs_scaled(2)` chain with default options and
+/// asserts it is within 1e-12 of [`RCS_MTTF_GTH`]. The regenerative chain
+/// of the renewal ratio (the up states plus one renewal state) is above
+/// the dense limit, so this is the Gauss–Seidel path with its residual
+/// gate, on a rare-failure chain.
+fn rcs_mttf_gate(ctmc: &Ctmc) {
+    let opts = SolverOptions::default();
+    let down: Vec<u32> = ctmc.states_with_label(DOWN_BIT).collect();
+    let regenerative = ctmc.num_states() - down.len() + 1;
+    assert!(
+        regenerative > opts.dense_limit,
+        "rcs_scaled(2)'s regenerative chain ({regenerative} states) no longer exceeds \
+         the dense limit — the MTTF gate would not reach Gauss–Seidel"
+    );
+    let start = Instant::now();
+    let mttf = mean_time_to_absorption_with(ctmc, &down, &opts);
+    let secs = start.elapsed().as_secs_f64();
+    let rel = (mttf - RCS_MTTF_GTH).abs() / RCS_MTTF_GTH;
+    assert!(
+        rel < 1e-12,
+        "rcs_scaled(2): MTTF {mttf:e} is {rel:e} from the dense GTH value {RCS_MTTF_GTH:e}"
+    );
+    println!(
+        "rcs_scaled(2): MTTF {mttf:e} on the {regenerative}-state regenerative chain \
+         (Gauss–Seidel) in {secs:.3} s, {rel:.1e} from the dense GTH value"
+    );
 }
 
 /// The DTMC steps of `rcs_stiff(3)`'s 50-point unavailability grid on the

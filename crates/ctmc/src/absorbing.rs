@@ -1,14 +1,38 @@
 //! Absorbing-state analyses: first passage and mean time to failure.
 //!
-//! [`mean_time_to_absorption`] solves the hitting-time system
-//! `Q_T x = -1` on the transient (non-target) states. Since the sparse
-//! rewrite it first **pre-restricts** the system by reachability: only
-//! states reachable from the initial state matter, and if any reachable
-//! transient state cannot reach a target at all (a dead end — including
-//! zero-exit-rate states), the expected hitting time is `∞` and no linear
-//! solve is needed. The surviving system is solved densely up to
-//! [`SolverOptions::dense_limit`] and by Gauss–Seidel sweeps over the CSR
-//! rows above it.
+//! [`mean_time_to_absorption`] first **pre-restricts** the chain by
+//! reachability: only states reachable from the initial state matter,
+//! and if any reachable transient state cannot reach a target at all (a
+//! dead end — including zero-exit-rate states), the expected hitting
+//! time is `∞` and nothing is solved. The surviving states become a
+//! regenerative chain whose steady state gives the mean time to
+//! absorption, so MTTF has no solver of its own: it runs on the
+//! steady-state path of [`crate::steady`] (GTH elimination up to
+//! [`SolverOptions::dense_limit`], Gauss–Seidel with its Krylov stall
+//! fallback and balance-residual gate above it).
+//!
+//! # MTTF as a renewal ratio
+//!
+//! Every target is merged into one *renewal* state `ρ` that returns to
+//! the initial state at rate `ν`, the initial state's exit rate. The
+//! result is irreducible on the `m` surviving states plus `ρ`: each of
+//! them is reachable from the initial state and reaches a target. Each
+//! jump from `ρ` to the initial state starts a cycle that spends on
+//! average the MTTF among the surviving ("up") states and `1/ν` in `ρ`,
+//! so by the renewal-reward theorem the stationary distribution `π` has
+//! `π_ρ = (1/ν) / (MTTF + 1/ν)` and `Σ_up π = MTTF / (MTTF + 1/ν)`:
+//!
+//! ```text
+//! MTTF = Σ_up π / (ν · π_ρ)
+//! ```
+//!
+//! The ratio involves no subtraction, so GTH's entrywise relative
+//! accuracy carries over to stiff chains (failure rates of 1e-9 beside
+//! repair rates of 10), where Gaussian elimination on the hitting-time
+//! system `Q_T x = −1` loses digits. The same regenerative argument
+//! underlies GTH's state reduction (Grassmann, Taksar & Heyman,
+//! Operations Research 1985). `ν` is positive and comes from the chain
+//! itself, so the answer does not depend on the time unit.
 
 use crate::chain::Ctmc;
 use crate::context::MeasureContext;
@@ -131,144 +155,38 @@ pub fn mean_time_to_absorption_with(ctmc: &Ctmc, targets: &[u32], opts: &SolverO
         return f64::INFINITY;
     }
 
-    // Index the surviving transient states (reachable ∧ can-reach), in
-    // state order — for irreducible chains this is exactly the old dense
-    // system, so small-model results are unchanged bit for bit.
-    let mut idx = vec![usize::MAX; n];
+    // The regenerative chain: the surviving transient states (reachable ∧
+    // can-reach) in state order, then the renewal state `m`, which stands
+    // for every target and restarts the walk at the initial state.
+    let mut idx = vec![u32::MAX; n];
     let mut restricted = Vec::new();
     for s in 0..n {
         if reachable[s] && !is_target[s] {
-            idx[s] = restricted.len();
+            idx[s] = restricted.len() as u32;
             restricted.push(s as u32);
         }
     }
     let m = restricted.len();
-    let x = if m <= opts.dense_limit {
-        dense_hitting_time(ctmc, &is_target, &idx, &restricted)
-    } else {
-        sparse_hitting_time(ctmc, &is_target, &idx, &restricted, opts)
-    };
-    x[idx[ctmc.initial() as usize]]
-}
-
-/// Dense solve of the restricted system `A x = -1` (A = Q over the
-/// restricted transient states) by Gaussian elimination with partial
-/// pivoting. All restricted states reach a target, so A is nonsingular.
-/// Polls the ambient [`ioimc::budget`] once per pivot.
-fn dense_hitting_time(
-    ctmc: &Ctmc,
-    is_target: &[bool],
-    idx: &[usize],
-    restricted: &[u32],
-) -> Vec<f64> {
-    let m = restricted.len();
-    let mut a = vec![0.0f64; m * m];
-    let mut b = vec![-1.0f64; m];
-    for (i, &s) in restricted.iter().enumerate() {
-        for &(r, tgt) in ctmc.row(s) {
-            if !is_target[tgt as usize] {
-                a[i * m + idx[tgt as usize]] += r;
-            }
-        }
-        a[i * m + i] -= ctmc.exit_rate(s);
+    for &s in targets {
+        idx[s as usize] = m as u32;
     }
-    for col in 0..m {
-        ioimc::budget::checkpoint();
-        let pivot_row = (col..m)
-            .max_by(|&i, &j| a[i * m + col].abs().total_cmp(&a[j * m + col].abs()))
-            .expect("non-empty");
-        // The pre-restriction guarantees nonsingularity mathematically;
-        // keep the numerical guard of the old implementation anyway.
-        if a[pivot_row * m + col].abs() < f64::MIN_POSITIVE {
-            return vec![f64::INFINITY; m];
-        }
-        if pivot_row != col {
-            for j in 0..m {
-                a.swap(col * m + j, pivot_row * m + j);
-            }
-            b.swap(col, pivot_row);
-        }
-        let pivot = a[col * m + col];
-        for row in col + 1..m {
-            let factor = a[row * m + col] / pivot;
-            if factor == 0.0 {
-                continue;
-            }
-            for j in col..m {
-                a[row * m + j] -= factor * a[col * m + j];
-            }
-            b[row] -= factor * b[col];
-        }
+    let initial = idx[ctmc.initial() as usize];
+    let nu = ctmc.exit_rate(ctmc.initial());
+    let mut off = vec![0];
+    let mut tr = Vec::new();
+    for &s in &restricted {
+        tr.extend(ctmc.row(s).iter().map(|&(r, t)| (r, idx[t as usize])));
+        off.push(tr.len() as u32);
     }
-    let mut x = vec![0.0f64; m];
-    for row in (0..m).rev() {
-        let mut rhs = b[row];
-        for j in row + 1..m {
-            rhs -= a[row * m + j] * x[j];
-        }
-        x[row] = rhs / a[row * m + row];
-    }
-    x
-}
-
-/// Sparse Gauss–Seidel on the hitting-time fixpoint
-/// `x_i = (1 + Σ_{j transient} r_ij x_j) / exit_i`, sweeping the CSR rows
-/// in place. The restricted system is a strictly substochastic M-matrix
-/// (every state reaches a target), so the iteration converges
-/// monotonically from the zero start.
-///
-/// Stopping on the raw sweep-to-sweep change alone is **unsound**: for
-/// rare-failure chains the contraction factor `ρ` sits near 1 and each
-/// sweep moves `x` by a tiny fraction of the remaining error, so a small
-/// per-sweep change can coexist with an answer that is orders of
-/// magnitude too low (the differential fuzzer found MTTFs underestimated
-/// by 10^8×). The sweep therefore certifies convergence with a geometric
-/// tail bound — `ρ` estimated from consecutive sweep changes, remaining
-/// error bounded by `diff·ρ/(1−ρ)` — and if the sweep cap runs out
-/// before the bound is met, falls back to the exact dense elimination
-/// instead of returning the silently unconverged iterate. Polls the
-/// ambient [`ioimc::budget`] once per sweep.
-fn sparse_hitting_time(
-    ctmc: &Ctmc,
-    is_target: &[bool],
-    idx: &[usize],
-    restricted: &[u32],
-    opts: &SolverOptions,
-) -> Vec<f64> {
-    let m = restricted.len();
-    let mut x = vec![0.0f64; m];
-    let mut prev_diff = f64::INFINITY;
-    for _ in 0..opts.max_sweeps {
-        ioimc::budget::checkpoint();
-        let mut diff = 0.0f64; // max absolute change this sweep
-        let mut scale = 0.0f64; // max |x_i| after this sweep
-        for (i, &s) in restricted.iter().enumerate() {
-            let mut acc = 1.0f64;
-            for &(r, tgt) in ctmc.row(s) {
-                if !is_target[tgt as usize] {
-                    acc += r * x[idx[tgt as usize]];
-                }
-            }
-            let new = acc / ctmc.exit_rate(s);
-            diff = diff.max((new - x[i]).abs());
-            scale = scale.max(new.abs());
-            x[i] = new;
-        }
-        if diff == 0.0 {
-            return x; // exact fixpoint
-        }
-        if prev_diff.is_finite() && diff < prev_diff {
-            let rho = diff / prev_diff;
-            if diff * rho / (1.0 - rho) <= opts.tol * scale {
-                return x;
-            }
-        }
-        prev_diff = diff;
-    }
-    // The cap ran out before the tail bound certified convergence: the
-    // chain contracts too slowly for iteration (stiff or rare-failure).
-    // Solve exactly instead of returning an unconverged underestimate.
-    dense_hitting_time(ctmc, is_target, idx, restricted)
+    tr.push((nu, initial));
+    off.push(tr.len() as u32);
+    let regenerative = Ctmc::from_csr(off, tr, vec![0; m + 1], initial)
+        .expect("the regenerative chain keeps the chain's own rates");
+    // An iterate that fails the residual gate is re-solved by GTH at any
+    // size: an MTTF is never answered from an uncertified iterate.
+    let pi = crate::steady::solve(&regenerative, opts, usize::MAX);
+    let up: f64 = pi[..m].iter().sum();
+    up / (nu * pi[m])
 }
 
 #[cfg(test)]
@@ -311,8 +229,8 @@ mod tests {
         Ctmc::new(rows, vec![0; k + 1], 0).unwrap()
     }
 
-    /// Both hitting-time solvers poll the ambient budget: a cancelled
-    /// one unwinds the dense elimination and the sparse sweeps.
+    /// Both solver paths poll the ambient budget: a cancelled one
+    /// unwinds the GTH elimination and the Gauss–Seidel sweeps.
     #[test]
     fn mttf_honors_the_ambient_budget() {
         let c = absorbed_birth_death(0.2, 1.5, 20);
@@ -358,19 +276,32 @@ mod tests {
     }
 
     /// Repair extends MTTF: 2-unit system with repair µ has
-    /// MTTF = (3λ + µ) / (2λ²).
+    /// MTTF = (3λ + µ) / (2λ²). The stiff rows (repair 7 and 10 orders
+    /// of magnitude faster than failure) keep full relative accuracy on
+    /// both solver paths: the renewal ratio subtracts nothing.
     #[test]
     fn mttf_with_repair() {
-        let (l, m) = (0.1, 2.0);
-        let c = Ctmc::new(
-            vec![vec![(2.0 * l, 1)], vec![(l, 2), (m, 0)], vec![]],
-            vec![0, 0, 1],
-            0,
-        )
-        .unwrap();
-        let mttf = mean_time_to_absorption(&c, &[2]);
-        let expected = (3.0 * l + m) / (2.0 * l * l);
-        assert!((mttf - expected).abs() / expected < 1e-10);
+        for (l, m) in [(0.1, 2.0), (1e-7, 1.0), (1e-9, 10.0)] {
+            let c = Ctmc::new(
+                vec![vec![(2.0 * l, 1)], vec![(l, 2), (m, 0)], vec![]],
+                vec![0, 0, 1],
+                0,
+            )
+            .unwrap();
+            let expected = (3.0 * l + m) / (2.0 * l * l);
+            for opts in [
+                SolverOptions::default(),
+                SolverOptions::default().with_dense_limit(0),
+            ] {
+                let mttf = mean_time_to_absorption_with(&c, &[2], &opts);
+                let rel = (mttf - expected).abs() / expected;
+                assert!(
+                    rel < 1e-13,
+                    "λ = {l}, µ = {m}, dense limit {}: {mttf} vs {expected} ({rel:e})",
+                    opts.dense_limit
+                );
+            }
+        }
     }
 
     #[test]

@@ -137,9 +137,9 @@ pub(crate) struct DenseExp {
 
 impl DenseExp {
     pub(crate) fn new(ctmc: &Ctmc, unif: f64) -> Self {
-        // The dense twin of the uniformization engines' solver-shard
-        // boundary: chaos faults injected at `session.shard` unwind here,
-        // before any buffer is filled.
+        // The dense twin of the uniformization engines' start of a solve:
+        // chaos faults injected at `session.shard` unwind here, before any
+        // buffer is filled.
         ioimc::failpoint::hit("session.shard");
         let n = ctmc.num_states();
         let mut p = vec![0.0f64; n * n];

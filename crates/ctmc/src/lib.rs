@@ -11,7 +11,8 @@
 //!   Fox–Glynn-style Poisson truncation and subtraction-free scaling and
 //!   squaring for small stiff chains ([`transient::select_kernel`]),
 //! * [`absorbing`] — first-passage ("unreliability") analysis by making the
-//!   down states absorbing, and mean time to failure,
+//!   down states absorbing, and mean time to failure as a renewal ratio on
+//!   the steady-state solvers,
 //! * [`measures`] — the dependability measures expressed over state labels.
 //!
 //! # Storage and solvers
@@ -19,30 +20,31 @@
 //! A [`Ctmc`] is flat CSR: one `num_states + 1` offset array plus one
 //! contiguous `(rate, target)` transition array (rows sorted by target,
 //! parallel edges merged, self-loops dropped), with per-state exit rates
-//! cached at construction. Every kernel — the uniformization sweep, the
-//! steady-state solvers, the first-passage/hitting-time solvers — iterates
-//! these contiguous slices; solvers that sweep column-wise build the
-//! transposed adjacency once via [`Ctmc::incoming`]. Chains can be built
+//! cached at construction. Every kernel — the uniformization sweep and the
+//! steady-state solvers — iterates these contiguous slices; solvers that
+//! sweep column-wise build the transposed adjacency once via
+//! [`Ctmc::incoming`]. Chains can be built
 //! from per-state rows ([`Ctmc::new`]), directly from CSR arrays
 //! ([`Ctmc::from_csr`]) or zero-conversion from a reduced I/O-IMC's own
 //! CSR storage ([`Ctmc::from_ioimc`]).
 //!
 //! The dense-vs-iterative crossover and the iteration controls are
 //! configured by [`SolverOptions`]. Chains up to its `dense_limit`
-//! (default 3 000 states) are solved directly: subtraction-free GTH state
-//! elimination for the steady state, which skips structural zeros so
-//! that its cost follows the chain's fill pattern rather than `n³`, and
-//! Gaussian elimination with partial pivoting for mean times to
-//! absorption. Larger chains are solved by Gauss–Seidel, stopped by a
-//! certified geometric-tail bound (default 1e-14) and residual-checked,
-//! with a Krylov fallback for chains where Gauss–Seidel stalls: see
-//! [`steady::steady_state_with`] and
-//! [`absorbing::mean_time_to_absorption_with`]. The defaults reproduce
-//! the historical behavior, so plain [`steady::steady_state`] etc. are
-//! unchanged. Every solver loop polls the ambient [`budget`] (at each
-//! elimination pivot, iterative sweep or restart, and transient segment),
-//! so a deadline or cancellation stops a steady-state, MTTF or transient
-//! solve part-way.
+//! (default 3 000 states) are solved directly by subtraction-free GTH
+//! state elimination, which skips structural zeros so that its cost
+//! follows the chain's fill pattern rather than `n³`. Larger chains are
+//! solved by Gauss–Seidel, stopped by a certified geometric-tail bound
+//! (default 1e-14) and residual-checked, with a Krylov fallback for chains
+//! where Gauss–Seidel stalls: see [`steady::steady_state_with`]. Mean
+//! times to absorption have no solver of their own: the targets are merged
+//! into one renewal state that restarts the chain, and
+//! [`absorbing::mean_time_to_absorption_with`] reads the answer off that
+//! regenerative chain's steady state without a subtraction. The defaults
+//! reproduce the historical behavior, so plain [`steady::steady_state`]
+//! etc. are unchanged. Every solver loop polls the ambient [`budget`] (at
+//! each elimination pivot, iterative sweep or restart, and transient
+//! segment), so a deadline or cancellation stops a steady-state, MTTF or
+//! transient solve part-way.
 //!
 //! # Transient kernels and steady-state detection
 //!

@@ -1,13 +1,13 @@
 //! Shared solver configuration for the CTMC numerics kernels.
 //!
-//! The steady-state ([`crate::steady`]) and first-passage
-//! ([`crate::absorbing`]) solvers pick between a dense direct path and a
-//! sparse iterative path; [`SolverOptions`] makes the crossover point and
-//! the iteration-control knobs explicit instead of burying them as module
-//! constants. The defaults reproduce the pre-`SolverOptions` behavior
-//! exactly (dense up to 3 000 states, 1e-14 relative tolerance, 200 000
-//! sweep cap), so `*_with(&SolverOptions::default())` equals the plain
-//! entry points.
+//! The steady-state solver ([`crate::steady`]), which mean times to
+//! absorption ([`crate::absorbing`]) run on as well, picks between a dense
+//! direct path and a sparse iterative path; [`SolverOptions`] makes the
+//! crossover point and the iteration-control knobs explicit instead of
+//! burying them as module constants. The defaults reproduce the
+//! pre-`SolverOptions` behavior exactly (dense up to 3 000 states, 1e-14
+//! relative tolerance, 200 000 sweep cap), so
+//! `*_with(&SolverOptions::default())` equals the plain entry points.
 
 /// Head-room factor applied to the maximum exit rate when uniformizing
 /// (`Λ = headroom · max exit`): the strict inequality keeps every state's
@@ -121,14 +121,15 @@ impl TransientOptions {
 ///
 /// # Semantics
 ///
-/// * `dense_limit` — chains with `num_states <= dense_limit` are solved
-///   by dense direct methods: the steady state by subtraction-free GTH
-///   state elimination (entrywise relative accuracy, robust for stiff
-///   chains), mean times to absorption by Gaussian elimination with
-///   partial pivoting. Larger chains use the sparse iterative path
-///   (Gauss–Seidel, with a Krylov fallback when it stalls; see
-///   [`crate::steady`]). The GTH elimination skips structural zeros, so
-///   its time follows the fill pattern of the chain's own state order,
+/// * `dense_limit` — chains with `num_states <= dense_limit` are solved by
+///   subtraction-free GTH state elimination (entrywise relative accuracy,
+///   robust for stiff chains). A mean time to absorption is the steady
+///   state of a regenerative chain, the `m` surviving non-target states
+///   plus one renewal state (see [`crate::absorbing`]), so it is solved
+///   densely when `m + 1 <= dense_limit`. Larger chains use the sparse
+///   iterative path (Gauss–Seidel, with a Krylov fallback when it stalls;
+///   see [`crate::steady`]). The GTH elimination skips structural zeros,
+///   so its time follows the fill pattern of the chain's own state order,
 ///   not `n³`: the paper's 2,100-state DDS takes 34 M multiply-adds. Its
 ///   `n × n` matrix is still allocated (35 MB at 2,100 states). The
 ///   default (3 000) is the historical built-in threshold, so existing
@@ -137,17 +138,16 @@ impl TransientOptions {
 ///   stop on the raw sweep-to-sweep change `Δ`, which under-reports the
 ///   remaining error when the chain contracts slowly: they estimate the
 ///   contraction `ρ` from consecutive sweeps and stop once the geometric
-///   tail bound `Δ·ρ/(1−ρ) ≤ tol` certifies the remaining drift. For the
-///   steady state `Δ` is the maximum relative change
-///   `max_i |x'_i - x_i| / max(|x'_i|, 1e-300)`; for hitting times it is
-///   the maximum absolute change, bounded by `tol · max_i |x_i|`.
+///   tail bound `Δ·ρ/(1−ρ) ≤ tol` certifies the remaining drift. `Δ` is
+///   the maximum relative change of the stationary iterate,
+///   `max_i |x'_i - x_i| / max(|x'_i|, 1e-300)` (for a mean time to
+///   absorption, of its regenerative chain's).
 /// * `max_sweeps` — hard cap on iterative sweeps (Krylov matvecs count as
 ///   sweeps). Neither a converged nor a capped iterate is trusted as is:
-///   every steady-state iterate must pass an O(nnz) balance-residual
-///   check, and one that fails is re-solved by GTH on chains of at most
-///   2,048 states (larger chains keep the iterate). A hitting-time run
-///   whose cap ends before the tail bound certifies it falls back to the
-///   dense elimination, at any size.
+///   every iterate must pass an O(nnz) balance-residual check, and one
+///   that fails is re-solved by GTH — a steady state on chains of at most
+///   2,048 states (larger chains keep the iterate), a mean time to
+///   absorption at any size.
 /// * `transient` — configuration of the transient kernels (kernel
 ///   selection, steady-state detection, support truncation); see
 ///   [`TransientOptions`].

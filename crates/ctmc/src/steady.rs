@@ -44,12 +44,14 @@ pub fn steady_state(ctmc: &Ctmc) -> Vec<f64> {
 }
 
 /// Largest chain the residual gate will rescue with the exact dense
-/// solver when an iterative run ends uncertified. The rescue is a GTH
-/// solve: an `n × n` matrix (32 MiB at this limit) and a time that
-/// follows the chain's fill pattern, up to `n³/3` multiply-adds when the
-/// elimination fills in completely — which the chains that reach the
-/// rescue (slowly mixing, nearly decoupled) give no reason to rule out.
-/// Beyond this limit the best iterate is returned as-is.
+/// solver when an iterative steady-state run ends uncertified. The
+/// rescue is a GTH solve: an `n × n` matrix (32 MiB at this limit) and a
+/// time that follows the chain's fill pattern, up to `n³/3`
+/// multiply-adds when the elimination fills in completely — which the
+/// chains that reach the rescue (slowly mixing, nearly decoupled) give
+/// no reason to rule out. Beyond this limit the best iterate is returned
+/// as-is. Mean times to absorption rescue at any size instead (see
+/// [`crate::absorbing`]).
 const EXACT_RESCUE_LIMIT: usize = 2048;
 
 /// [`steady_state`] with explicit solver configuration.
@@ -64,6 +66,12 @@ const EXACT_RESCUE_LIMIT: usize = 2048;
 /// one sits orders of magnitude higher, and chains up to 2,048 states
 /// (`EXACT_RESCUE_LIMIT`) are then re-solved exactly.
 pub fn steady_state_with(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
+    solve(ctmc, opts, EXACT_RESCUE_LIMIT)
+}
+
+/// [`steady_state_with`] whose residual gate re-solves an uncertified
+/// iterate by GTH on chains of at most `rescue_limit` states.
+pub(crate) fn solve(ctmc: &Ctmc, opts: &SolverOptions, rescue_limit: usize) -> Vec<f64> {
     let n = ctmc.num_states();
     if n == 1 {
         return vec![1.0];
@@ -76,7 +84,7 @@ pub fn steady_state_with(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
     // a genuinely converged sweep and the ≥1e-5 residual of the failure
     // modes observed in fuzzing, and scales with the requested accuracy.
     let accept = opts.tol.max(1e-14).sqrt();
-    if n <= EXACT_RESCUE_LIMIT && max_rel_residual(ctmc, &pi) > accept {
+    if n <= rescue_limit && max_rel_residual(ctmc, &pi) > accept {
         return dense_solve(ctmc);
     }
     pi

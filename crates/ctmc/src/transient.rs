@@ -531,9 +531,10 @@ struct Stepper {
 
 impl Stepper {
     fn new(ctmc: &Ctmc, unif: f64) -> Self {
-        // The solver-shard boundary: chaos faults injected here (the
-        // `session.shard` failpoint, via the ambient hook) unwind or
-        // stall before the operator is built.
+        // The start of a solve on the exact engine: chaos faults injected
+        // here (the `session.shard` failpoint, via the ambient hook; the
+        // name predates the removal of the solver shards) unwind or stall
+        // before the operator is built.
         ioimc::failpoint::hit("session.shard");
         let (stay, inc_off, inc_p, inc_src) = prescaled_transpose(ctmc, unif);
         Self {
@@ -835,9 +836,9 @@ struct AdaptiveEngine {
 
 impl AdaptiveEngine {
     fn new(ctmc: &Ctmc, pi0: &[f64]) -> Self {
-        // The windowed twin of the `Stepper::new` solver-shard boundary:
-        // the `session.shard` failpoint fires here, before the operator
-        // is built.
+        // The windowed twin of `Stepper::new`: the `session.shard`
+        // failpoint fires here, at the start of the solve, before the
+        // operator is built.
         ioimc::failpoint::hit("session.shard");
         let roots = (0..pi0.len() as u32).filter(|&s| pi0[s as usize] != 0.0);
         let mut engine = Self {

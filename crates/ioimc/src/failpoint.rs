@@ -2,12 +2,14 @@
 //!
 //! The fault-injection registry (`arcade::chaos`) lives above this crate
 //! in the dependency graph, but some of the boundaries worth faulting —
-//! the solver-shard boundary in `ctmc::transient`, fan-out points inside
-//! the aggregation pipeline — live *below* it. This module closes the
-//! loop the same way [`crate::budget`] does for cooperative cancellation:
-//! lower crates call [`hit`] at their boundaries, and the registry
-//! installs a process-wide hook ([`install`]) plus an armed flag
-//! ([`set_armed`]) when faults are requested.
+//! the start of every transient solve in `ctmc::transient` (the
+//! `session.shard` point, named before the solver shards were removed),
+//! fan-out points inside the aggregation pipeline — live *below* it.
+//! This module closes the loop the same way [`crate::budget`] does for
+//! cooperative cancellation: lower crates call [`hit`] at their
+//! boundaries, and the registry installs a process-wide hook
+//! ([`install`]) plus an armed flag ([`set_armed`]) when faults are
+//! requested.
 //!
 //! Disarmed — the production default — a [`hit`] costs **one relaxed
 //! atomic load** and returns immediately; the hook function is not even
