@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::hash::Hash;
 
 use ioimc::builder::IoImcBuilder;
-use ioimc::{ActionId, IoImc, RateForm};
+use ioimc::{ActionId, IoImc, Leaf};
 
 use crate::ast::SystemDef;
 use crate::error::ArcadeError;
@@ -156,9 +156,11 @@ pub(crate) fn explore<B: Behaviour>(
                 if pool.is_empty() {
                     builder.markovian(src, rate, t);
                 } else {
+                    // A leaf evaluates `mult · θ_pid`, which at the base
+                    // value is the same product as `rate`.
                     let form = match pool.lookup(raw) {
-                        Some(pid) => RateForm::scaled(pid, mult),
-                        None => RateForm::constant(rate),
+                        Some(pid) => Leaf::scaled(pid, mult),
+                        None => Leaf::constant(rate),
                     };
                     builder.markovian_formed(src, rate, t, form);
                 }

@@ -582,7 +582,9 @@ mod tests {
 
     /// Parallel group aggregation is a pure scheduling change: the CTMC,
     /// the step log and every measure must be *bitwise* identical to the
-    /// single-threaded path, for any worker count.
+    /// single-threaded path, for any worker count. With a rate parameter
+    /// declared, the CTMC's rate forms (node tables numbered in import
+    /// order) must be identical too.
     #[test]
     fn parallel_aggregation_is_bitwise_deterministic() {
         let mut def = SystemDef::new("t");
@@ -597,20 +599,25 @@ mod tests {
             Expr::and([Expr::down("c"), Expr::down("d")]),
             Expr::and([Expr::down("e"), Expr::down("f")]),
         ]));
-        let model = SystemModel::build(&def).unwrap();
-        let seq = aggregate(&model, &EngineOptions::new().with_threads(1)).unwrap();
-        for threads in [2, 4, 8] {
-            let par = aggregate(&model, &EngineOptions::new().with_threads(threads)).unwrap();
-            assert_eq!(par.ctmc, seq.ctmc, "{threads} threads: CTMC differs");
-            assert_eq!(par.largest_intermediate, seq.largest_intermediate);
-            assert_eq!(par.steps, seq.steps, "{threads} threads: step log differs");
-            let a_seq = measures::steady_state_availability(&seq.ctmc, 1);
-            let a_par = measures::steady_state_availability(&par.ctmc, 1);
-            assert_eq!(
-                a_par.to_bits(),
-                a_seq.to_bits(),
-                "measure not bitwise equal"
-            );
+        let mut parametric = def.clone();
+        parametric.add_param("lambda", 0.02);
+        for (def, forms) in [(def, false), (parametric, true)] {
+            let model = SystemModel::build(&def).unwrap();
+            let seq = aggregate(&model, &EngineOptions::new().with_threads(1)).unwrap();
+            assert_eq!(seq.ctmc.is_parametric(), forms);
+            for threads in [2, 4, 8] {
+                let par = aggregate(&model, &EngineOptions::new().with_threads(threads)).unwrap();
+                assert_eq!(par.ctmc, seq.ctmc, "{threads} threads: CTMC differs");
+                assert_eq!(par.largest_intermediate, seq.largest_intermediate);
+                assert_eq!(par.steps, seq.steps, "{threads} threads: step log differs");
+                let a_seq = measures::steady_state_availability(&seq.ctmc, 1);
+                let a_par = measures::steady_state_availability(&par.ctmc, 1);
+                assert_eq!(
+                    a_par.to_bits(),
+                    a_seq.to_bits(),
+                    "measure not bitwise equal"
+                );
+            }
         }
     }
 

@@ -8,7 +8,13 @@
 //! * [`OraclePair::Modular`] — the monolithic [`Session`] pipeline vs
 //!   the dependency-closure module decomposition of
 //!   [`crate::modular::modular_analysis`] (both exact; product
-//!   combination of per-module measures).
+//!   combination of per-module measures). On a parametric draw the
+//!   session runs on the parametric definition itself, and the pair
+//!   also requires [`Session::evaluate_at`] at the declared base values
+//!   to equal that session's [`Session::evaluate`] bitwise: the re-rate
+//!   path (rate forms carried through aggregation, then
+//!   [`Ctmc::rerate`]) with zero tolerance, on the aggregations the
+//!   session already built.
 //! * [`OraclePair::AdaptiveTransient`] — whichever kernel the cost model
 //!   of [`ctmc::transient::select_kernel`] picks (dense scaling and
 //!   squaring, or windowed steady-state-aware uniformization) vs the
@@ -240,12 +246,17 @@ fn clamp_stiffness(def: &SystemDef, max_ratio: f64) -> SystemDef {
     out
 }
 
+/// The declared base values of a parametric definition, in declaration
+/// order.
+fn bases(def: &SystemDef) -> Vec<f64> {
+    def.params.iter().map(|p| p.base).collect()
+}
+
 /// The concrete model an oracle run analyzes: parametric definitions are
 /// pinned at their declared base point.
 fn concretize(def: &SystemDef) -> SystemDef {
     if def.is_parametric() {
-        let bases: Vec<f64> = def.params.iter().map(|p| p.base).collect();
-        def.at_point(&bases)
+        def.at_point(&bases(def))
     } else {
         def.clone()
     }
@@ -257,19 +268,23 @@ fn concretize(def: &SystemDef) -> SystemDef {
 ///
 /// `seed` only affects [`OraclePair::MonteCarlo`] (the simulation
 /// stream); the exact pairs ignore it. Parametric definitions are
-/// evaluated at their base point.
+/// evaluated at their base point; the modular pair's session keeps the
+/// parameters and checks its re-rate path there (see the module docs).
 ///
 /// # Errors
 ///
 /// Propagates validation/build errors (including state-budget refusals)
 /// — callers treat these as "model unsuitable", not as disagreements.
 pub fn check_pair(def: &SystemDef, pair: OraclePair, seed: u64) -> Result<PairCheck, ArcadeError> {
+    let parametric = def.is_parametric().then_some(def);
     let def = concretize(def);
     let mut out = Vec::new();
     let mut kernels = Vec::new();
     match pair {
         OraclePair::Modular => {
-            let session = Session::new(&def)?.with_options(base_opts());
+            // A parametric session carries rate forms but computes the
+            // same rates as the concrete one.
+            let session = Session::new(parametric.unwrap_or(&def))?.with_options(base_opts());
             let t = pick_horizon(&def, &session)?;
             let measures = [
                 Measure::SteadyStateUnavailability,
@@ -287,6 +302,23 @@ pub fn check_pair(def: &SystemDef, pair: OraclePair, seed: u64) -> Result<PairCh
             ];
             for ((name, &a), b) in names.iter().zip(&values).zip(oracle) {
                 push_if_disagrees(&mut out, pair, name.clone(), a, b, 1e-7, None);
+            }
+            if let Some(p) = parametric {
+                // Re-rating at the base point must reproduce the memoized
+                // answers to the bit.
+                let at_base = session.evaluate_at(&measures, &bases(p))?;
+                for ((name, &a), &b) in names.iter().zip(&values).zip(&at_base) {
+                    if a.to_bits() != b.to_bits() {
+                        out.push(Disagreement {
+                            pair,
+                            measure: format!("{name} re-rated at the base point"),
+                            primary: a,
+                            oracle: b,
+                            tolerance: 0.0,
+                            kernel: None,
+                        });
+                    }
+                }
             }
         }
         OraclePair::AdaptiveTransient => {
@@ -433,6 +465,18 @@ mod tests {
         def.add_param("lambda", 0.02);
         let ds = check_all(&def, 5).expect("oracles run");
         assert!(ds.is_empty(), "unexpected disagreements: {ds:?}");
+    }
+
+    /// On a parametric model the modular pair re-rates its session at the
+    /// base values and requires the memoized answers bitwise.
+    /// `dds_scaled_parametric(3)` lumps rates that depend on several
+    /// parameters, where a re-rate that regrouped the sums moves the last
+    /// bits of three of the four measures.
+    #[test]
+    fn modular_pair_checks_the_rerate_path_bitwise() {
+        let def = crate::cases::dds_scaled_parametric(3);
+        let checked = check_pair(&def, OraclePair::Modular, 0).expect("oracle runs");
+        assert!(checked.disagreements.is_empty(), "{checked:?}");
     }
 
     /// The transient pair labels each compared measure with the kernel

@@ -666,15 +666,18 @@ impl Session {
     /// Evaluates a measure batch at one parameter point of a parametric
     /// model (one declared via [`SystemDef::add_param`]): the base
     /// aggregation is built (or reused) **once**, its quotient CTMC is
-    /// re-rated to `values` — same CSR layout, only the Markovian rates
-    /// rewritten through the carried rate forms — and the measures are
-    /// solved on the re-rated chain. No re-composition, no re-refinement.
+    /// re-rated to `values` ([`Ctmc::rerate`]: same CSR layout, each node
+    /// of the chain's rate-form table evaluated once and the Markovian
+    /// rates gathered from it) and the measures are solved on the
+    /// re-rated chain. No re-composition, no re-refinement.
     ///
     /// `values` gives one value per **declared** parameter, in declaration
     /// order (positive, finite). Evaluating at the declared base values
-    /// reproduces [`Session::evaluate`] bitwise: re-rating at the base
-    /// recovers the aggregated rates exactly, and the solver path is the
-    /// same.
+    /// reproduces [`Session::evaluate`] bitwise: every form records the
+    /// exact sums the aggregation computed (see [`ioimc::form`]), so
+    /// re-rating at the base recovers every aggregated rate and exit rate
+    /// bit for bit, and the solver path is the same. Away from the base,
+    /// a lumped rate is summed in the same grouping as at the base.
     ///
     /// # Errors
     ///
@@ -694,7 +697,9 @@ impl Session {
 
     /// Evaluates a measure batch over a whole [`ParamGrid`]: each needed
     /// configuration is aggregated **once** (at the declared base values),
-    /// then every grid point re-rates the cached quotient and solves —
+    /// then every grid point re-rates the cached quotient
+    /// ([`Ctmc::rerate`], a gather from one evaluation per distinct form
+    /// node) and solves —
     /// points fan out over worker threads
     /// ([`EngineOptions::with_threads`](crate::engine::EngineOptions)),
     /// and every per-point row is bitwise identical to a fresh session's

@@ -2,10 +2,12 @@
 //! must be bitwise identical to fresh-session `evaluate_at` at every
 //! thread count (pseudo-random grids, proptest style), a large sweep
 //! must run exactly one aggregation per configuration while keeping the
-//! Poisson cache bounded, and a sampled subset of sweep points must fall
-//! inside the Monte-Carlo simulator's confidence intervals.
+//! Poisson cache bounded, a sampled subset of sweep points must fall
+//! inside the Monte-Carlo simulator's confidence intervals, and
+//! re-rating at the declared base values must reproduce the aggregated
+//! chains and the memoized answers to the bit.
 
-use arcade::cases::dds_scaled_parametric;
+use arcade::cases::{dds_parametric, dds_scaled_parametric, rcs_scaled_parametric};
 use arcade::engine::EngineOptions;
 use arcade::query::{Measure, ParamGrid, Session};
 use arcade::sim::simulate_unreliability;
@@ -82,6 +84,82 @@ fn sweep_matches_fresh_sessions_bitwise_at_threads_1_2_4() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Re-rating at the declared base values is exact. These models lump
+/// transitions whose rates depend on several parameters, so their forms
+/// hold multi-leaf sums. Every rate and exit rate of `rerate(base)` must
+/// be bitwise the aggregated one, in each configuration built, and
+/// `evaluate_at(base)` must be bitwise `evaluate`.
+#[test]
+fn rerating_at_the_base_point_is_bitwise_exact() {
+    let with_repair = [
+        Measure::SteadyStateUnavailability,
+        Measure::PointUnavailability(100.0),
+        Measure::UnreliabilityWithRepair(100.0),
+        Measure::Unreliability(100.0),
+        Measure::Mttf,
+    ];
+    let no_repair = [Measure::Unreliability(100.0)];
+    // The availability configuration of `rcs_scaled_parametric(2)` is an
+    // 83,808-state chain; `exp_scaling --smoke` checks that one.
+    let cases = [
+        (dds_scaled_parametric(2), &with_repair[..]),
+        (dds_scaled_parametric(3), &with_repair[..]),
+        (dds_parametric(), &with_repair[..]),
+        (rcs_scaled_parametric(2), &no_repair[..]),
+    ];
+    for (def, measures) in cases {
+        let session = Session::new(&def).expect("session");
+        let base: Vec<f64> = def.params.iter().map(|p| p.base).collect();
+        let mut aggs = vec![("no-repair", session.reliability_model().expect("no-repair"))];
+        if measures.len() > 1 {
+            aggs.push((
+                "availability",
+                session.availability_model().expect("availability"),
+            ));
+        }
+        for (cfg, agg) in &aggs {
+            let chain = &agg.ctmc;
+            let rerated = chain.rerate(&base).expect("rerate at base");
+            assert_eq!(rerated.offsets(), chain.offsets(), "{} {cfg}", def.name);
+            for (i, (a, b)) in chain
+                .transitions()
+                .iter()
+                .zip(rerated.transitions())
+                .enumerate()
+            {
+                assert!(
+                    a.0.to_bits() == b.0.to_bits() && a.1 == b.1,
+                    "{} {cfg}, transition {i}: aggregated {a:?}, re-rated {b:?}",
+                    def.name
+                );
+            }
+            for (s, (a, b)) in chain
+                .exit_rates()
+                .iter()
+                .zip(rerated.exit_rates())
+                .enumerate()
+            {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} {cfg}, exit rate of {s}: aggregated {a:e}, re-rated {b:e}",
+                    def.name
+                );
+            }
+        }
+        let memo = session.evaluate(measures).expect("evaluate");
+        let at_base = session.evaluate_at(measures, &base).expect("evaluate_at");
+        for (m, (a, b)) in measures.iter().zip(memo.iter().zip(&at_base)) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{} {m:?}: evaluate {a:e}, evaluate_at(base) {b:e}",
+                def.name
+            );
         }
     }
 }

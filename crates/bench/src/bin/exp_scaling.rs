@@ -252,7 +252,15 @@ fn main() {
     println!();
     let stiff_records = stiff_family(smoke, &stiff_agg.ctmc);
     let sweep_rec = param_sweep_bench(smoke, *threads.last().expect("non-empty thread list"));
-    rcs_sweep_gate(*threads.last().expect("non-empty thread list"));
+    let rcs_agg_secs = records
+        .iter()
+        .find(|r| r.family == "rcs_scaled(2)")
+        .expect("rcs_scaled(2) record")
+        .aggregation_secs;
+    rcs_sweep_gate(
+        *threads.last().expect("non-empty thread list"),
+        rcs_agg_secs,
+    );
     if json {
         let path = "BENCH_transient.json";
         arcade_bench::write_atomic(
@@ -437,12 +445,20 @@ fn stiff_family(smoke: bool, rcs_stiff_chain: &Ctmc) -> Vec<StiffRecord> {
     records
 }
 
+/// The most form nodes the `rcs_scaled_parametric(2)` availability chain
+/// may hold. Its 1,089,792 transitions share 14 distinct forms; a pass
+/// that stored one form per transition would hold about a million.
+const RCS_FORM_NODES_MAX: usize = 64;
+
 /// The acceptance check on the big sparse family: a ≥200-point sweep on
 /// `rcs_scaled_parametric(2)` (83,808 quotient states) must run exactly
 /// **one** aggregation, agree bitwise between thread counts 1 and
 /// `threads`, and agree bitwise with fresh-session `evaluate_at` on
-/// sampled points.
-fn rcs_sweep_gate(threads: usize) {
+/// sampled points. Re-rating the aggregated chain at the base values must
+/// give it back bitwise, from a form table of at most
+/// [`RCS_FORM_NODES_MAX`] nodes. The parametric aggregation's wall time
+/// is printed beside `rcs_agg_secs`, that of `rcs_scaled(2)`.
+fn rcs_sweep_gate(threads: usize, rcs_agg_secs: f64) {
     let def = rcs_scaled_parametric(2);
     let measures = [Measure::PointUnavailability(100.0)];
     // 4 values on each of the 4 declared rates: 256 points.
@@ -460,6 +476,35 @@ fn rcs_sweep_gate(threads: usize) {
     let serial_session = Session::new(&def)
         .expect("parametric family elaborates")
         .with_options(EngineOptions::new().with_threads(1));
+    let agg = serial_session
+        .availability_model()
+        .expect("parametric aggregation");
+    let agg_secs = start.elapsed().as_secs_f64();
+    let chain = &agg.ctmc;
+    let base: Vec<f64> = def.params.iter().map(|p| p.base).collect();
+    let rerated = chain.rerate(&base).expect("re-rate at the base values");
+    let rate_bits = |c: &Ctmc| -> Vec<(u64, u32)> {
+        let exit = c.exit_rates().iter().map(|r| (r.to_bits(), u32::MAX));
+        let tr = c.transitions().iter().map(|&(r, t)| (r.to_bits(), t));
+        tr.chain(exit).collect()
+    };
+    assert!(
+        rerated.offsets() == chain.offsets() && rate_bits(&rerated) == rate_bits(chain),
+        "rcs_scaled_parametric(2): re-rating at the base values changed the chain"
+    );
+    let nodes = chain.forms().map_or(0, |f| f.table.len());
+    assert!(
+        nodes <= RCS_FORM_NODES_MAX,
+        "rcs_scaled_parametric(2): {nodes} form nodes for {} transitions \
+         (at most {RCS_FORM_NODES_MAX})",
+        chain.num_transitions()
+    );
+    println!(
+        "rcs_scaled_parametric(2): aggregated in {agg_secs:.3} s at 1 thread \
+         (rcs_scaled(2): {rcs_agg_secs:.3} s), {} transitions on {nodes} form nodes, \
+         re-rated at the base values bitwise",
+        chain.num_transitions()
+    );
     let serial = serial_session
         .sweep(&measures, &grid)
         .expect("serial sweep");

@@ -1,6 +1,6 @@
 //! Quotient construction.
 
-use ioimc::{ActionId, IoImc, StateId};
+use ioimc::{ActionId, FormId, IoImc, StateId};
 
 use crate::partition::Partition;
 use crate::signature::{SigEntry, Signature};
@@ -53,12 +53,15 @@ fn quotient_inner<'a>(
 
     let mut interactive: Vec<Vec<(ActionId, StateId)>> = Vec::with_capacity(k);
     let mut markovian: Vec<Vec<(f64, StateId)>> = Vec::with_capacity(k);
-    let carry_forms = imc.forms().is_some();
-    let mut form_rows: Vec<ioimc::RateForm> = Vec::new();
+    // The quotient keeps the input's form table and interns the sums
+    // of lumped rates into it.
+    let mut forms = imc
+        .forms()
+        .map(|f| f.with_ids(Vec::with_capacity(f.ids.len())));
     let mut labels: Vec<u64> = Vec::with_capacity(k);
     let mut uses_tau = false;
     let mut rates: Vec<(u32, f64)> = Vec::new();
-    let mut rate_forms: Vec<ioimc::RateForm> = Vec::new();
+    let mut rate_ids: Vec<FormId> = Vec::new();
 
     for b in 0..k {
         let rep = members.of(b)[0];
@@ -81,28 +84,30 @@ fn quotient_inner<'a>(
         // small, so a linear scan beats hashing; per-block sums accumulate
         // in transition order, exactly like the hash-map accumulation this
         // replaces, so rate sums are bit-identical.
+        // With forms, a lumped rate's form is the chain of `Sum` nodes of
+        // exactly these additions.
         rates.clear();
-        rate_forms.clear();
+        rate_ids.clear();
         if let Some(&carrier) = members
             .of(b)
             .iter()
             .find(|&&s| !imc.markovian_from(s).is_empty())
         {
-            let carrier_forms = imc.markovian_forms_from(carrier);
+            let carrier_ids = imc.markovian_forms_from(carrier);
             for (i, &(r, t)) in imc.markovian_from(carrier).iter().enumerate() {
                 let tb = part.block_of(t);
                 if tb != b as u32 {
                     match rates.iter_mut().position(|&mut (bb, _)| bb == tb) {
                         Some(j) => {
                             rates[j].1 += r;
-                            if let Some(forms) = carrier_forms {
-                                rate_forms[j].absorb(&forms[i]);
+                            if let (Some(f), Some(ids)) = (&mut forms, carrier_ids) {
+                                rate_ids[j] = f.table.sum(rate_ids[j], ids[i]);
                             }
                         }
                         None => {
                             rates.push((tb, r));
-                            if let Some(forms) = carrier_forms {
-                                rate_forms.push(forms[i].clone());
+                            if let Some(ids) = carrier_ids {
+                                rate_ids.push(ids[i]);
                             }
                         }
                     }
@@ -121,12 +126,8 @@ fn quotient_inner<'a>(
                 (r, t as StateId)
             })
             .collect();
-        if carry_forms {
-            form_rows.extend(
-                order
-                    .iter()
-                    .map(|&i| std::mem::take(&mut rate_forms[i as usize])),
-            );
+        if let Some(f) = &mut forms {
+            f.ids.extend(order.iter().map(|&i| rate_ids[i as usize]));
         }
 
         let label = members
@@ -149,8 +150,8 @@ fn quotient_inner<'a>(
         markovian,
         labels,
     );
-    if carry_forms {
-        out.attach_forms(form_rows);
+    if let Some(forms) = forms {
+        out.attach_forms(forms);
     }
     out.normalize();
     out

@@ -107,17 +107,15 @@ pub fn eliminate_vanishing(imc: &IoImc) -> Result<IoImc, NondeterminismError> {
         markovian,
         labels,
     );
-    if imc.forms().is_some() {
+    if let Some(forms) = imc.forms() {
         out.attach_forms(
-            stable
-                .iter()
-                .flat_map(|&s| {
-                    imc.markovian_forms_from(s)
-                        .expect("forms present")
-                        .iter()
-                        .cloned()
-                })
-                .collect(),
+            forms.with_ids(
+                stable
+                    .iter()
+                    .flat_map(|&s| imc.markovian_forms_from(s).expect("forms present"))
+                    .copied()
+                    .collect(),
+            ),
         );
     }
     out.normalize();

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ioimc::{IoImc, RateForm, StateLabel};
+use ioimc::{IoImc, RateForms, StateLabel};
 
 /// Errors when constructing a [`Ctmc`].
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +82,10 @@ pub struct Ctmc {
     exit: Vec<f64>,
     labels: Vec<StateLabel>,
     initial: u32,
-    /// Parametric rate forms, parallel to `tr` (see [`Ctmc::rerate`]).
-    /// `None` for chains built from non-parameterized models.
-    forms: Option<Vec<RateForm>>,
+    /// Parametric rate forms: the chain's own node table and one node id
+    /// per entry of `tr` (see [`Ctmc::rerate`]). `None` for chains built
+    /// from non-parameterized models.
+    forms: Option<RateForms>,
 }
 
 /// The incoming (transposed) adjacency of a [`Ctmc`] in CSR form: state
@@ -201,10 +202,10 @@ impl Ctmc {
             // A normalized I/O-IMC already has rows sorted by target,
             // parallel edges merged and self-loops dropped, so the CSR
             // constructor's cleanup pass is an identity and the source
-            // transition array (which `forms` parallels) survives
+            // transition array (which the form ids parallel) survives
             // verbatim.
             debug_assert_eq!(out.tr, tr, "forms carried from a non-normalized automaton");
-            out.forms = Some(forms.to_vec());
+            out.forms = Some(forms.clone());
         }
         Ok(out)
     }
@@ -311,7 +312,10 @@ impl Ctmc {
         let mut off = Vec::with_capacity(n + 1);
         let mut tr = Vec::with_capacity(self.tr.len());
         let mut exit = Vec::with_capacity(n);
-        let mut forms = self.forms.as_ref().map(|f| Vec::with_capacity(f.len()));
+        let mut forms = self
+            .forms
+            .as_ref()
+            .map(|f| f.with_ids(Vec::with_capacity(f.ids.len())));
         off.push(0u32);
         for s in 0..n as u32 {
             if !clear[s as usize] {
@@ -320,7 +324,7 @@ impl Ctmc {
                 if let (Some(out), Some(src)) = (&mut forms, &self.forms) {
                     let lo = self.off[s as usize] as usize;
                     let hi = self.off[s as usize + 1] as usize;
-                    out.extend_from_slice(&src[lo..hi]);
+                    out.ids.extend_from_slice(&src.ids[lo..hi]);
                 }
             } else {
                 exit.push(0.0);
@@ -337,10 +341,11 @@ impl Ctmc {
         }
     }
 
-    /// The parametric rate forms, parallel to [`Ctmc::transitions`], or
-    /// `None` for chains built from non-parameterized models.
-    pub fn forms(&self) -> Option<&[RateForm]> {
-        self.forms.as_deref()
+    /// The parametric rate forms: the node table and one node id per
+    /// entry of [`Ctmc::transitions`], or `None` for chains built from
+    /// non-parameterized models.
+    pub fn forms(&self) -> Option<&RateForms> {
+        self.forms.as_ref()
     }
 
     /// Whether the chain carries rate forms and can be re-rated.
@@ -348,23 +353,24 @@ impl Ctmc {
         self.forms.is_some()
     }
 
-    /// Re-evaluates every transition rate from its [`RateForm`] at the
-    /// given parameter values, reusing the CSR layout verbatim: the
-    /// offsets, targets, labels and initial state are copied, only the
-    /// rates (and the cached exit rates, re-summed in row order) change.
-    /// The result is formless — evaluating the same chain at another
-    /// point starts from the original again.
+    /// Re-evaluates every transition rate from its form at the given
+    /// parameter values, reusing the CSR layout verbatim: the offsets,
+    /// targets, labels and initial state are copied, only the rates (and
+    /// the cached exit rates, re-summed in row order) change. Each node of
+    /// the form table is evaluated once, and the rates are gathered from
+    /// the node values by id. The result is formless — evaluating the
+    /// same chain at another point starts from the original again.
     ///
-    /// Evaluating a form at the model's declared base values reproduces
-    /// the aggregated rates bitwise: every form accumulates its atoms in
-    /// the exact order the aggregation pipeline summed the underlying
-    /// rates.
+    /// Evaluating at the model's declared base values reproduces the
+    /// aggregated rates and exit rates bitwise: every form records the
+    /// exact sums the aggregation pipeline computed (see [`ioimc::form`]).
     ///
     /// # Errors
     ///
     /// Returns [`CtmcError::NotParametric`] if the chain has no forms,
-    /// or [`CtmcError::BadRate`] if a form evaluates to a non-positive
-    /// or non-finite rate at the given point.
+    /// or [`CtmcError::BadRate`] naming the first transition, in row
+    /// order, whose form evaluates to a non-positive or non-finite rate
+    /// at the given point.
     ///
     /// # Panics
     ///
@@ -372,14 +378,15 @@ impl Ctmc {
     /// referenced by a form.
     pub fn rerate(&self, values: &[f64]) -> Result<Self, CtmcError> {
         let forms = self.forms.as_ref().ok_or(CtmcError::NotParametric)?;
+        let node_rates = forms.table.eval_all(values);
         let n = self.num_states();
         let mut tr = Vec::with_capacity(self.tr.len());
         let mut exit = Vec::with_capacity(n);
         for s in 0..n {
             let lo = self.off[s] as usize;
             let hi = self.off[s + 1] as usize;
-            for (form, &(_, target)) in forms[lo..hi].iter().zip(&self.tr[lo..hi]) {
-                let rate = form.eval(values);
+            for (&id, &(_, target)) in forms.ids[lo..hi].iter().zip(&self.tr[lo..hi]) {
+                let rate = node_rates[id as usize];
                 if !(rate.is_finite() && rate > 0.0) {
                     return Err(CtmcError::BadRate {
                         state: s as u32,
@@ -699,12 +706,12 @@ mod tests {
         let mut b = IoImcBuilder::new();
         let s0 = b.add_labeled_state(0);
         let s1 = b.add_labeled_state(1);
-        b.markovian_formed(s0, 0.5, s1, ioimc::RateForm::scaled(0, 1.0));
+        b.markovian_formed(s0, 0.5, s1, ioimc::Leaf::scaled(0, 1.0));
         b.markovian(s1, 4.0, s0);
         let imc = b.build().unwrap();
         let c = Ctmc::from_ioimc(&imc).unwrap();
         assert!(c.is_parametric());
-        assert_eq!(c.forms().map(<[_]>::len), Some(2));
+        assert_eq!(c.forms().map(|f| f.ids.len()), Some(2));
         // At the base value the re-rated chain is bitwise the original.
         let base = c.rerate(&[0.5]).unwrap();
         assert_eq!(base.transitions(), c.transitions());
@@ -731,7 +738,7 @@ mod tests {
         let mut b = IoImcBuilder::new();
         let s0 = b.add_labeled_state(0);
         let s1 = b.add_labeled_state(1);
-        b.markovian_formed(s0, 0.25, s1, ioimc::RateForm::scaled(0, 0.5))
+        b.markovian_formed(s0, 0.25, s1, ioimc::Leaf::scaled(0, 0.5))
             .markovian(s1, 3.0, s0);
         let imc = b.build().unwrap();
         let c = Ctmc::from_ioimc(&imc).unwrap();

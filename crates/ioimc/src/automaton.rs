@@ -1,7 +1,7 @@
 //! The I/O-IMC automaton type.
 
 use crate::alphabet::ActionId;
-use crate::form::RateForm;
+use crate::form::{FormId, RateForms};
 
 /// Index of a state in an [`IoImc`].
 pub type StateId = u32;
@@ -63,11 +63,12 @@ pub struct IoImc {
     pub(crate) mark_off: Vec<u32>,
     /// All Markovian transitions `(rate, target)`, grouped by source.
     pub(crate) mark: Vec<(f64, StateId)>,
-    /// Optional symbolic rate forms, parallel to `mark` (parametric
-    /// builds only — `None` for ordinary automata, with zero overhead).
-    /// Every pass that permutes, merges or drops `mark` entries mirrors
-    /// the operation here, so `forms[i]` always describes `mark[i].0`.
-    pub(crate) forms: Option<Vec<RateForm>>,
+    /// Optional symbolic rate forms (parametric builds only — `None` for
+    /// ordinary automata, with zero overhead): this automaton's own node
+    /// table and one node id per entry of `mark`. Every pass that
+    /// permutes, merges or drops `mark` entries mirrors the operation on
+    /// the ids, so `forms.ids[i]` always describes `mark[i].0`.
+    pub(crate) forms: Option<RateForms>,
     pub(crate) labels: Vec<StateLabel>,
 }
 
@@ -145,37 +146,42 @@ impl IoImc {
         }
     }
 
-    /// Attaches symbolic rate forms, one per Markovian transition in
-    /// storage order. Call before [`IoImc::normalize`] — normalization
-    /// keeps the forms aligned from then on.
+    /// Attaches symbolic rate forms: a node table and one node id per
+    /// Markovian transition in storage order. Call before
+    /// [`IoImc::normalize`] — normalization keeps the forms aligned from
+    /// then on.
     ///
     /// # Panics
     ///
-    /// Panics if `forms.len()` differs from the Markovian transition
+    /// Panics if `forms.ids.len()` differs from the Markovian transition
     /// count.
-    pub fn attach_forms(&mut self, forms: Vec<RateForm>) {
+    pub fn attach_forms(&mut self, forms: RateForms) {
         assert_eq!(
-            forms.len(),
+            forms.ids.len(),
             self.mark.len(),
             "one rate form per Markovian transition"
+        );
+        debug_assert!(
+            forms
+                .ids
+                .iter()
+                .all(|&id| (id as usize) < forms.table.len()),
+            "form id outside the table"
         );
         self.forms = Some(forms);
     }
 
-    /// The symbolic rate forms, parallel to the flat Markovian transition
-    /// array of [`IoImc::markovian_csr`] (`None` for non-parametric
-    /// automata).
-    pub fn forms(&self) -> Option<&[RateForm]> {
-        self.forms.as_deref()
+    /// The symbolic rate forms: the node table and the node ids, parallel
+    /// to the flat Markovian transition array of
+    /// [`IoImc::markovian_csr`] (`None` for non-parametric automata).
+    pub fn forms(&self) -> Option<&RateForms> {
+        self.forms.as_ref()
     }
 
-    /// The rate forms of state `s`'s Markovian transitions, parallel to
+    /// The form ids of state `s`'s Markovian transitions, parallel to
     /// [`IoImc::markovian_from`].
-    pub fn markovian_forms_from(&self, s: StateId) -> Option<&[RateForm]> {
-        let s = s as usize;
-        self.forms
-            .as_ref()
-            .map(|f| &f[self.mark_off[s] as usize..self.mark_off[s + 1] as usize])
+    pub fn markovian_forms_from(&self, s: StateId) -> Option<&[FormId]> {
+        self.forms.as_ref().map(|f| &f.ids[self.mark_range(s)])
     }
 
     /// Number of states.
@@ -244,8 +250,14 @@ impl IoImc {
 
     /// Markovian transitions of `s` as `(rate, target)` pairs.
     pub fn markovian_from(&self, s: StateId) -> &[(f64, StateId)] {
+        &self.mark[self.mark_range(s)]
+    }
+
+    /// The index range of `s`'s Markovian transitions in the flat
+    /// transition array.
+    pub(crate) fn mark_range(&self, s: StateId) -> std::ops::Range<usize> {
         let s = s as usize;
-        &self.mark[self.mark_off[s] as usize..self.mark_off[s + 1] as usize]
+        self.mark_off[s] as usize..self.mark_off[s + 1] as usize
     }
 
     /// The Markovian transitions in raw CSR form: the `num_states + 1`
@@ -400,7 +412,7 @@ impl IoImc {
                 while r < end {
                     self.mark[w] = self.mark[r];
                     if let Some(forms) = &mut self.forms {
-                        forms.swap(w, r);
+                        forms.ids[w] = forms.ids[r];
                     }
                     w += 1;
                     r += 1;
@@ -410,7 +422,7 @@ impl IoImc {
         self.mark_off[n] = w as u32;
         self.mark.truncate(w);
         if let Some(forms) = &mut self.forms {
-            forms.truncate(w);
+            forms.ids.truncate(w);
         }
         before - w
     }
@@ -473,48 +485,42 @@ impl IoImc {
 
     /// The Markovian half of [`IoImc::normalize`] when rate forms are
     /// attached: same sort key, self-loop drop and merge rule as the
-    /// formless path (tie order cannot change rate sums — tied entries
-    /// have bitwise-equal rates — so the numeric result is identical),
-    /// with the forms permuted and concatenated alongside. The sort is
-    /// made fully deterministic by an index tie-break so the form
-    /// concatenation order is reproducible.
+    /// formless path, in place, with the form ids moved alongside. Where
+    /// two edges merge, the merged edge's form is `Sum(acc, next)` in the
+    /// order the rates are added. Tied entries have bitwise-equal rates,
+    /// so tie order cannot change a rate sum, but it does decide which
+    /// forms a sum groups; a stable sort breaks ties by storage order, so
+    /// the grouping is reproducible.
     fn normalize_markovian_with_forms(&mut self) {
         let n = self.num_states();
         let mut forms = self.forms.take().expect("checked by caller");
-        let mut new_mark: Vec<(f64, StateId)> = Vec::with_capacity(self.mark.len());
-        let mut new_forms: Vec<RateForm> = Vec::with_capacity(forms.len());
-        let mut idx: Vec<u32> = Vec::new();
+        let mut row: Vec<(f64, StateId, FormId)> = Vec::new();
+        let mut w = 0usize;
         for s in 0..n {
             let (start, end) = (self.mark_off[s] as usize, self.mark_off[s + 1] as usize);
-            idx.clear();
-            idx.extend(start as u32..end as u32);
-            idx.sort_unstable_by(|&a, &b| {
-                let (ra, ta) = self.mark[a as usize];
-                let (rb, tb) = self.mark[b as usize];
-                ta.cmp(&tb).then(ra.total_cmp(&rb)).then(a.cmp(&b))
-            });
-            self.mark_off[s] = new_mark.len() as u32;
-            let row_start = new_mark.len();
-            for &i in &idx {
-                let (rate, t) = self.mark[i as usize];
+            row.clear();
+            row.extend((start..end).map(|r| (self.mark[r].0, self.mark[r].1, forms.ids[r])));
+            row.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.total_cmp(&b.0)));
+            self.mark_off[s] = w as u32;
+            let row_start = w;
+            for &(rate, t, id) in &row {
                 if t as usize == s {
                     continue;
                 }
-                if new_mark.len() > row_start && new_mark.last().expect("nonempty row").1 == t {
-                    new_mark.last_mut().expect("nonempty row").0 += rate;
-                    new_forms
-                        .last_mut()
-                        .expect("nonempty row")
-                        .absorb(&forms[i as usize]);
+                if w > row_start && self.mark[w - 1].1 == t {
+                    self.mark[w - 1].0 += rate;
+                    forms.ids[w - 1] = forms.table.sum(forms.ids[w - 1], id);
                 } else {
-                    new_mark.push((rate, t));
-                    new_forms.push(std::mem::take(&mut forms[i as usize]));
+                    self.mark[w] = (rate, t);
+                    forms.ids[w] = id;
+                    w += 1;
                 }
             }
         }
-        self.mark_off[n] = new_mark.len() as u32;
-        self.mark = new_mark;
-        self.forms = Some(new_forms);
+        self.mark_off[n] = w as u32;
+        self.mark.truncate(w);
+        forms.ids.truncate(w);
+        self.forms = Some(forms);
     }
 }
 
@@ -650,24 +656,29 @@ mod tests {
 
     #[test]
     fn normalize_keeps_forms_aligned() {
-        use crate::form::RateForm;
+        use crate::form::Leaf;
         let mut bld = IoImcBuilder::new();
         let s0 = bld.add_state();
         let s1 = bld.add_state();
         let s2 = bld.add_state();
         // Two parallel edges to s2 (merged), one self-loop (dropped), one
         // plain edge to s1 (constant form synthesized).
-        bld.markovian_formed(s0, 0.6, s2, RateForm::scaled(0, 2.0))
-            .markovian_formed(s0, 0.3, s2, RateForm::scaled(1, 1.0))
-            .markovian_formed(s0, 1.0, s0, RateForm::scaled(0, 1.0))
+        bld.markovian_formed(s0, 0.6, s2, Leaf::scaled(0, 2.0))
+            .markovian_formed(s0, 0.3, s2, Leaf::scaled(1, 1.0))
+            .markovian_formed(s0, 1.0, s0, Leaf::scaled(0, 1.0))
             .markovian(s0, 4.0, s1);
         let imc = bld.build().unwrap();
-        assert_eq!(imc.markovian_from(0), &[(4.0, 1), (0.6 + 0.3, 2)]);
-        let forms = imc.markovian_forms_from(0).unwrap();
-        assert_eq!(forms[0], RateForm::constant(4.0));
-        assert_eq!(forms[1].atoms, vec![(1, 1.0), (0, 2.0)]);
-        // Evaluating at the base point reproduces the merged rates.
-        assert_eq!(forms[1].eval(&[0.3, 0.3]), 0.3 + 0.6);
+        assert_eq!(imc.markovian_from(0), &[(4.0, 1), (0.3 + 0.6, 2)]);
+        let table = &imc.forms().unwrap().table;
+        let ids = imc.markovian_forms_from(0).unwrap();
+        // Evaluating at the base point reproduces the merged rates, and
+        // off the base each edge follows its own parameters.
+        let at_base = table.eval_all(&[0.3, 0.3]);
+        assert_eq!(at_base[ids[0] as usize], 4.0);
+        assert_eq!(at_base[ids[1] as usize].to_bits(), (0.3f64 + 0.6).to_bits());
+        let moved = table.eval_all(&[10.0, 1.0]);
+        assert_eq!(moved[ids[0] as usize], 4.0);
+        assert_eq!(moved[ids[1] as usize], 1.0 + 20.0);
         assert!(imc.markovian_forms_from(1).unwrap().is_empty());
     }
 

@@ -2,7 +2,7 @@
 
 use crate::alphabet::ActionId;
 use crate::automaton::{IoImc, StateId, StateLabel};
-use crate::form::RateForm;
+use crate::form::{FormId, FormTable, Leaf, RateForms};
 use crate::validate::{validate, ValidationError};
 
 /// A builder for [`IoImc`] values.
@@ -34,11 +34,12 @@ pub struct IoImcBuilder {
     internals: Vec<ActionId>,
     interactive: Vec<Vec<(ActionId, StateId)>>,
     markovian: Vec<Vec<(f64, StateId)>>,
-    /// Per-state rate forms, parallel to `markovian` rows. Allocated
-    /// lazily by the first [`IoImcBuilder::markovian_formed`] call
-    /// (backfilling constant forms for earlier transitions); stays
-    /// `None` — and costs nothing — for non-parametric builds.
-    forms: Option<Vec<Vec<RateForm>>>,
+    /// The form table and per-state form ids, parallel to `markovian`
+    /// rows. Allocated lazily by the first
+    /// [`IoImcBuilder::markovian_formed`] call (backfilling constant
+    /// leaves for earlier transitions); stays `None` — and costs nothing —
+    /// for non-parametric builds.
+    forms: Option<(FormTable, Vec<Vec<FormId>>)>,
     labels: Vec<StateLabel>,
 }
 
@@ -76,8 +77,8 @@ impl IoImcBuilder {
         let id = u32::try_from(self.labels.len()).expect("more than u32::MAX states");
         self.interactive.push(Vec::new());
         self.markovian.push(Vec::new());
-        if let Some(forms) = &mut self.forms {
-            forms.push(Vec::new());
+        if let Some((_, rows)) = &mut self.forms {
+            rows.push(Vec::new());
         }
         self.labels.push(label);
         id
@@ -103,35 +104,40 @@ impl IoImcBuilder {
     /// Adds a Markovian transition `src --rate--> tgt`.
     pub fn markovian(&mut self, src: StateId, rate: f64, tgt: StateId) -> &mut Self {
         self.markovian[src as usize].push((rate, tgt));
-        if let Some(forms) = &mut self.forms {
-            forms[src as usize].push(RateForm::constant(rate));
+        if let Some((table, rows)) = &mut self.forms {
+            rows[src as usize].push(table.leaf(Leaf::constant(rate)));
         }
         self
     }
 
     /// Adds a Markovian transition carrying an explicit symbolic rate
-    /// form (parametric builds). Transitions added through
+    /// form, a leaf (parametric builds). Transitions added through
     /// [`IoImcBuilder::markovian`] before or after this call get constant
-    /// forms, so the finished automaton's forms always cover every
+    /// leaves, so the finished automaton's forms always cover every
     /// transition.
     pub fn markovian_formed(
         &mut self,
         src: StateId,
         rate: f64,
         tgt: StateId,
-        form: RateForm,
+        form: Leaf,
     ) -> &mut Self {
-        if self.forms.is_none() {
+        let (table, rows) = self.forms.get_or_insert_with(|| {
             // Backfill: every transition added so far was constant.
-            self.forms = Some(
-                self.markovian
-                    .iter()
-                    .map(|row| row.iter().map(|&(r, _)| RateForm::constant(r)).collect())
-                    .collect(),
-            );
-        }
+            let mut table = FormTable::new();
+            let rows = self
+                .markovian
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|&(r, _)| table.leaf(Leaf::constant(r)))
+                        .collect()
+                })
+                .collect();
+            (table, rows)
+        });
         self.markovian[src as usize].push((rate, tgt));
-        self.forms.as_mut().expect("just ensured")[src as usize].push(form);
+        rows[src as usize].push(table.leaf(form));
         self
     }
 
@@ -167,8 +173,11 @@ impl IoImcBuilder {
             std::mem::take(&mut self.markovian),
             std::mem::take(&mut self.labels),
         );
-        if let Some(rows) = forms {
-            imc.attach_forms(rows.into_iter().flatten().collect());
+        if let Some((table, rows)) = forms {
+            imc.attach_forms(RateForms {
+                table,
+                ids: rows.into_iter().flatten().collect(),
+            });
         }
         imc.normalize();
         validate(&imc)?;

@@ -12,6 +12,7 @@ use std::fmt;
 use crate::alphabet::ActionId;
 use crate::automaton::{IoImc, StateId};
 use crate::budget::{self, BudgetExceeded};
+use crate::form::{FormId, FormTable, RateForms};
 
 /// The ways two I/O-IMCs can fail to be composable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,11 +138,14 @@ pub fn parallel(a: &IoImc, b: &IoImc) -> Result<IoImc, ComposeError> {
     let mut mark_off: Vec<u32> = vec![0];
     let mut mark: Vec<(f64, StateId)> = Vec::new();
     let mut labels: Vec<u64> = Vec::new();
-    // Rate forms ride along whenever either side carries them: an
-    // interleaved transition keeps its component's form, with constant
-    // forms synthesized for the formless side.
-    let carry_forms = a.forms().is_some() || b.forms().is_some();
-    let mut forms: Vec<crate::form::RateForm> = Vec::new();
+    // Rate forms ride along whenever either side carries them: the
+    // product table imports `a`'s table, then `b`'s (constant leaves
+    // stand in for a formless side), and an interleaved transition keeps
+    // its component's form under the imported id.
+    let mut forms = (a.forms().is_some() || b.forms().is_some()).then(RateForms::default);
+    let factor_ids = forms
+        .as_mut()
+        .map(|f| (import_forms(&mut f.table, a), import_forms(&mut f.table, b)));
 
     let get_or_insert = |sa: StateId,
                          sb: StateId,
@@ -172,25 +176,17 @@ pub fn parallel(a: &IoImc, b: &IoImc) -> Result<IoImc, ComposeError> {
         let (sa, sb) = pairs[next];
 
         // Markovian interleaving.
-        for (i, &(r, ta)) in a.markovian_from(sa).iter().enumerate() {
+        for &(r, ta) in a.markovian_from(sa) {
             let t = get_or_insert(ta, sb, &mut index, &mut pairs);
             mark.push((r, t));
-            if carry_forms {
-                forms.push(match a.markovian_forms_from(sa) {
-                    Some(f) => f[i].clone(),
-                    None => crate::form::RateForm::constant(r),
-                });
-            }
         }
-        for (i, &(r, tb)) in b.markovian_from(sb).iter().enumerate() {
+        for &(r, tb) in b.markovian_from(sb) {
             let t = get_or_insert(sa, tb, &mut index, &mut pairs);
             mark.push((r, t));
-            if carry_forms {
-                forms.push(match b.markovian_forms_from(sb) {
-                    Some(f) => f[i].clone(),
-                    None => crate::form::RateForm::constant(r),
-                });
-            }
+        }
+        if let (Some(f), Some((a_ids, b_ids))) = (&mut forms, &factor_ids) {
+            f.ids.extend_from_slice(&a_ids[a.mark_range(sa)]);
+            f.ids.extend_from_slice(&b_ids[b.mark_range(sb)]);
         }
 
         // Interactive transitions of `a`.
@@ -252,11 +248,27 @@ pub fn parallel(a: &IoImc, b: &IoImc) -> Result<IoImc, ComposeError> {
     let mut out = IoImc::from_csr_unchecked(
         0, inputs, outputs, internals, inter_off, inter, mark_off, mark, labels,
     );
-    if carry_forms {
+    if let Some(forms) = forms {
         out.attach_forms(forms);
     }
     out.normalize();
     Ok(out)
+}
+
+/// `x`'s form ids imported into `table`, parallel to `x`'s flat
+/// Markovian transition array; constant leaves stand in for the forms of
+/// a formless `x`.
+fn import_forms(table: &mut FormTable, x: &IoImc) -> Vec<FormId> {
+    let constants;
+    let forms = match x.forms() {
+        Some(f) => f,
+        None => {
+            constants = RateForms::constants(x.markovian_csr().1);
+            &constants
+        }
+    };
+    let map = table.import(&forms.table);
+    forms.ids.iter().map(|&id| map[id as usize]).collect()
 }
 
 /// Folds [`parallel`] over a non-empty slice of automata, left to right.

@@ -85,6 +85,6 @@ pub mod validate;
 
 pub use alphabet::{ActionId, Alphabet};
 pub use automaton::{ActionKind, IoImc, StateId, StateLabel};
-pub use form::{RateForm, CONST_PARAM};
+pub use form::{FormId, FormTable, Leaf, RateForms, CONST_PARAM};
 pub use stats::Stats;
 pub use validate::ValidationError;

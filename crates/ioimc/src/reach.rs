@@ -48,14 +48,14 @@ pub fn restrict_reachable(imc: &IoImc) -> IoImc {
     let mut mark_off: Vec<u32> = Vec::with_capacity(order.len() + 1);
     let mut inter: Vec<(crate::ActionId, StateId)> = Vec::new();
     let mut mark: Vec<(f64, StateId)> = Vec::new();
-    let mut forms: Vec<crate::form::RateForm> = Vec::new();
+    let mut ids: Vec<crate::form::FormId> = Vec::new();
     inter_off.push(0);
     mark_off.push(0);
     for &s in &order {
         inter.extend(imc.interactive_from(s).iter().map(|&(a, t)| (a, remap(t))));
         mark.extend(imc.markovian_from(s).iter().map(|&(r, t)| (r, remap(t))));
         if let Some(f) = imc.markovian_forms_from(s) {
-            forms.extend_from_slice(f);
+            ids.extend_from_slice(f);
         }
         inter_off.push(u32::try_from(inter.len()).expect("more than u32::MAX transitions"));
         mark_off.push(u32::try_from(mark.len()).expect("more than u32::MAX transitions"));
@@ -72,8 +72,8 @@ pub fn restrict_reachable(imc: &IoImc) -> IoImc {
         mark,
         labels,
     );
-    if imc.forms().is_some() {
-        out.attach_forms(forms);
+    if let Some(forms) = imc.forms() {
+        out.attach_forms(forms.with_ids(ids));
     }
     out.normalize();
     out

@@ -60,7 +60,7 @@ pub fn collapse_tau_sccs(imc: &IoImc) -> IoImc {
 
     let mut interactive: Vec<Vec<(crate::ActionId, StateId)>> = vec![Vec::new(); num_comp];
     let mut markovian: Vec<Vec<(f64, StateId)>> = vec![Vec::new(); num_comp];
-    let mut form_rows: Vec<Vec<crate::form::RateForm>> = if imc.forms().is_some() {
+    let mut form_rows: Vec<Vec<crate::form::FormId>> = if imc.forms().is_some() {
         vec![Vec::new(); num_comp]
     } else {
         Vec::new()
@@ -94,8 +94,8 @@ pub fn collapse_tau_sccs(imc: &IoImc) -> IoImc {
         markovian,
         labels,
     );
-    if imc.forms().is_some() {
-        out.attach_forms(form_rows.into_iter().flatten().collect());
+    if let Some(forms) = imc.forms() {
+        out.attach_forms(forms.with_ids(form_rows.into_iter().flatten().collect()));
     }
     out.normalize();
     crate::reach::restrict_reachable(&out)
