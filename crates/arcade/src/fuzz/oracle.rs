@@ -21,8 +21,9 @@
 //!   exact global-Λ scheme. Each compared measure is labelled with the
 //!   kernel it ran on ([`PairCheck::kernels`]), and a solve labelled dense
 //!   that took DTMC steps is a disagreement too.
-//! * [`OraclePair::SteadySolver`] — dense elimination vs the iterative
-//!   (Gauss–Seidel/Krylov) steady-state and MTTF solvers.
+//! * [`OraclePair::SteadySolver`] — dense GTH elimination vs the
+//!   iterative path of the steady-state and MTTF solvers (Gauss–Seidel,
+//!   or its GTH rescue when the iterate ends uncertified).
 //! * [`OraclePair::MonteCarlo`] — the exact no-repair unreliability vs
 //!   a seeded discrete-event simulation, compared against a widened
 //!   confidence interval. Deterministic for a fixed seed, so a committed

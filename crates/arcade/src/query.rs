@@ -57,7 +57,11 @@
 //! clone of the budget's `Arc` and call [`Budget::cancel`] from another
 //! thread to abort a query in flight. Artifacts finished before the trip
 //! stay cached; a partially built aggregation is discarded, and a later
-//! query rebuilds it.
+//! query rebuilds it. [`Session::evaluate`], [`Session::evaluate_at`] and
+//! [`Session::sweep`] also run their batch under [`guarded`] themselves,
+//! so a steady-state or MTTF solve that ends uncertified on a chain too
+//! large for the exact rescue ([`ctmc::CtmcError::Uncertified`]) answers
+//! [`ArcadeError::Analysis`] rather than unwinding into the caller.
 //!
 //! # Example
 //!
@@ -660,7 +664,7 @@ impl Session {
     /// measure time; otherwise propagates composition/determinism/analysis
     /// errors.
     pub fn evaluate(&self, measures: &[Measure]) -> Result<Vec<f64>, ArcadeError> {
-        self.run_batch(measures, None)
+        guarded(None, || self.run_batch(measures, None))
     }
 
     /// Evaluates a measure batch at one parameter point of a parametric
@@ -692,7 +696,7 @@ impl Session {
     ) -> Result<Vec<f64>, ArcadeError> {
         let names: Vec<String> = self.def.params.iter().map(|p| p.name.clone()).collect();
         let full = self.param_vectors(&names, &[values.to_vec()])?;
-        self.run_batch(measures, Some(&full[0]))
+        guarded(None, || self.run_batch(measures, Some(&full[0])))
     }
 
     /// Evaluates a measure batch over a whole [`ParamGrid`]: each needed
@@ -744,7 +748,7 @@ impl Session {
                 // propagates through the scoped join and is classified by
                 // the caller's `guarded` ring.
                 chaos::failpoint("session.sweep_point");
-                self.run_batch(measures, Some(full))
+                guarded(None, || self.run_batch(measures, Some(full)))
             })
         });
         let mut values = Vec::with_capacity(results.len());
@@ -820,6 +824,12 @@ impl Session {
     /// out in measure order. Both chain sources run the same arithmetic,
     /// so a point at the declared base values reproduces the memoized
     /// path bitwise.
+    ///
+    /// Its callers run it under [`guarded`] without a budget of their
+    /// own: a solver that unwinds with a typed payload — a tripped ambient
+    /// budget, or a steady state the solver could not certify
+    /// ([`ctmc::CtmcError::Uncertified`]) — answers an error on the thread
+    /// that solved it, so the error also survives a sweep's fan-out.
     fn run_batch(
         &self,
         measures: &[Measure],
@@ -1191,6 +1201,7 @@ fn build_aggregation(def: &SystemDef, opts: &EngineOptions) -> Result<Aggregatio
 /// # Errors
 ///
 /// [`ArcadeError::Budget`] when a budget limit trips,
+/// [`ArcadeError::Analysis`] when a steady-state solve ended uncertified,
 /// [`ArcadeError::Internal`] when `f` panicked otherwise; else whatever
 /// `f` returns.
 pub fn guarded<R>(
@@ -1206,11 +1217,16 @@ pub fn guarded<R>(
 
 /// Classifies a caught panic payload: a [`BudgetExceeded`] payload (or a
 /// trip recorded on `budget` — scoped-thread joins may swallow the typed
-/// payload) becomes [`ArcadeError::Budget`]; anything else becomes
+/// payload) becomes [`ArcadeError::Budget`]; a [`ctmc::CtmcError`]
+/// payload (an uncertified steady-state solve) becomes
+/// [`ArcadeError::Analysis`]; anything else becomes
 /// [`ArcadeError::Internal`] carrying the panic message.
 fn classify_panic(payload: &(dyn std::any::Any + Send), budget: Option<&Budget>) -> ArcadeError {
     if let Some(e) = payload.downcast_ref::<BudgetExceeded>() {
         return ArcadeError::Budget(*e);
+    }
+    if let Some(e) = payload.downcast_ref::<ctmc::CtmcError>() {
+        return e.clone().into();
     }
     if let Some(e) = budget.and_then(Budget::tripped) {
         return ArcadeError::Budget(e);
@@ -1559,6 +1575,34 @@ mod tests {
         // ragged explicit point
         let ragged = ParamGrid::points_list(["lambda_a"], vec![vec![0.01, 0.02]]);
         assert!(session.sweep(&[Measure::Mttf], &ragged).is_err());
+    }
+
+    /// Two components with Erlang-100 and Erlang-90 lifetimes make a
+    /// 9,191-state chain (its MTTF's regenerative chain: 9,001), past the
+    /// solver's 8,192-state rescue limit. Solved on the iterative path
+    /// with one sweep, neither can be certified: the solver unwinds with a
+    /// typed `CtmcError` payload, which the batch's [`guarded`] answers as
+    /// an analysis error for the steady state and the MTTF, and the
+    /// session keeps answering the measures it can.
+    #[test]
+    fn uncertified_solves_answer_an_analysis_error() {
+        let mut def = SystemDef::new("long_lived");
+        def.add_component(BcDef::new("a", Dist::erlang(100, 1.0), Dist::exp(1.0)));
+        def.add_component(BcDef::new("b", Dist::erlang(90, 2.0), Dist::exp(3.0)));
+        def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+        def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
+        def.set_system_down(Expr::or([Expr::down("a"), Expr::down("b")]));
+        let mut opts = EngineOptions::new();
+        opts.solver = opts.solver.with_dense_limit(0).with_max_sweeps(1);
+        let session = Session::new(&def).unwrap().with_options(opts);
+        for m in [Measure::SteadyStateUnavailability, Measure::Mttf] {
+            match session.value(&m) {
+                Err(ArcadeError::Analysis(msg)) => assert!(msg.contains("uncertified"), "{msg}"),
+                other => panic!("{m:?}: expected an analysis error, got {other:?}"),
+            }
+        }
+        assert!(session.value(&Measure::PointUnavailability(1.0)).is_ok());
+        assert_eq!(session.stats().steady_solves, 0);
     }
 
     #[test]

@@ -20,10 +20,13 @@
 //!
 //! Fully deterministic for a fixed `--seed`: the generator, the oracle
 //! horizons, and the Monte-Carlo simulation stream all derive from it,
-//! so `--smoke` in CI can never flake. Exits non-zero iff at least one
-//! disagreement survived, or, under `--smoke`, if the adaptive-transient
-//! pair did not check at least one measure on each of the dense and the
-//! windowed kernels.
+//! so `--smoke` in CI can never flake. A draw that trips the fuzz state
+//! budget or is not weakly deterministic is skipped and re-drawn (counted
+//! as `skipped_draws`); any other oracle error, an uncertified
+//! steady-state solve among them, aborts the run. Exits non-zero iff at
+//! least one disagreement survived, an oracle failed, or, under
+//! `--smoke`, the adaptive-transient pair did not check at least one
+//! measure on each of the dense and the windowed kernels.
 
 use std::process::ExitCode;
 
@@ -32,6 +35,7 @@ use smallrand::SmallRng;
 use arcade::fuzz::{check_pair, gen_system, Evidence, GenConfig, OraclePair};
 use arcade::printer::to_arcade_text;
 use arcade::serve::Json;
+use arcade::ArcadeError;
 use arcade_bench::write_atomic;
 use ctmc::transient::TransientKernel;
 
@@ -86,23 +90,25 @@ fn main() -> ExitCode {
         let iter_seed = seed ^ (iteration.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut rng = SmallRng::seed_from_u64(iter_seed);
 
-        // Draw until the model is analyzable under the fuzz state budget
-        // (a draw that trips it counts as a skip, never as a silent pass).
-        // The probe is the modular pair's own check, and that check is
-        // deterministic, so its result stands in for the pair below.
+        // Draw until the model is analyzable: a draw that trips the fuzz
+        // state budget or is not weakly deterministic counts as a skip,
+        // never as a silent pass. Any other error (an uncertified solve
+        // among them) is a finding and fails the run, as in the pair loop
+        // below. The probe is the modular pair's own check, and that check
+        // is deterministic, so its result stands in for the pair below.
         let mut def = gen_system(&mut rng, &cfg);
         let mut attempts = 0;
         let mut modular = loop {
             match check_pair(&def, OraclePair::Modular, iter_seed) {
                 Ok(checked) => break Some(checked),
-                Err(_) if attempts < 8 => {
+                Err(ArcadeError::Budget(_) | ArcadeError::Nondeterministic(_)) if attempts < 8 => {
                     attempts += 1;
                     skipped += 1;
                     def = gen_system(&mut rng, &cfg);
                 }
-                Err(e) => {
-                    panic!("iteration {iteration}: no analyzable model after 8 draws: {e}")
-                }
+                Err(e) => panic!(
+                    "iteration {iteration}: no analyzable model ({attempts} draws skipped): {e}"
+                ),
             }
         };
 

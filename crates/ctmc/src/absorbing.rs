@@ -7,9 +7,12 @@
 //! time is `∞` and nothing is solved. The surviving states become a
 //! regenerative chain whose steady state gives the mean time to
 //! absorption, so MTTF has no solver of its own: it runs on the
-//! steady-state path of [`crate::steady`] (GTH elimination up to
-//! [`SolverOptions::dense_limit`], Gauss–Seidel with its Krylov stall
-//! fallback and balance-residual gate above it).
+//! steady-state path of [`crate::steady`] and follows its one
+//! certification rule (GTH elimination up to
+//! [`SolverOptions::dense_limit`]; above it Gauss–Seidel, whose iterate
+//! must be certified and pass the balance-residual check, else GTH
+//! re-solves chains of at most 8,192 states and larger ones raise
+//! [`CtmcError::Uncertified`](crate::CtmcError::Uncertified)).
 //!
 //! # MTTF as a renewal ratio
 //!
@@ -90,7 +93,8 @@ pub fn first_passage_many(ctmc: &Ctmc, targets: &[u32], ts: &[f64]) -> Vec<f64> 
 ///
 /// # Panics
 ///
-/// Panics if the initial state is itself a target (MTTF is 0 — degenerate).
+/// Panics if the initial state is itself a target (MTTF is 0 — degenerate),
+/// and as [`mean_time_to_absorption_with`].
 pub fn mean_time_to_absorption(ctmc: &Ctmc, targets: &[u32]) -> f64 {
     mean_time_to_absorption_with(ctmc, targets, &SolverOptions::default())
 }
@@ -99,7 +103,10 @@ pub fn mean_time_to_absorption(ctmc: &Ctmc, targets: &[u32]) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if the initial state is itself a target.
+/// Panics if the initial state is itself a target, and as
+/// [`steady_state_with`](crate::steady::steady_state_with) on the
+/// regenerative chain (an uncertified solve beyond the rescue limit, a
+/// tripped budget).
 pub fn mean_time_to_absorption_with(ctmc: &Ctmc, targets: &[u32], opts: &SolverOptions) -> f64 {
     let n = ctmc.num_states();
     let mut is_target = vec![false; n];
@@ -182,9 +189,7 @@ pub fn mean_time_to_absorption_with(ctmc: &Ctmc, targets: &[u32], opts: &SolverO
     off.push(tr.len() as u32);
     let regenerative = Ctmc::from_csr(off, tr, vec![0; m + 1], initial)
         .expect("the regenerative chain keeps the chain's own rates");
-    // An iterate that fails the residual gate is re-solved by GTH at any
-    // size: an MTTF is never answered from an uncertified iterate.
-    let pi = crate::steady::solve(&regenerative, opts, usize::MAX);
+    let pi = crate::steady::steady_state_with(&regenerative, opts);
     let up: f64 = pi[..m].iter().sum();
     up / (nu * pi[m])
 }
@@ -197,6 +202,7 @@ mod tests {
     use ioimc::budget::{self, Budget, BudgetExceeded, BudgetKind};
 
     use super::*;
+    use crate::CtmcError;
 
     /// Runs `f` under a cancelled ambient budget and returns the
     /// [`BudgetExceeded`] payload it must unwind with.
@@ -241,6 +247,26 @@ mod tests {
             mean_time_to_absorption_with(&c, &[20], &SolverOptions::default().with_dense_limit(0))
         });
         assert_eq!(sparse.kind, BudgetKind::Cancelled);
+    }
+
+    /// The MTTF follows the steady state's rule: an uncertified
+    /// regenerative chain beyond the rescue limit (`RESCUE_LIMIT`
+    /// surviving states plus the renewal state, after one sweep) raises
+    /// the typed payload instead of paying for a dense solve.
+    #[test]
+    fn mttf_beyond_rescue_limit_is_uncertified() {
+        let k = crate::steady::RESCUE_LIMIT;
+        let c = absorbed_birth_death(0.7, 1.0, k);
+        let opts = SolverOptions::default()
+            .with_dense_limit(0)
+            .with_max_sweeps(1);
+        let payload =
+            std::panic::catch_unwind(|| mean_time_to_absorption_with(&c, &[k as u32], &opts))
+                .expect_err("one sweep cannot certify the iterate");
+        match payload.downcast_ref::<CtmcError>() {
+            Some(&CtmcError::Uncertified { states, .. }) => assert_eq!(states, k + 1),
+            other => panic!("expected an Uncertified payload, got {other:?}"),
+        }
     }
 
     #[test]

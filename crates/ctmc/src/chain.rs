@@ -4,7 +4,7 @@ use std::fmt;
 
 use ioimc::{IoImc, RateForms, StateLabel};
 
-/// Errors when constructing a [`Ctmc`].
+/// Errors when constructing or solving a [`Ctmc`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CtmcError {
     /// The chain has no states.
@@ -37,6 +37,16 @@ pub enum CtmcError {
     /// [`Ctmc::rerate`] was called on a chain without rate forms (built
     /// from a non-parameterized model, or already re-rated).
     NotParametric,
+    /// An iterative steady-state solve (a mean time to absorption's
+    /// included) ended without a certified iterate on a chain too large
+    /// for the exact rescue. Raised as a typed panic payload, see
+    /// [`crate::steady`].
+    Uncertified {
+        /// States of the chain the solve ran on.
+        states: usize,
+        /// Max relative balance residual of the rejected iterate.
+        residual: f64,
+    },
 }
 
 impl fmt::Display for CtmcError {
@@ -54,6 +64,11 @@ impl fmt::Display for CtmcError {
                 "state {state} still has interactive transitions; reduce the model first"
             ),
             Self::NotParametric => write!(f, "chain carries no rate forms to re-rate"),
+            Self::Uncertified { states, residual } => write!(
+                f,
+                "the iterative steady-state solve of {states} states ended uncertified \
+                 (balance residual {residual:e}), and the chain is too large for the exact rescue"
+            ),
         }
     }
 }

@@ -34,17 +34,19 @@
 //! state elimination, which skips structural zeros so that its cost
 //! follows the chain's fill pattern rather than `n³`. Larger chains are
 //! solved by Gauss–Seidel, stopped by a certified geometric-tail bound
-//! (default 1e-14) and residual-checked, with a Krylov fallback for chains
-//! where Gauss–Seidel stalls: see [`steady::steady_state_with`]. Mean
+//! (default 1e-14) and residual-checked; an iterate that fails either
+//! check is re-solved by GTH on chains of at most 8,192 states and is a
+//! [`CtmcError::Uncertified`] above that: see
+//! [`steady::steady_state_with`]. Mean
 //! times to absorption have no solver of their own: the targets are merged
 //! into one renewal state that restarts the chain, and
 //! [`absorbing::mean_time_to_absorption_with`] reads the answer off that
 //! regenerative chain's steady state without a subtraction. The defaults
 //! reproduce the historical behavior, so plain [`steady::steady_state`]
 //! etc. are unchanged. Every solver loop polls the ambient [`budget`] (at
-//! each elimination pivot, iterative sweep or restart, and transient
-//! segment), so a deadline or cancellation stops a steady-state, MTTF or
-//! transient solve part-way.
+//! each elimination pivot, iterative sweep and transient segment), so a
+//! deadline or cancellation stops a steady-state, MTTF or transient solve
+//! part-way.
 //!
 //! # Transient kernels and steady-state detection
 //!

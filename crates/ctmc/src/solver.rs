@@ -9,12 +9,6 @@
 //! relative tolerance, 200 000 sweep cap), so
 //! `*_with(&SolverOptions::default())` equals the plain entry points.
 
-/// Head-room factor applied to the maximum exit rate when uniformizing
-/// (`Λ = headroom · max exit`): the strict inequality keeps every state's
-/// self-loop probability positive, so the DTMC is aperiodic. Shared by
-/// the transient engine and the Krylov steady-state kernel.
-pub(crate) const UNIF_HEADROOM: f64 = 1.02;
-
 /// Configuration of the transient kernels: kernel selection, the
 /// uniformization engines' steady-state detection and support truncation
 /// (see [`crate::transient`]). Every kernel runs serially on the calling
@@ -127,8 +121,8 @@ impl TransientOptions {
 ///   state of a regenerative chain, the `m` surviving non-target states
 ///   plus one renewal state (see [`crate::absorbing`]), so it is solved
 ///   densely when `m + 1 <= dense_limit`. Larger chains use the sparse
-///   iterative path (Gauss–Seidel, with a Krylov fallback when it stalls;
-///   see [`crate::steady`]). The GTH elimination skips structural zeros,
+///   iterative path (Gauss–Seidel, whose iterate must be certified; see
+///   [`crate::steady`]). The GTH elimination skips structural zeros,
 ///   so its time follows the fill pattern of the chain's own state order,
 ///   not `n³`: the paper's 2,100-state DDS takes 34 M multiply-adds. Its
 ///   `n × n` matrix is still allocated (35 MB at 2,100 states). The
@@ -142,12 +136,12 @@ impl TransientOptions {
 ///   the maximum relative change of the stationary iterate,
 ///   `max_i |x'_i - x_i| / max(|x'_i|, 1e-300)` (for a mean time to
 ///   absorption, of its regenerative chain's).
-/// * `max_sweeps` — hard cap on iterative sweeps (Krylov matvecs count as
-///   sweeps). Neither a converged nor a capped iterate is trusted as is:
-///   every iterate must pass an O(nnz) balance-residual check, and one
-///   that fails is re-solved by GTH — a steady state on chains of at most
-///   2,048 states (larger chains keep the iterate), a mean time to
-///   absorption at any size.
+/// * `max_sweeps` — hard cap on Gauss–Seidel sweeps. An iterate is
+///   accepted only if the tail bound certified it before the cap and it
+///   passes an O(nnz) balance-residual check. Otherwise GTH re-solves the
+///   chain when it has at most 8,192 states, and a larger chain raises
+///   [`CtmcError::Uncertified`](crate::CtmcError::Uncertified) — the same
+///   rule for a steady state and a mean time to absorption.
 /// * `transient` — configuration of the transient kernels (kernel
 ///   selection, steady-state detection, support truncation); see
 ///   [`TransientOptions`].

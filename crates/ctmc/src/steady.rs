@@ -10,28 +10,34 @@
 //! rather than `n³`, and its result is bitwise that of sweeping every
 //! entry: a skipped term would have added `+0`. Larger chains use
 //! Gauss–Seidel sweeps over the transposed CSR adjacency
-//! ([`crate::chain::Incoming`]), with a Krylov fallback when they stall,
-//! and every iterative answer is accepted only after an O(nnz)
-//! balance-residual check, with an exact rescue for chains small enough
-//! to re-solve.
+//! ([`crate::chain::Incoming`]).
 //!
-//! # The Gauss–Seidel stall fallback
+//! # One certification rule
 //!
-//! Gauss–Seidel watches its own sweep-to-sweep progress. When it stalls
-//! — less than 2× residual improvement across a 64-sweep window while
-//! still far from tolerance, which happens on nearly-decoupled chains
-//! where local propagation mixes too slowly — it hands its iterate and
-//! the remaining sweep budget to a Krylov kernel: restarted Arnoldi on
-//! the uniformized DTMC `P = I + Q/Λ`. Per restart that kernel builds a
-//! small orthonormal Krylov basis, extracts the Ritz vector of the
-//! (known) unit eigenvalue by inverse iteration on the projected
-//! Hessenberg matrix, and restarts from it. A short Gauss–Seidel polish
-//! afterwards restores full *relative* accuracy on stiff chains (Arnoldi
-//! works in probability space, where 1e-8 components carry no weight).
+//! Every answer comes from a certified path. The steady state and the
+//! mean time to absorption, whose regenerative chain is solved here (see
+//! [`crate::absorbing`]), follow the same rule:
+//!
+//! 1. GTH up to `dense_limit`.
+//! 2. Above it, Gauss–Seidel. Its iterate is accepted only if the
+//!    geometric-tail bound certified it and an O(nnz) balance-residual
+//!    check passes.
+//! 3. Otherwise GTH re-solves the chain when it has at most 8,192 states.
+//! 4. A larger chain raises [`CtmcError::Uncertified`] as a typed panic
+//!    payload (`std::panic::panic_any`), the mechanism of
+//!    [`BudgetExceeded`](crate::budget::BudgetExceeded): the caller's
+//!    evaluation boundary catches the unwind and answers an error.
+//!
+//! Within the rescue limit, Gauss–Seidel also watches its own progress.
+//! When it stalls — less than 2× residual improvement across a 64-sweep
+//! window while still far from tolerance, which happens on
+//! nearly-decoupled chains where local propagation mixes too slowly — it
+//! stops early and GTH takes over. Above the limit nothing can take
+//! over, so the sweeps go on: a slowly contracting chain can still
+//! certify long after such a window.
 
-use crate::chain::Ctmc;
-use crate::solver::{SolverOptions, UNIF_HEADROOM};
-use crate::transient::prescaled_transpose;
+use crate::chain::{Ctmc, CtmcError, Incoming};
+use crate::solver::SolverOptions;
 
 /// Computes the steady-state distribution of an irreducible CTMC with
 /// default [`SolverOptions`].
@@ -39,39 +45,44 @@ use crate::transient::prescaled_transpose;
 /// For reducible chains the result is the stationary distribution reachable
 /// from the chain's structure and should not be relied on; Arcade models
 /// with repair are irreducible by construction.
+///
+/// # Panics
+///
+/// As [`steady_state_with`].
 pub fn steady_state(ctmc: &Ctmc) -> Vec<f64> {
     steady_state_with(ctmc, &SolverOptions::default())
 }
 
-/// Largest chain the residual gate will rescue with the exact dense
-/// solver when an iterative steady-state run ends uncertified. The
-/// rescue is a GTH solve: an `n × n` matrix (32 MiB at this limit) and a
+/// Largest chain that GTH re-solves when the Gauss–Seidel iterate ends
+/// uncertified, and the only size at which Gauss–Seidel exits early on a
+/// stall. The rescue is an `n × n` matrix (512 MiB at this limit) and a
 /// time that follows the chain's fill pattern, up to `n³/3`
 /// multiply-adds when the elimination fills in completely — which the
 /// chains that reach the rescue (slowly mixing, nearly decoupled) give
-/// no reason to rule out. Beyond this limit the best iterate is returned
-/// as-is. Mean times to absorption rescue at any size instead (see
-/// [`crate::absorbing`]).
-const EXACT_RESCUE_LIMIT: usize = 2048;
+/// no reason to rule out. A larger uncertified chain raises
+/// [`CtmcError::Uncertified`].
+pub(crate) const RESCUE_LIMIT: usize = 8192;
 
 /// [`steady_state`] with explicit solver configuration.
 ///
-/// Iterative results are *verified*, not trusted: the max relative
-/// balance residual `|inflow_i − π_i·exit_i| / (π_i·exit_i)` is checked
-/// in O(nnz) after the solve, because every change-based stopping rule
-/// can mistake stagnation for convergence (the differential fuzzer
-/// caught the Krylov kernel doing exactly that on a nearly-decomposable
-/// 6-state chain — restarts stopped moving while the answer was off by
-/// 1e-4). A converged sweep lands at residual ~1e-15; an uncertified
-/// one sits orders of magnitude higher, and chains up to 2,048 states
-/// (`EXACT_RESCUE_LIMIT`) are then re-solved exactly.
+/// Iterative results are *verified*, not trusted: besides the
+/// geometric-tail certificate of the sweeps, the max relative balance
+/// residual `|inflow_i − π_i·exit_i| / (π_i·exit_i)` is checked in
+/// O(nnz), because a change-based stopping rule can mistake stagnation
+/// for convergence (the differential fuzzer caught a stagnated iterate
+/// on a nearly-decomposable 6-state chain off by 1e-4). A certified
+/// sweep lands at residual ~1e-15; an uncertified one sits orders of
+/// magnitude higher. An iterate that fails either check is re-solved by
+/// GTH on chains of at most 8,192 states.
+///
+/// # Panics
+///
+/// Panics with a [`CtmcError::Uncertified`] payload when a chain of more
+/// than 8,192 states (and more than `dense_limit`) ends without a
+/// certified iterate — the sweep cap ran out, or the residual check
+/// failed — and with a [`BudgetExceeded`](crate::budget::BudgetExceeded)
+/// payload when the ambient budget trips.
 pub fn steady_state_with(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
-    solve(ctmc, opts, EXACT_RESCUE_LIMIT)
-}
-
-/// [`steady_state_with`] whose residual gate re-solves an uncertified
-/// iterate by GTH on chains of at most `rescue_limit` states.
-pub(crate) fn solve(ctmc: &Ctmc, opts: &SolverOptions, rescue_limit: usize) -> Vec<f64> {
     let n = ctmc.num_states();
     if n == 1 {
         return vec![1.0];
@@ -79,21 +90,30 @@ pub(crate) fn solve(ctmc: &Ctmc, opts: &SolverOptions, rescue_limit: usize) -> V
     if n <= opts.dense_limit {
         return dense_solve(ctmc);
     }
-    let pi = gauss_seidel(ctmc, opts);
+    let rescuable = n <= RESCUE_LIMIT;
+    let incoming = ctmc.incoming();
+    let (pi, outcome) = gauss_seidel(ctmc, &incoming, opts, rescuable);
     // Residual acceptance: sqrt(tol) sits between the ~1e-15 residual of
     // a genuinely converged sweep and the ≥1e-5 residual of the failure
     // modes observed in fuzzing, and scales with the requested accuracy.
     let accept = opts.tol.max(1e-14).sqrt();
-    if n <= rescue_limit && max_rel_residual(ctmc, &pi) > accept {
+    let residual = max_rel_residual(ctmc, &incoming, &pi);
+    if outcome == GsOutcome::Converged && residual <= accept {
+        return pi;
+    }
+    if rescuable {
         return dense_solve(ctmc);
     }
-    pi
+    std::panic::panic_any(CtmcError::Uncertified {
+        states: n,
+        residual,
+    })
 }
 
 /// Max relative balance-equation residual of a candidate stationary
-/// vector: `max_i |inflow_i − π_i·exit_i| / (π_i·exit_i)`.
-fn max_rel_residual(ctmc: &Ctmc, pi: &[f64]) -> f64 {
-    let incoming = ctmc.incoming();
+/// vector: `max_i |inflow_i − π_i·exit_i| / (π_i·exit_i)`, with the
+/// chain's transposed adjacency `incoming`.
+fn max_rel_residual(ctmc: &Ctmc, incoming: &Incoming, pi: &[f64]) -> f64 {
     let mut worst = 0.0f64;
     for i in 0..ctmc.num_states() {
         let inflow: f64 = incoming
@@ -347,23 +367,10 @@ enum GsOutcome {
     Stalled,
 }
 
-/// Gauss–Seidel with the default uniform start; falls back to the Krylov
-/// kernel (with the remaining sweep budget) when progress stalls.
-fn gauss_seidel(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
-    let n = ctmc.num_states();
-    let (pi, sweeps, outcome) =
-        gauss_seidel_run(ctmc, opts, vec![1.0 / n as f64; n], opts.max_sweeps);
-    if outcome == GsOutcome::Stalled && sweeps < opts.max_sweeps {
-        krylov_from(ctmc, opts, pi, opts.max_sweeps - sweeps)
-    } else {
-        pi
-    }
-}
-
-/// Budgeted Gauss–Seidel iteration on `π_i · exit_i = Σ_j π_j q_{ji}`
-/// from the given start, sweeping the transposed CSR adjacency so each
-/// state's inflow is one contiguous slice. Returns the iterate, the
-/// sweeps used, and how the run ended.
+/// Gauss–Seidel iteration on `π_i · exit_i = Σ_j π_j q_{ji}` from the
+/// uniform start, sweeping the transposed CSR adjacency `incoming` so
+/// each state's inflow is one contiguous slice, for at most
+/// `opts.max_sweeps` sweeps. Returns the iterate and how the run ended.
 ///
 /// Convergence is certified with a geometric tail bound, not the raw
 /// sweep-to-sweep change: on a slowly contracting chain (`ρ` near 1) the
@@ -371,23 +378,23 @@ fn gauss_seidel(ctmc: &Ctmc, opts: &SolverOptions) -> Vec<f64> {
 /// far from the fixpoint — the differential fuzzer caught exactly that
 /// as a 1e-4 relative steady-state error passing a 1e-13 "tolerance".
 /// The contraction is estimated from consecutive sweep changes and the
-/// projected remaining drift `Δ·ρ/(1−ρ)` must be within tolerance; a
-/// chain that contracts too slowly to certify trips the stall detector
-/// instead and is handed to the Krylov kernel.
-fn gauss_seidel_run(
+/// projected remaining drift `Δ·ρ/(1−ρ)` must be within tolerance. With
+/// `stall_exit`, a chain that contracts too slowly to certify trips the
+/// stall detector instead, and the run ends early for the GTH rescue.
+fn gauss_seidel(
     ctmc: &Ctmc,
+    incoming: &Incoming,
     opts: &SolverOptions,
-    mut pi: Vec<f64>,
-    budget: usize,
-) -> (Vec<f64>, usize, GsOutcome) {
+    stall_exit: bool,
+) -> (Vec<f64>, GsOutcome) {
     /// Sweeps between stall checks (and the minimum run before one).
     const STALL_WINDOW: usize = 64;
     let n = ctmc.num_states();
-    let incoming = ctmc.incoming();
     let exit = ctmc.exit_rates();
+    let mut pi = vec![1.0 / n as f64; n];
     let mut window_rel = f64::INFINITY;
     let mut prev_rel = f64::INFINITY;
-    for sweep in 1..=budget {
+    for sweep in 1..=opts.max_sweeps {
         // Cooperative cancellation once per sweep (a sweep is one pass
         // over all transitions, on the calling thread).
         ioimc::budget::checkpoint();
@@ -413,222 +420,23 @@ fn gauss_seidel_run(
             }
         }
         if max_rel == 0.0 {
-            return (pi, sweep, GsOutcome::Converged); // exact fixpoint
+            return (pi, GsOutcome::Converged); // exact fixpoint
         }
         if prev_rel.is_finite() && max_rel < prev_rel {
             let rho = max_rel / prev_rel;
             if max_rel * rho / (1.0 - rho) <= opts.tol {
-                return (pi, sweep, GsOutcome::Converged);
+                return (pi, GsOutcome::Converged);
             }
         }
         prev_rel = max_rel;
-        if sweep % STALL_WINDOW == 0 {
+        if stall_exit && sweep % STALL_WINDOW == 0 {
             if max_rel > window_rel * 0.5 {
-                return (pi, sweep, GsOutcome::Stalled);
+                return (pi, GsOutcome::Stalled);
             }
             window_rel = max_rel;
         }
     }
-    (pi, budget, GsOutcome::Exhausted)
-}
-
-/// Krylov dimension per Arnoldi restart.
-const KRYLOV_DIM: usize = 25;
-
-/// Restarted Arnoldi for the unit eigenvector of the uniformized DTMC
-/// `P = I + Q/Λ`, starting from `x0`, with a matvec budget of `budget`
-/// (one matvec ≈ one sweep of work). Ends with a short Gauss–Seidel
-/// polish for full relative accuracy on stiff chains.
-fn krylov_from(ctmc: &Ctmc, opts: &SolverOptions, x0: Vec<f64>, budget: usize) -> Vec<f64> {
-    let n = ctmc.num_states();
-    let max_exit = ctmc.max_exit_rate();
-    if max_exit == 0.0 {
-        return ctmc.initial_distribution();
-    }
-    let unif = max_exit * UNIF_HEADROOM;
-    // The uniformized DTMC in prescaled gather form — the exact arrays
-    // the transient engine steps with, so the matvec (the budgeted hot
-    // loop) pays no per-transition division and cannot drift from the
-    // transient kernel.
-    let (stay, inc_off, inc_p, inc_src) = prescaled_transpose(ctmc, unif);
-    // y = x Pᵀ over the transposed adjacency.
-    let matvec = |x: &[f64], y: &mut [f64]| {
-        for (i, yi) in y.iter_mut().enumerate() {
-            let (lo, hi) = (inc_off[i] as usize, inc_off[i + 1] as usize);
-            let mut acc = x[i] * stay[i];
-            for (&p, &j) in inc_p[lo..hi].iter().zip(&inc_src[lo..hi]) {
-                acc += p * x[j as usize];
-            }
-            *yi = acc;
-        }
-    };
-
-    let m = KRYLOV_DIM.min(n.saturating_sub(1)).max(1);
-    let mut x = x0;
-    normalize_l1(&mut x);
-    let mut used = 0usize;
-    while used < budget {
-        ioimc::budget::checkpoint();
-        // Arnoldi with modified Gram–Schmidt.
-        let norm0 = l2_norm(&x);
-        if norm0 <= 0.0 || !norm0.is_finite() {
-            break;
-        }
-        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        basis.push(x.iter().map(|a| a / norm0).collect());
-        let mut h = vec![0.0f64; (m + 1) * m];
-        let mut m_eff = m;
-        for j in 0..m {
-            let mut w = vec![0.0f64; n];
-            matvec(&basis[j], &mut w);
-            used += 1;
-            for i in 0..=j {
-                let hij: f64 = basis[i].iter().zip(&w).map(|(a, b)| a * b).sum();
-                h[i * m + j] = hij;
-                for (wk, vk) in w.iter_mut().zip(&basis[i]) {
-                    *wk -= hij * vk;
-                }
-            }
-            let beta = l2_norm(&w);
-            h[(j + 1) * m + j] = beta;
-            if beta < 1e-14 || used >= budget {
-                m_eff = j + 1; // invariant subspace found (or budget spent)
-                break;
-            }
-            for wk in &mut w {
-                *wk /= beta;
-            }
-            basis.push(w);
-        }
-        // Ritz vector for the known eigenvalue 1: inverse iteration on
-        // the projected (H − I), then lift back through the basis.
-        let y = unit_eigvec_of_hessenberg(&h, m, m_eff);
-        let mut xn = vec![0.0f64; n];
-        for (yj, vj) in y.iter().zip(&basis) {
-            if *yj != 0.0 {
-                for (xk, vk) in xn.iter_mut().zip(vj) {
-                    *xk += yj * vk;
-                }
-            }
-        }
-        // Orient along the (nonnegative) Perron direction and clean the
-        // rounding dust.
-        if xn.iter().sum::<f64>() < 0.0 {
-            for a in &mut xn {
-                *a = -*a;
-            }
-        }
-        for a in &mut xn {
-            if *a < 0.0 {
-                *a = 0.0;
-            }
-        }
-        normalize_l1(&mut xn);
-        let mut max_rel = 0.0f64;
-        for (a, b) in xn.iter().zip(&x) {
-            let denom = a.abs().max(1e-300);
-            max_rel = max_rel.max((a - b).abs() / denom);
-        }
-        x = xn;
-        if max_rel < opts.tol {
-            break;
-        }
-    }
-    // Polish: Gauss–Seidel from the Krylov iterate recovers relative
-    // accuracy on components far below the probability scale.
-    let (polished, _, _) = gauss_seidel_run(ctmc, opts, x, 64.min(opts.max_sweeps.max(1)));
-    polished
-}
-
-/// The (approximate) null vector of `H_eff − I` for the leading
-/// `m_eff × m_eff` block of the row-major `(m+1) × m` Hessenberg array, by
-/// LU-factored inverse iteration with the exact shift.
-fn unit_eigvec_of_hessenberg(h: &[f64], m: usize, m_eff: usize) -> Vec<f64> {
-    let k = m_eff;
-    let mut a = vec![0.0f64; k * k];
-    let mut scale = 0.0f64;
-    for r in 0..k {
-        for c in 0..k {
-            let v = h[r * m + c] - if r == c { 1.0 } else { 0.0 };
-            a[r * k + c] = v;
-            scale = scale.max(v.abs());
-        }
-    }
-    if scale == 0.0 {
-        // H == I: every basis vector is an eigenvector; keep the first.
-        let mut y = vec![0.0; k];
-        y[0] = 1.0;
-        return y;
-    }
-    // LU with partial pivoting; near-singular pivots are clamped — the
-    // matrix *is* (numerically) singular in the direction we want, and
-    // the clamp is what makes inverse iteration explode toward it.
-    let floor = scale * 1e-18;
-    let mut piv: Vec<usize> = (0..k).collect();
-    for col in 0..k {
-        let p = (col..k)
-            .max_by(|&i, &j| a[i * k + col].abs().total_cmp(&a[j * k + col].abs()))
-            .expect("non-empty range");
-        if p != col {
-            for c in 0..k {
-                a.swap(col * k + c, p * k + c);
-            }
-            piv.swap(col, p);
-        }
-        if a[col * k + col].abs() < floor {
-            a[col * k + col] = if a[col * k + col] < 0.0 {
-                -floor
-            } else {
-                floor
-            };
-        }
-        let d = a[col * k + col];
-        for row in col + 1..k {
-            let f = a[row * k + col] / d;
-            a[row * k + col] = f;
-            for c in col + 1..k {
-                a[row * k + c] -= f * a[col * k + c];
-            }
-        }
-    }
-    let solve = |a: &[f64], piv: &[usize], b: &[f64]| -> Vec<f64> {
-        let mut y: Vec<f64> = piv.iter().map(|&p| b[p]).collect();
-        for row in 1..k {
-            for c in 0..row {
-                y[row] -= a[row * k + c] * y[c];
-            }
-        }
-        for row in (0..k).rev() {
-            for c in row + 1..k {
-                y[row] -= a[row * k + c] * y[c];
-            }
-            y[row] /= a[row * k + row];
-        }
-        y
-    };
-    let mut y = vec![1.0 / (k as f64).sqrt(); k];
-    for _ in 0..3 {
-        let z = solve(&a, &piv, &y);
-        let nz = l2_norm(&z);
-        if !(nz > 0.0 && nz.is_finite()) {
-            break;
-        }
-        y = z.into_iter().map(|v| v / nz).collect();
-    }
-    y
-}
-
-fn l2_norm(v: &[f64]) -> f64 {
-    v.iter().map(|a| a * a).sum::<f64>().sqrt()
-}
-
-fn normalize_l1(v: &mut [f64]) {
-    let total: f64 = v.iter().sum();
-    if total > 0.0 {
-        for a in v {
-            *a /= total;
-        }
-    }
+    (pi, GsOutcome::Exhausted)
 }
 
 #[cfg(test)]
@@ -880,52 +688,14 @@ mod tests {
         assert!((pi[1] - expected).abs() / expected < 1e-10);
     }
 
-    /// The Krylov kernel from a uniform start, as the stall fallback
-    /// runs it but with the whole sweep budget and no residual rescue.
-    fn krylov(c: &Ctmc) -> Vec<f64> {
-        let opts = SolverOptions::default();
-        let n = c.num_states();
-        krylov_from(c, &opts, vec![1.0 / n as f64; n], opts.max_sweeps)
-    }
-
-    /// Both sparse kernels agree with the dense path on the same chain.
+    /// The sparse path agrees with the dense path on the same chain.
     #[test]
     fn iterative_paths_match_dense() {
         let c = birth_death(0.3, 1.0, 9);
         let dense = steady_state(&c);
         let gs = steady_state_with(&c, &SolverOptions::default().with_dense_limit(0));
-        let kry = krylov(&c);
         for i in 0..c.num_states() {
             assert!((dense[i] - gs[i]).abs() < 1e-10, "GS state {i}");
-            assert!((dense[i] - kry[i]).abs() < 1e-9, "Krylov state {i}");
-        }
-    }
-
-    /// The Krylov kernel (with its Gauss–Seidel polish) resolves stiff
-    /// mass to full relative accuracy, like the plain sparse path.
-    #[test]
-    fn krylov_resolves_stiff_mass() {
-        let (l, m) = (1e-7, 0.1);
-        let c = Ctmc::new(vec![vec![(l, 1)], vec![(m, 0)]], vec![0, 1], 0).unwrap();
-        let pi = krylov(&c);
-        let expected = l / (l + m);
-        assert!((pi[1] - expected).abs() / expected < 1e-9, "{}", pi[1]);
-    }
-
-    /// Krylov handles a chain larger than its basis dimension (several
-    /// restarts) and still matches the dense answer.
-    #[test]
-    fn krylov_restarts_on_long_chain() {
-        let c = birth_death(0.9, 1.0, 120);
-        let dense = steady_state_with(&c, &SolverOptions::default().with_dense_limit(1000));
-        let kry = krylov(&c);
-        for i in 0..c.num_states() {
-            assert!(
-                (dense[i] - kry[i]).abs() < 1e-9,
-                "state {i}: {} vs {}",
-                dense[i],
-                kry[i]
-            );
         }
     }
 
@@ -941,57 +711,77 @@ mod tests {
         assert!((pi[1] - expected).abs() / expected < 1e-9);
     }
 
-    /// The sweep cap is honored without sacrificing the answer: a
-    /// one-sweep budget cannot converge, the residual gate notices, and
-    /// the small chain is rescued by the exact solver.
+    /// The sweep cap is honored without sacrificing the answer: a capped
+    /// run is never accepted, and the small chain is rescued by the exact
+    /// solver. One sweep leaves a large residual. Fifty sweeps on the
+    /// 7-state chain, all before the first stall check, leave a residual
+    /// of 3.7e-8, inside the 1e-7 gate, on an iterate still 2e-7 off:
+    /// only the missing tail-bound certificate rejects it.
     #[test]
-    fn sweep_cap_rescued_by_residual_gate() {
-        let c = birth_death(0.7, 1.0, 12);
-        let capped = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_max_sweeps(1),
-        );
-        let full = steady_state(&c);
-        for (i, (a, b)) in capped.iter().zip(&full).enumerate() {
-            assert!((a - b).abs() < 1e-12, "state {i}: {a} vs {b}");
+    fn capped_iterate_is_rescued_by_gth() {
+        for (k, sweeps) in [(12, 1), (6, 50)] {
+            let c = birth_death(0.7, 1.0, k);
+            let capped = steady_state_with(
+                &c,
+                &SolverOptions::default()
+                    .with_dense_limit(0)
+                    .with_max_sweeps(sweeps),
+            );
+            let exact = dense_solve(&c);
+            for (i, (a, b)) in capped.iter().zip(&exact).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{k}, {sweeps} sweeps, state {i}: {a:e} vs {b:e}"
+                );
+            }
         }
     }
 
-    /// Beyond the rescue limit an exhausted budget returns the current
-    /// (normalized, unconverged) iterate rather than spinning or paying
-    /// for a dense rescue.
+    /// A chain of 2,049 states on which Gauss–Seidel cannot certify
+    /// (its stationary mass spans over 300 decades) is rescued: the
+    /// answer is bitwise the GTH vector. With a rescue limit of 2,048
+    /// states, this chain answered an uncertified iterate.
     #[test]
-    fn sweep_cap_returns_iterate_beyond_rescue_limit() {
-        let c = birth_death(0.7, 1.0, EXACT_RESCUE_LIMIT);
-        let capped = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_max_sweeps(1),
-        );
-        let full = steady_state_with(
-            &c,
-            &SolverOptions::default()
-                .with_dense_limit(0)
-                .with_max_sweeps(200_000),
-        );
-        let diff: f64 = capped
-            .iter()
-            .zip(&full)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        assert!(diff > 1e-6, "one sweep should not already be converged");
-        let total: f64 = capped.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12, "iterate is still normalized");
+    fn stalled_chain_is_rescued_by_gth() {
+        let c = birth_death(0.7, 1.0, 2048);
+        let exact = dense_solve(&c);
+        let sparse = steady_state_with(&c, &SolverOptions::default().with_dense_limit(0));
+        for (i, (a, b)) in sparse.iter().zip(&exact).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "state {i}: {a:e} vs {b:e}");
+        }
+    }
+
+    /// Beyond the rescue limit an uncertified iterate is an error, not an
+    /// answer: one sweep cannot converge, and the solve unwinds with a
+    /// typed [`CtmcError::Uncertified`] payload naming the chain's size.
+    #[test]
+    fn sweep_cap_beyond_rescue_limit_is_uncertified() {
+        let c = birth_death(0.7, 1.0, RESCUE_LIMIT);
+        let payload = std::panic::catch_unwind(|| {
+            steady_state_with(
+                &c,
+                &SolverOptions::default()
+                    .with_dense_limit(0)
+                    .with_max_sweeps(1),
+            )
+        })
+        .expect_err("one sweep cannot certify the iterate");
+        match payload.downcast_ref::<CtmcError>() {
+            Some(&CtmcError::Uncertified { states, residual }) => {
+                assert_eq!(states, RESCUE_LIMIT + 1);
+                assert!(residual > 1e-7, "residual {residual:e}");
+            }
+            other => panic!("expected an Uncertified payload, got {other:?}"),
+        }
     }
 
     /// Regression: the nearly-decomposable 6-state chain (from fuzz seed
-    /// 9587389500486994162) on which the Gauss–Seidel → Krylov path
-    /// stagnated and declared a 1e-4-wrong answer converged. The
-    /// residual gate must reject the stagnated iterate and the GTH
-    /// kernel must agree with the iterative path to full tolerance.
+    /// 9587389500486994162) on which an earlier Gauss–Seidel stall
+    /// fallback stagnated and declared a 1e-4-wrong answer converged.
+    /// Only a certified iterate may be accepted — one that stalls or
+    /// exhausts its sweeps is not, even when its residual looks small —
+    /// so the sparse path must agree with GTH to full tolerance.
     #[test]
     fn nearly_decomposable_chain_is_rescued() {
         let (slow, fast) = (0.00134, 13.4);
@@ -1005,11 +795,8 @@ mod tests {
         ];
         let c = Ctmc::new(rows, vec![0, 0, 0, 0, 1, 1], 0).unwrap();
         let exact = dense_solve(&c);
-        assert!(
-            max_rel_residual(&c, &exact) < 1e-12,
-            "GTH residual {}",
-            max_rel_residual(&c, &exact)
-        );
+        let residual = max_rel_residual(&c, &c.incoming(), &exact);
+        assert!(residual < 1e-12, "GTH residual {residual}");
         let mut opts = SolverOptions::default().with_dense_limit(0);
         opts.tol = 1e-13;
         opts.max_sweeps = 50_000;

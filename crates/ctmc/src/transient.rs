@@ -180,7 +180,12 @@ use crate::chain::Ctmc;
 use crate::context::{MeasureContext, SolveCounters};
 use crate::expm::{dense_pays, DenseExp};
 use crate::poisson::{PoissonCache, PoissonWeights, MAX_LAMBDA};
-use crate::solver::{TransientOptions, UNIF_HEADROOM};
+use crate::solver::TransientOptions;
+
+/// Head-room factor applied to the maximum exit rate when uniformizing
+/// (`Λ = headroom · max exit`): the strict inequality keeps every state's
+/// self-loop probability positive, so the DTMC is aperiodic.
+const UNIF_HEADROOM: f64 = 1.02;
 
 /// The largest global `Λ·Δt` the exact and windowed engines advance in
 /// one sweep: `2^24`, whose Poisson window is about 74 k weights (0.6 MB).
@@ -1071,13 +1076,9 @@ type SweepOutcome = Result<bool, ()>;
 /// The uniformized DTMC `P = I + Q/Λ` in gather-friendly form: per-state
 /// self-loop probabilities (`stay = 1 − exit/Λ`) plus the transposed CSR
 /// adjacency with transition probabilities prescaled to `p = rate/Λ`
-/// (offsets / probabilities / sources as flat SoA arrays). Shared by the
-/// transient [`Stepper`] and the steady-state Krylov matvec so the two
-/// kernels cannot drift apart.
-pub(crate) fn prescaled_transpose(
-    ctmc: &Ctmc,
-    unif: f64,
-) -> (Vec<f64>, Vec<u32>, Vec<f64>, Vec<u32>) {
+/// (offsets / probabilities / sources as flat SoA arrays): the operator
+/// the exact engine's [`Stepper`] gathers with.
+fn prescaled_transpose(ctmc: &Ctmc, unif: f64) -> (Vec<f64>, Vec<u32>, Vec<f64>, Vec<u32>) {
     let n = ctmc.num_states();
     let stay: Vec<f64> = ctmc.exit_rates().iter().map(|&e| 1.0 - e / unif).collect();
     let incoming = ctmc.incoming();

@@ -7,9 +7,9 @@
 //! **cancellation flag**. Budgets are *cooperative*: long-running kernels
 //! poll [`Budget::check`] (or the ambient [`checkpoint`]) at safe
 //! boundaries — composition BFS chunks, refinement rounds, uniformization
-//! segments and sweeps, Gauss–Seidel sweeps and Krylov restarts, the
-//! pivots of the GTH elimination (steady states and mean times to
-//! absorption share these solvers) — and abort with a structured
+//! segments and sweeps, Gauss–Seidel sweeps, the pivots of the GTH
+//! elimination (steady states and mean times to absorption share these
+//! solvers) — and abort with a structured
 //! [`BudgetExceeded`] instead of wedging their thread.
 //!
 //! # Ambient propagation

@@ -6,6 +6,7 @@
 use arcade::analytic;
 use arcade::engine::{aggregate, EngineOptions};
 use arcade::model::SystemModel;
+use arcade::parser::parse_system;
 use arcade::prelude::*;
 use arcade::sim;
 use bisim::pipeline::Strategy;
@@ -227,4 +228,83 @@ fn branching_reduces_most() {
         .collect();
     assert!(sizes[0] <= sizes[1]);
     assert!(sizes[1] <= sizes[2]);
+}
+
+/// Fuzz draw of `fuzz_diff --smoke` (seed 0xF0DD), iteration 63, printed by
+/// `to_arcade_text(&gen_system(&mut SmallRng::seed_from_u64(
+/// 17268758816398539254), &GenConfig::engine()))`. Its availability chain
+/// is larger than the default `dense_limit`, and Gauss–Seidel stalls on it.
+const FUZZ_SMOKE_ITERATION_63: &str = "\
+# gen841
+
+COMPONENT: c0
+TIME-TO-FAILURES: exp(96600)
+FAILURE MODE PROBABILITIES: 0.4921875, 0.5078125
+TIME-TO-REPAIRS: hypo(900, 1800), erlang(3, 94)
+
+COMPONENT: c1
+OPERATIONAL MODES: (accessible, inaccessible)
+ACCESSIBLE-TO-INACCESSIBLE: c0.down
+TIME-TO-FAILURES: exp(0.668), exp(0.334)
+FAILURE MODE PROBABILITIES: 0.71875, 0.28125
+TIME-TO-REPAIRS: exp(0.000022499999999999998), hypo(0.00000418, 0.00000836)
+
+COMPONENT: c2
+TIME-TO-FAILURES: hypo(0.006200000000000001, 0.012400000000000001)
+FAILURE MODE PROBABILITIES: 0.0625, 0.9375
+TIME-TO-REPAIRS: erlang(3, 5.1000000000000005), exp(22700)
+
+COMPONENT: c3
+TIME-TO-FAILURES: exp(62.5)
+TIME-TO-REPAIRS: erlang(4, 0.661), exp(8.69)
+DESTRUCTIVE FDEP: c2.down
+
+COMPONENT: c4
+TIME-TO-FAILURES: hypo(0.307, 0.614)
+TIME-TO-REPAIRS: erlang(3, 726)
+
+REPAIR UNIT: ru0
+COMPONENTS: c0, c1, c2, c3
+REPAIR STRATEGY: PNP
+PRIORITIES: 3, 0, 3, 0
+
+REPAIR UNIT: ru1
+COMPONENTS: c4
+REPAIR STRATEGY: PNP
+PRIORITIES: 6
+
+SYSTEM DOWN: ((c3.down.df AND c1.down AND c0.down) AND c1.down.m2 AND (c3.down AND c2.down.m2 AND c2.down.m2 AND c4.down))
+";
+
+/// Regression: on fuzz iteration 63 the default options solve the steady
+/// state on the iterative path, where Gauss–Seidel stalls. The GTH rescue
+/// must answer it, bitwise the dense solve's value. A Krylov stall
+/// fallback answered 7.5460967154606e-6 here (5.2× too high) after tens
+/// of seconds.
+#[test]
+fn stalled_fuzz_draw_is_rescued_exactly() {
+    let def = parse_system(FUZZ_SMOKE_ITERATION_63).unwrap();
+    let states = aggregate(&SystemModel::build(&def).unwrap(), &EngineOptions::new())
+        .unwrap()
+        .ctmc
+        .num_states();
+    assert!(
+        states > EngineOptions::new().solver.dense_limit,
+        "{states} states"
+    );
+    let measure = Measure::SteadyStateUnavailability;
+    let default = Session::new(&def).unwrap().value(&measure).unwrap();
+    let mut dense = EngineOptions::new();
+    dense.solver.dense_limit = usize::MAX;
+    let exact = Session::new(&def)
+        .unwrap()
+        .with_options(dense)
+        .value(&measure)
+        .unwrap();
+    assert_eq!(
+        default.to_bits(),
+        exact.to_bits(),
+        "{default:e} vs {exact:e}"
+    );
+    assert_eq!(default, 1.4469669688238904e-6);
 }
