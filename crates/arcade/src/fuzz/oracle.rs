@@ -14,7 +14,10 @@
 //!   to equal that session's [`Session::evaluate`] bitwise: the re-rate
 //!   path (rate forms carried through aggregation, then
 //!   [`Ctmc::rerate`]) with zero tolerance, on the aggregations the
-//!   session already built.
+//!   session already built. At one seeded point off the base, the
+//!   transient measures of `evaluate_at` (solved on the configurations'
+//!   cached windowed operators, refilled at the point) must equal
+//!   [`rerated_reference`] bitwise.
 //! * [`OraclePair::AdaptiveTransient`] — whichever kernel the cost model
 //!   of [`ctmc::transient::select_kernel`] picks (dense scaling and
 //!   squaring, or windowed steady-state-aware uniformization) vs the
@@ -33,12 +36,16 @@
 //! for Monte Carlo, where the tolerance is derived from the estimate's
 //! own standard error.
 
-use ctmc::transient::{select_kernel, TransientKernel};
-use ctmc::{Ctmc, TransientOptions};
+use std::sync::Arc;
+
+use ctmc::measures::state_mass;
+use ctmc::transient::{select_kernel, transient_many_from_ctx, TransientKernel};
+use ctmc::{Ctmc, MeasureContext, TransientOptions};
+use smallrand::SmallRng;
 
 use crate::ast::SystemDef;
 use crate::build::observer::DOWN_BIT;
-use crate::engine::EngineOptions;
+use crate::engine::{Aggregation, EngineOptions};
 use crate::error::ArcadeError;
 use crate::modular::modular_analysis;
 use crate::query::{Measure, Session};
@@ -253,6 +260,96 @@ fn bases(def: &SystemDef) -> Vec<f64> {
     def.params.iter().map(|p| p.base).collect()
 }
 
+/// One point off the declared base of a parametric definition, seeded:
+/// every parameter at `0.5×` to `2×` its base.
+fn off_base_point(def: &SystemDef, seed: u64) -> Vec<f64> {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x0FF_BA5E);
+    bases(def)
+        .iter()
+        .map(|b| b * (2.0 * rng.next_f64() - 1.0).exp2())
+        .collect()
+}
+
+/// The transient measures of `measures` at the full parameter vector
+/// `point`, computed the reference way, through the chain API alone:
+/// the aggregated chain of each configuration `session` has built,
+/// re-rated with [`Ctmc::rerate`], its absorbing-down copy
+/// ([`Ctmc::make_absorbing`]) for the first-passage kinds, one
+/// [`transient_many_from_ctx`] per (configuration, kind) over that
+/// kind's times in batch order, and the down mass of each distribution.
+/// [`Session::evaluate_at`] and [`Session::sweep`], run with the
+/// transient options `opts`, answer these bit for bit.
+///
+/// # Errors
+///
+/// Propagates aggregation errors and a re-rate error at `point`.
+///
+/// # Panics
+///
+/// Panics on a measure other than point (un)availability,
+/// (un)reliability and unreliability with repair.
+pub fn rerated_reference(
+    session: &Session,
+    measures: &[Measure],
+    point: &[f64],
+    opts: &TransientOptions,
+) -> Result<Vec<f64>, ArcadeError> {
+    // The down mass over `ts` on one configuration's chain (or its
+    // absorbing-down copy) at the point.
+    let solve = |config: fn(&Session) -> Result<Arc<Aggregation>, ArcadeError>,
+                 absorbing: bool,
+                 kind: fn(&Measure) -> Option<f64>|
+     -> Result<std::vec::IntoIter<f64>, ArcadeError> {
+        let ts: Vec<f64> = measures.iter().filter_map(kind).collect();
+        if ts.is_empty() {
+            return Ok(Vec::new().into_iter());
+        }
+        let chain = config(session)?.ctmc.rerate(point)?;
+        let down: Vec<u32> = chain.states_with_label(DOWN_BIT).collect();
+        if absorbing && down.is_empty() {
+            return Ok(vec![0.0; ts.len()].into_iter());
+        }
+        let chain = if absorbing {
+            chain.make_absorbing(down.iter().copied())
+        } else {
+            chain
+        };
+        let pis = transient_many_from_ctx(
+            &chain,
+            &chain.initial_distribution(),
+            &ts,
+            opts,
+            &MeasureContext::new(),
+        );
+        let masses: Vec<f64> = pis.iter().map(|pi| state_mass(&down, pi)).collect();
+        Ok(masses.into_iter())
+    };
+    let mut unavail = solve(Session::availability_model, false, |m| match m {
+        Measure::PointAvailability(t) | Measure::PointUnavailability(t) => Some(*t),
+        _ => None,
+    })?;
+    let mut repair = solve(Session::availability_model, true, |m| match m {
+        Measure::UnreliabilityWithRepair(t) => Some(*t),
+        _ => None,
+    })?;
+    let mut norepair = solve(Session::reliability_model, true, |m| match m {
+        Measure::Reliability(t) | Measure::Unreliability(t) => Some(*t),
+        _ => None,
+    })?;
+    let values = measures.iter().map(|m| {
+        let value = match m {
+            Measure::PointAvailability(_) => unavail.next().map(|x| 1.0 - x),
+            Measure::PointUnavailability(_) => unavail.next(),
+            Measure::UnreliabilityWithRepair(_) => repair.next(),
+            Measure::Reliability(_) => norepair.next().map(|x| 1.0 - x),
+            Measure::Unreliability(_) => norepair.next(),
+            other => panic!("{other:?} is not a transient measure"),
+        };
+        value.expect("one value per measure")
+    });
+    Ok(values.collect())
+}
+
 /// The concrete model an oracle run analyzes: parametric definitions are
 /// pinned at their declared base point.
 fn concretize(def: &SystemDef) -> SystemDef {
@@ -268,9 +365,11 @@ fn concretize(def: &SystemDef) -> SystemDef {
 /// compared.
 ///
 /// `seed` only affects [`OraclePair::MonteCarlo`] (the simulation
-/// stream); the exact pairs ignore it. Parametric definitions are
-/// evaluated at their base point; the modular pair's session keeps the
-/// parameters and checks its re-rate path there (see the module docs).
+/// stream) and the off-base point of the modular pair's parametric check;
+/// the other exact pairs ignore it. Parametric definitions are evaluated
+/// at their base point; the modular pair's session keeps the parameters
+/// and checks its re-rate path there and at the off-base point (see the
+/// module docs).
 ///
 /// # Errors
 ///
@@ -308,11 +407,22 @@ pub fn check_pair(def: &SystemDef, pair: OraclePair, seed: u64) -> Result<PairCh
                 // Re-rating at the base point must reproduce the memoized
                 // answers to the bit.
                 let at_base = session.evaluate_at(&measures, &bases(p))?;
-                for ((name, &a), &b) in names.iter().zip(&values).zip(&at_base) {
+                let point = off_base_point(p, seed);
+                let transient = &measures[1..];
+                let at_point = session.evaluate_at(transient, &point)?;
+                let opts = base_opts().solver.transient;
+                let reference = rerated_reference(&session, transient, &point, &opts)?;
+                let base_pairs = names.iter().zip(&values).zip(&at_base);
+                let base_pairs = base_pairs
+                    .map(|((n, &a), &b)| (format!("{n} re-rated at the base point"), a, b));
+                let off_pairs = names[1..].iter().zip(&at_point).zip(&reference);
+                let off_pairs = off_pairs
+                    .map(|((n, &a), &b)| (format!("{n} at the off-base point {point:?}"), a, b));
+                for (measure, a, b) in base_pairs.chain(off_pairs) {
                     if a.to_bits() != b.to_bits() {
                         out.push(Disagreement {
                             pair,
-                            measure: format!("{name} re-rated at the base point"),
+                            measure,
                             primary: a,
                             oracle: b,
                             tolerance: 0.0,
@@ -478,6 +588,40 @@ mod tests {
         let def = crate::cases::dds_scaled_parametric(3);
         let checked = check_pair(&def, OraclePair::Modular, 0).expect("oracle runs");
         assert!(checked.disagreements.is_empty(), "{checked:?}");
+    }
+
+    /// The modular pair also solves each parametric draw at one seeded
+    /// point off its base: there `evaluate_at` steps on the refilled
+    /// windowed operators, and its transient measures must equal the
+    /// re-rate reference path bit for bit, while differing from the base
+    /// answers.
+    #[test]
+    fn modular_pair_checks_an_off_base_point_bitwise() {
+        let mut def = two_comp();
+        def.add_param("lambda", 0.02);
+        let measures = [
+            Measure::PointUnavailability(50.0),
+            Measure::Unreliability(50.0),
+            Measure::UnreliabilityWithRepair(50.0),
+        ];
+        let opts = base_opts().solver.transient;
+        for seed in [1, 2, 3] {
+            let point = off_base_point(&def, seed);
+            assert_ne!(point, bases(&def));
+            let session = Session::new(&def)
+                .expect("session")
+                .with_options(base_opts());
+            let at = session.evaluate_at(&measures, &point).expect("evaluate_at");
+            let reference =
+                rerated_reference(&session, &measures, &point, &opts).expect("reference");
+            let base = session.evaluate(&measures).expect("evaluate");
+            for ((a, b), c) in at.iter().zip(&reference).zip(&base) {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: {a:e} vs {b:e}");
+                assert_ne!(a, c, "seed {seed}: the point must move the answer");
+            }
+            let checked = check_pair(&def, OraclePair::Modular, seed).expect("oracle runs");
+            assert!(checked.disagreements.is_empty(), "{checked:?}");
+        }
     }
 
     /// The transient pair labels each compared measure with the kernel

@@ -6,6 +6,7 @@ use std::collections::{HashMap, HashSet};
 use ioimc::{ActionId, Alphabet, IoImc};
 
 use crate::ast::{OmGroup, RepairStrategy, SystemDef};
+use crate::dist::Dist;
 use crate::error::ArcadeError;
 use crate::expr::{Expr, Literal, ModeRef};
 
@@ -270,8 +271,25 @@ impl SystemModel {
     }
 }
 
+/// The most phases one distribution may have: the component, repair-unit
+/// and SMU automata index a phase in a `u8`.
+const MAX_PHASES: usize = 256;
+/// The most failure modes a component may have, its destructive FDEP mode
+/// included: the component and repair-unit automata index a mode in a
+/// `u8`.
+const MAX_MODES: usize = 256;
+/// The most components one repair unit may serve: its automaton indexes
+/// them in a `u8`.
+const MAX_UNIT_COMPONENTS: usize = 256;
+/// The most spares one SMU may manage: its automaton keeps the primary's
+/// and every spare's announced-down bit in one `u32`.
+const MAX_SPARES: usize = 31;
+
 /// Static validation of a [`SystemDef`] (name uniqueness, arities,
-/// cross-references, SMU/RU constraints).
+/// cross-references, SMU/RU constraints, and the sizes the automata
+/// index: at most 256 phases per distribution, 256 failure modes per
+/// component, 256 components per repair unit and 31 spares per SMU).
+/// It reads only the definition, so a model it rejects allocates nothing.
 pub fn validate(def: &SystemDef) -> Result<(), ArcadeError> {
     // Rate parameters: unique names, positive finite bases, and pairwise
     // distinct base bits (a base shared between two parameters would make
@@ -314,6 +332,21 @@ pub fn validate(def: &SystemDef) -> Result<(), ArcadeError> {
                 bc.name
             )));
         }
+        let dists = bc.ttf.iter().chain(&bc.ttr).chain(&bc.ttr_df);
+        if let Some(phases) = dists.map(Dist::num_phases).find(|&k| k > MAX_PHASES) {
+            return Err(ArcadeError::invalid(format!(
+                "component `{}`: a distribution with {phases} phases (at most {MAX_PHASES})",
+                bc.name
+            )));
+        }
+        let modes = bc.failure_mode_probs.len() + usize::from(bc.df.is_some());
+        if modes > MAX_MODES {
+            return Err(ArcadeError::invalid(format!(
+                "component `{}`: {modes} failure modes, the destructive one included \
+                 (at most {MAX_MODES})",
+                bc.name
+            )));
+        }
         if bc.ttf.len() != bc.num_operational_states() {
             return Err(ArcadeError::invalid(format!(
                 "component `{}`: {} operational states but {} time-to-failure distributions",
@@ -325,7 +358,7 @@ pub fn validate(def: &SystemDef) -> Result<(), ArcadeError> {
         let phase_counts: HashSet<usize> = bc
             .ttf
             .iter()
-            .filter(|d| !matches!(d, crate::dist::Dist::Never))
+            .filter(|d| !matches!(d, Dist::Never))
             .map(|d| d.num_phases())
             .collect();
         if phase_counts.len() > 1 {
@@ -461,6 +494,13 @@ pub fn validate(def: &SystemDef) -> Result<(), ArcadeError> {
                 ru.name
             )));
         }
+        if ru.components.len() > MAX_UNIT_COMPONENTS {
+            return Err(ArcadeError::invalid(format!(
+                "repair unit `{}` serves {} components (at most {MAX_UNIT_COMPONENTS})",
+                ru.name,
+                ru.components.len()
+            )));
+        }
         if ru.strategy == RepairStrategy::Dedicated && ru.components.len() != 1 {
             return Err(ArcadeError::invalid(format!(
                 "dedicated repair unit `{}` must serve exactly one component",
@@ -529,6 +569,21 @@ pub fn validate(def: &SystemDef) -> Result<(), ArcadeError> {
                 smu.name
             )));
         }
+        if smu.spares.len() > MAX_SPARES {
+            return Err(ArcadeError::invalid(format!(
+                "SMU `{}` manages {} spares (at most {MAX_SPARES})",
+                smu.name,
+                smu.spares.len()
+            )));
+        }
+        if let Some(phases) = smu.failover.as_ref().map(Dist::num_phases) {
+            if phases > MAX_PHASES {
+                return Err(ArcadeError::invalid(format!(
+                    "SMU `{}`: a failover distribution with {phases} phases (at most {MAX_PHASES})",
+                    smu.name
+                )));
+            }
+        }
         for sp in &smu.spares {
             let spare = def.component(sp).ok_or_else(|| {
                 ArcadeError::invalid(format!(
@@ -592,7 +647,6 @@ fn check_kofn(owner: &str, e: &Expr) -> Result<(), ArcadeError> {
 mod tests {
     use super::*;
     use crate::ast::{BcDef, RuDef, SmuDef};
-    use crate::dist::Dist;
 
     fn simple_def() -> SystemDef {
         let mut def = SystemDef::new("t");
@@ -678,6 +732,80 @@ mod tests {
         def.add_smu(SmuDef::new("m", "a", ["b"]));
         // b has no active/inactive group
         assert!(validate(&def).is_err());
+    }
+
+    /// The sizes the automata index in a `u8` (phases, failure modes,
+    /// components per repair unit) or a `u32` bit set (SMU members) are
+    /// capped by name, before anything is built: beyond them an index
+    /// would wrap, and a 2^32 − 1 phase count would size a 32 GiB rate
+    /// vector.
+    #[test]
+    fn sizes_past_the_automata_indices_are_invalid() {
+        let erlang = |k: u32| {
+            let mut def = SystemDef::new("t");
+            def.add_component(BcDef::new("a", Dist::erlang(k, 1.0), Dist::exp(1.0)));
+            def.add_repair_unit(RuDef::new("r", ["a"], RepairStrategy::Dedicated));
+            def.set_system_down(Expr::down("a"));
+            def
+        };
+        let invalid = |def: &SystemDef, needle: &str| match validate(def) {
+            Err(ArcadeError::Invalid(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected Invalid naming {needle}, got {other:?}"),
+        };
+        assert!(validate(&erlang(256)).is_ok());
+        for k in [257, 300, u32::MAX] {
+            invalid(
+                &erlang(k),
+                &format!("component `a`: a distribution with {k} phases"),
+            );
+        }
+        let mut def = simple_def();
+        def.components[0].ttr = vec![Dist::exp(1.0), Dist::erlang(257, 2.0)];
+        def.components[0].failure_mode_probs = vec![0.5, 0.5];
+        invalid(&def, "component `a`: a distribution with 257");
+        let mut def = simple_def();
+        def.components[0].failure_mode_probs = vec![1.0 / 256.0; 256];
+        def.components[0].ttr = vec![Dist::exp(1.0); 256];
+        assert!(validate(&def).is_ok());
+        def.components[0] = def.components[0]
+            .clone()
+            .with_df(Expr::down("b"), Dist::exp(1.0));
+        invalid(&def, "component `a`: 257 failure modes");
+
+        let names: Vec<String> = (0..257).map(|i| format!("c{i}")).collect();
+        let mut def = SystemDef::new("t");
+        for n in &names {
+            def.add_component(BcDef::new(n.as_str(), Dist::exp(0.1), Dist::exp(1.0)));
+        }
+        def.set_system_down(Expr::down("c0"));
+        def.add_repair_unit(RuDef::new(
+            "r",
+            names.iter().map(String::as_str),
+            RepairStrategy::Fcfs,
+        ));
+        invalid(&def, "repair unit `r` serves 257 components");
+        def.repair_units[0].components.pop();
+        assert!(validate(&def).is_ok());
+
+        let mut def = SystemDef::new("t");
+        for n in &names[..33] {
+            let spare = BcDef::new(n.as_str(), Dist::exp(0.1), Dist::exp(1.0))
+                .with_om_group(OmGroup::ActiveInactive)
+                .with_ttf([Dist::Never, Dist::exp(0.1)]);
+            def.add_component(spare);
+        }
+        def.components[0] = BcDef::new("c0", Dist::exp(0.1), Dist::exp(1.0));
+        def.set_system_down(Expr::down("c0"));
+        def.add_smu(SmuDef::new(
+            "m",
+            "c0",
+            names[1..33].iter().map(String::as_str),
+        ));
+        invalid(&def, "SMU `m` manages 32 spares");
+        def.smus[0].spares.pop();
+        assert!(validate(&def).is_ok());
+        def.smus[0].failover = Some(Dist::erlang(257, 1.0));
+        invalid(&def, "SMU `m`: a failover distribution with 257 phases");
     }
 
     #[test]

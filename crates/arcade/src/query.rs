@@ -27,7 +27,10 @@
 //!
 //! Within a configuration, the steady-state vector, the down-state list,
 //! the absorbing-down chain (the third, derived "absorbing-down"
-//! configuration) and the MTTF are each computed at most once. A batch
+//! configuration), the MTTF and the windowed transient operators of the
+//! aggregated chain and of its absorbing-down copy
+//! ([`ctmc::transient::WindowedOperator`]) are each computed at most
+//! once. A batch
 //! [`Session::evaluate`] call groups the grid-friendly measure kinds —
 //! point (un)availability, (un)reliability and first-passage
 //! unreliability — so each (configuration, kind) pair costs **one**
@@ -88,14 +91,17 @@
 //! # Ok::<(), arcade::ArcadeError>(())
 //! ```
 
+use std::cell::OnceCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ctmc::csl::StateFormula;
 use ctmc::measures::state_mass as mass;
-use ctmc::transient::transient_many_from_ctx;
-use ctmc::{Ctmc, MeasureContext};
+use ctmc::transient::{
+    select_kernel, transient_many_from_ctx, transient_many_on, TransientKernel, WindowedOperator,
+};
+use ctmc::{Ctmc, CtmcError, MeasureContext};
 use ioimc::budget::{self, Budget, BudgetExceeded};
 
 use crate::ast::SystemDef;
@@ -311,6 +317,16 @@ pub struct SweepResult {
 
 /// Per-configuration memo: the aggregation and everything derived from it.
 ///
+/// Besides the aggregation it holds the steady-state vector, the down
+/// states, the absorbing-down copy of the aggregated chain, the MTTF, and
+/// the windowed transient operator of each chain solved from its initial
+/// state (the aggregated chain and the absorbing copy), built the first
+/// time the cost model sends a solve of that chain to the windowed engine
+/// (or a sweep point needs it). Each operator holds about 16 MB for an
+/// 83,808-state, 1.09 M-transition chain (`12·nnz + 32·n` bytes), plus
+/// 4.4 MB of slot form ids when the chain is parametric; the cache dies
+/// with its session.
+///
 /// A `Session` shared behind an [`Arc`] can be queried from many threads
 /// at once: the first thread to need an artifact builds it while every
 /// concurrent requester **blocks on the same cell** — N simultaneous cold
@@ -339,6 +355,10 @@ struct ConfigCache {
     down: OnceLock<Arc<[u32]>>,
     absorbing: OnceLock<Ctmc>,
     mttf: OnceLock<f64>,
+    /// The windowed operator of the aggregated chain.
+    operator: OnceLock<WindowedOperator>,
+    /// The windowed operator of `absorbing`.
+    absorbing_operator: OnceLock<WindowedOperator>,
 }
 
 /// Which model configuration a measure needs.
@@ -669,11 +689,17 @@ impl Session {
 
     /// Evaluates a measure batch at one parameter point of a parametric
     /// model (one declared via [`SystemDef::add_param`]): the base
-    /// aggregation is built (or reused) **once**, its quotient CTMC is
-    /// re-rated to `values` ([`Ctmc::rerate`]: same CSR layout, each node
-    /// of the chain's rate-form table evaluated once and the Markovian
-    /// rates gathered from it) and the measures are solved on the
-    /// re-rated chain. No re-composition, no re-refinement.
+    /// aggregation is built (or reused) **once**, and each node of its
+    /// quotient's rate-form table is evaluated once at `values`. A
+    /// transient measure the cost model sends to the windowed engine
+    /// solves on the configuration's cached windowed operator, its rates
+    /// refilled from the node values
+    /// ([`WindowedOperator::refill`](ctmc::transient::WindowedOperator::refill));
+    /// the other measures (steady state, MTTF, interval availability,
+    /// bounded until) and solves on the dense or exact kernel run on the
+    /// quotient re-rated to `values` ([`Ctmc::rerate`]: same CSR layout,
+    /// the Markovian rates gathered from the node values), built only
+    /// when one of them needs it. No re-composition, no re-refinement.
     ///
     /// `values` gives one value per **declared** parameter, in declaration
     /// order (positive, finite). Evaluating at the declared base values
@@ -681,7 +707,9 @@ impl Session {
     /// exact sums the aggregation computed (see [`ioimc::form`]), so
     /// re-rating at the base recovers every aggregated rate and exit rate
     /// bit for bit, and the solver path is the same. Away from the base,
-    /// a lumped rate is summed in the same grouping as at the base.
+    /// a lumped rate is summed in the same grouping as at the base, and a
+    /// refilled operator answers bitwise what a solve of the re-rated
+    /// chain answers.
     ///
     /// # Errors
     ///
@@ -701,9 +729,11 @@ impl Session {
 
     /// Evaluates a measure batch over a whole [`ParamGrid`]: each needed
     /// configuration is aggregated **once** (at the declared base values),
-    /// then every grid point re-rates the cached quotient
-    /// ([`Ctmc::rerate`], a gather from one evaluation per distinct form
-    /// node) and solves —
+    /// and its windowed transient operators are ordered and transposed
+    /// once; every grid point then evaluates the quotient's form nodes and
+    /// solves as [`Session::evaluate_at`] does — a windowed transient
+    /// solve refills the cached operator's rates, anything else re-rates
+    /// the quotient ([`Ctmc::rerate`]) —
     /// points fan out over worker threads
     /// ([`EngineOptions::with_threads`](crate::engine::EngineOptions)),
     /// and every per-point row is bitwise identical to a fresh session's
@@ -711,10 +741,12 @@ impl Session {
     /// by exactly the code the serial path runs). Finite-difference
     /// sensitivities come with cartesian grids ([`SweepResult`]).
     ///
-    /// Per-point scratch artifacts (steady vectors, absorbing transforms)
-    /// are not recorded in [`SessionStats::steady_solves`] /
-    /// [`SessionStats::absorbing_built`]; the solver work itself shows up
-    /// in [`SessionStats::dtmc_steps`] / [`SessionStats::sweeps`], and
+    /// Per-point scratch artifacts (refilled operators, re-rated chains,
+    /// steady vectors, absorbing transforms) are not recorded in
+    /// [`SessionStats::steady_solves`] / [`SessionStats::absorbing_built`]
+    /// (the configuration's own absorbing-down copy, whose operator the
+    /// first-passage points refill, counts once); the solver work itself
+    /// shows up in [`SessionStats::dtmc_steps`] / [`SessionStats::sweeps`], and
     /// [`SessionStats::aggregations_built`] stays at one per needed
     /// configuration no matter how many points the grid has.
     ///
@@ -818,9 +850,10 @@ impl Session {
 
     /// The one batch evaluator: [`Session::evaluate`] runs it on the
     /// memoized configurations (`point` is `None`), [`Session::evaluate_at`]
-    /// and [`Session::sweep`] on the cached quotients re-rated to a full
-    /// parameter vector. It gathers one time grid per (configuration,
-    /// kind), runs one transient solve per grid, and reads the results
+    /// and [`Session::sweep`] on the cached quotients at a full parameter
+    /// vector (refilled operators, or re-rated chains). It gathers one
+    /// time grid per (configuration, kind), runs one transient solve per
+    /// grid, and reads the results
     /// out in measure order. Both chain sources run the same arithmetic,
     /// so a point at the declared base values reproduces the memoized
     /// path bitwise.
@@ -898,31 +931,41 @@ impl Session {
         Ok(out)
     }
 
-    /// The chain [`Session::run_batch`] solves for `cfg`: the memoized
-    /// aggregation, or its quotient re-rated to the full parameter vector
-    /// `point`.
+    /// What [`Session::run_batch`] reads of `cfg`: the memoized
+    /// aggregation, at its own rates or at the full parameter vector
+    /// `point`. A point evaluates the chain's rate-form table once and
+    /// rejects it, as [`Ctmc::rerate`] would, when a transition reads a
+    /// rate that is not positive and finite.
     fn view(&self, cfg: Config, point: Option<&[f64]>) -> Result<View<'_>, ArcadeError> {
         let agg = self.aggregation(cfg)?;
-        let (rerated, down) = match point {
-            None => {
-                let down = self
-                    .cache(cfg)
-                    .down
-                    .get_or_init(|| agg.ctmc.states_with_label(DOWN_BIT).collect());
-                (None, Arc::clone(down))
-            }
-            Some(full) => {
-                let chain = agg.ctmc.rerate(full)?;
-                let down = chain.states_with_label(DOWN_BIT).collect();
-                (Some(chain), down)
+        let point = match point {
+            None => None,
+            Some(values) => {
+                let forms = agg.ctmc.forms().ok_or(CtmcError::NotParametric)?;
+                let nodes = forms.table.eval_all(values);
+                let rerated = OnceCell::new();
+                if !nodes.iter().all(|&r| r.is_finite() && r > 0.0) {
+                    // `rerate` names the first transition, in row order,
+                    // that reads a bad node (or finds that none does).
+                    let _ = rerated.set(agg.ctmc.rerate(values)?);
+                }
+                Some(Point {
+                    values: values.to_vec(),
+                    nodes,
+                    rerated,
+                })
             }
         };
+        let down = self
+            .cache(cfg)
+            .down
+            .get_or_init(|| agg.ctmc.states_with_label(DOWN_BIT).collect());
         Ok(View {
             session: self,
             cfg,
+            down: Arc::clone(down),
             agg,
-            rerated,
-            down,
+            point,
         })
     }
 }
@@ -1006,43 +1049,86 @@ impl Grids {
 /// the memoized aggregation, whose derived artifacts live in the
 /// session's [`ConfigCache`] (each built once, counted in
 /// [`SessionStats`], behind the `session.solve` failpoint), or one sweep
-/// point's re-rated copy, whose derived artifacts are uncounted per-point
-/// scratch.
+/// point of it, whose derived artifacts are uncounted per-point scratch.
 struct View<'s> {
     session: &'s Session,
     cfg: Config,
     agg: Arc<Aggregation>,
-    /// A sweep point's re-rated chain; `None` on the memoized path.
-    rerated: Option<Ctmc>,
+    /// A sweep point; `None` on the memoized path.
+    point: Option<Point>,
     down: Arc<[u32]>,
+}
+
+/// One sweep point of a configuration's aggregated chain.
+struct Point {
+    /// The full parameter vector.
+    values: Vec<f64>,
+    /// The value of every node of the chain's rate-form table.
+    nodes: Vec<f64>,
+    /// The chain re-rated to the point, built when a solve needs the
+    /// chain itself rather than its windowed operator.
+    rerated: OnceCell<Ctmc>,
 }
 
 impl View<'_> {
     fn chain(&self) -> &Ctmc {
-        self.rerated.as_ref().unwrap_or(&self.agg.ctmc)
+        match &self.point {
+            None => &self.agg.ctmc,
+            Some(p) => p.rerated.get_or_init(|| {
+                self.agg
+                    .ctmc
+                    .rerate(&p.values)
+                    .expect("the point's rates were checked when it was viewed")
+            }),
+        }
     }
 
     /// The configuration's memo cells, on the memoized path only.
     fn memo(&self) -> Option<&ConfigCache> {
-        self.rerated.is_none().then(|| self.session.cache(self.cfg))
+        self.point.is_none().then(|| self.session.cache(self.cfg))
     }
 
-    /// The probability mass on the down states at each time of `ts`: one
-    /// batched transient solve of `chain` from its initial state (kernel
-    /// and detection per [`EngineOptions::solver`], Poisson weights from
-    /// the session memo).
-    fn down_mass(&self, chain: &Ctmc, ts: &[f64]) -> Vec<f64> {
+    /// The memoized absorbing-down transform of the aggregated chain.
+    fn absorbing(&self) -> &Ctmc {
+        self.session.cache(self.cfg).absorbing.get_or_init(|| {
+            self.session.absorbing_built.fetch_add(1, Ordering::Relaxed);
+            self.agg.ctmc.make_absorbing(self.down.iter().copied())
+        })
+    }
+
+    /// The probability mass on the down states at each time of `ts`, from
+    /// the initial state of the chain or, with `absorbing`, of its
+    /// absorbing-down transform: one batched transient solve (kernel and
+    /// detection per [`EngineOptions::solver`], Poisson weights from the
+    /// session memo). A windowed solve steps on the configuration's cached
+    /// operator, refilled at a sweep point; when the cost model picks
+    /// another kernel, the chain itself is solved (re-rated at a point).
+    fn down_mass(&self, absorbing: bool, ts: &[f64]) -> Vec<f64> {
         let s = self.session;
-        transient_many_from_ctx(
-            chain,
-            &chain.initial_distribution(),
-            ts,
-            &s.opts.solver.transient,
-            &s.ctx,
-        )
-        .iter()
-        .map(|pi| mass(&self.down, pi))
-        .collect()
+        let (opts, ctx) = (&s.opts.solver.transient, &s.ctx);
+        let cache = s.cache(self.cfg);
+        let (base, cell) = if absorbing {
+            (self.absorbing(), &cache.absorbing_operator)
+        } else {
+            (&self.agg.ctmc, &cache.operator)
+        };
+        let operator = || cell.get_or_init(|| WindowedOperator::new(base));
+        let windowed = match &self.point {
+            None => (select_kernel(base, ts, opts) == TransientKernel::Windowed)
+                .then(|| transient_many_on(operator(), ts, opts, ctx))
+                .flatten(),
+            Some(p) => transient_many_on(&operator().refill(base, &p.nodes), ts, opts, ctx),
+        };
+        let pis = windowed.unwrap_or_else(|| {
+            let solve =
+                |c: &Ctmc| transient_many_from_ctx(c, &c.initial_distribution(), ts, opts, ctx);
+            match (&self.point, absorbing) {
+                (None, _) => solve(base),
+                (Some(_), false) => solve(self.chain()),
+                (Some(_), true) => solve(&self.chain().make_absorbing(self.down.iter().copied())),
+            }
+        });
+        pis.iter().map(|pi| mass(&self.down, pi)).collect()
     }
 
     /// Point unavailabilities over a grid.
@@ -1053,26 +1139,16 @@ impl View<'_> {
         if self.memo().is_some() {
             chaos::failpoint("session.solve");
         }
-        self.down_mass(self.chain(), ts)
+        self.down_mass(false, ts)
     }
 
-    /// First-passage probabilities over a grid: the absorbing-down
-    /// transform of the chain, then one batched solve.
+    /// First-passage probabilities over a grid: one batched solve of the
+    /// absorbing-down transform of the chain.
     fn first_passage(&self, ts: &[f64]) -> Vec<f64> {
         if ts.is_empty() || self.down.is_empty() {
             return vec![0.0; ts.len()];
         }
-        let absorb = || self.chain().make_absorbing(self.down.iter().copied());
-        match self.memo() {
-            Some(cache) => {
-                let absorbing = cache.absorbing.get_or_init(|| {
-                    self.session.absorbing_built.fetch_add(1, Ordering::Relaxed);
-                    absorb()
-                });
-                self.down_mass(absorbing, ts)
-            }
-            None => self.down_mass(&absorb(), ts),
-        }
+        self.down_mass(true, ts)
     }
 
     /// The long-run probability of being down.
@@ -1603,6 +1679,29 @@ mod tests {
         }
         assert!(session.value(&Measure::PointUnavailability(1.0)).is_ok());
         assert_eq!(session.stats().steady_solves, 0);
+    }
+
+    /// An Erlang lifetime of 256 phases is the longest a component
+    /// automaton indexes: with dedicated repair it aggregates to 257
+    /// states. Longer ones, whose phase index would wrap, are refused
+    /// before anything is built.
+    #[test]
+    fn erlang_phases_past_256_are_invalid() {
+        let single = |k: u32| {
+            let mut def = SystemDef::new("long_erlang");
+            def.add_component(BcDef::new("a", Dist::erlang(k, 1.0), Dist::exp(1.0)));
+            def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+            def.set_system_down(Expr::down("a"));
+            def
+        };
+        let session = Session::new(&single(256)).unwrap();
+        assert_eq!(session.availability_model().unwrap().ctmc.num_states(), 257);
+        for k in [257, 300, u32::MAX] {
+            match Session::new(&single(k)) {
+                Err(ArcadeError::Invalid(msg)) => assert!(msg.contains("component `a`"), "{msg}"),
+                other => panic!("erlang({k}): expected Invalid, got {other:?}"),
+            }
+        }
     }
 
     #[test]

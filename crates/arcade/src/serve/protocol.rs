@@ -62,8 +62,10 @@
 //! parameter grid over a **parametric** model (one whose definition
 //! declares rate parameters, e.g. the built-ins `dds_parametric` /
 //! `dds_scaled_parametric(n)` / `rcs_scaled_parametric(k)`). The model is
-//! aggregated once; every point re-rates the cached quotient CTMC and
-//! solves (see [`crate::query::Session::sweep`]). The grid comes in one of
+//! aggregated once and its windowed transient operators are built once;
+//! every point refills their rates (or re-rates the cached quotient CTMC
+//! where a solve needs the chain) and solves (see
+//! [`crate::query::Session::sweep`]). The grid comes in one of
 //! two forms:
 //!
 //! * **cartesian** — `"params"` is an array of

@@ -499,6 +499,43 @@ fn max_states_caps_a_loaded_combinatorial_model() {
     handle.join();
 }
 
+/// A wire `load` of a component whose Erlang lifetime has 2^32 − 1
+/// phases is refused by validation, before anything is sized by the
+/// phase count, with a structured `model_error`; the daemon keeps
+/// serving.
+#[test]
+fn oversized_phase_counts_are_refused_on_load() {
+    let (handle, addr) = test_server();
+    let source = "
+COMPONENT: a
+TIME-TO-FAILURE: erlang(4294967295, 1)
+TIME-TO-REPAIR: exp(1)
+
+SYSTEM DOWN: a.down
+";
+    let load = Json::obj([
+        ("cmd", Json::str("load")),
+        ("name", Json::str("long_erlang")),
+        ("source", Json::str(source)),
+    ]);
+    let mut client = Client::connect(&addr).expect("connect");
+    let e = client
+        .expect_ok(&load)
+        .expect_err("the load must be refused");
+    assert_eq!(e.code, "model_error", "{e}");
+    assert!(e.to_string().contains("4294967295 phases"), "{e}");
+    let ok = client
+        .expect_ok(&Json::obj([
+            ("model", Json::str("dds")),
+            ("measures", Json::Arr(vec![Json::str("unavailability")])),
+            ("times", Json::Arr(vec![Json::Num(10.0)])),
+        ]))
+        .expect("the daemon keeps serving");
+    assert_eq!(Client::values(&ok).expect("values").len(), 1);
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn shutdown_command_stops_the_server() {
     let (handle, addr) = test_server();

@@ -7,11 +7,16 @@
 //! re-rating at the declared base values must reproduce the aggregated
 //! chains and the memoized answers to the bit.
 
+use arcade::ast::{BcDef, RepairStrategy, RuDef, SystemDef};
 use arcade::cases::{dds_parametric, dds_scaled_parametric, rcs_scaled_parametric};
+use arcade::dist::Dist;
 use arcade::engine::EngineOptions;
+use arcade::expr::Expr;
+use arcade::fuzz::oracle::rerated_reference;
 use arcade::query::{Measure, ParamGrid, Session};
 use arcade::sim::simulate_unreliability;
 use ctmc::poisson::PoissonCache;
+use ctmc::transient::{select_kernel, TransientKernel};
 
 /// Splitmix-style generator for reproducible pseudo-random grids (the
 /// workspace is dependency-free, so no proptest crate).
@@ -253,4 +258,105 @@ fn sampled_sweep_points_fall_inside_monte_carlo_intervals() {
             estimate.half_width
         );
     }
+}
+
+/// Asserts `evaluate_at` and `sweep` rows equal the reference path
+/// ([`rerated_reference`]: `Ctmc::rerate`, `make_absorbing`,
+/// `transient_many_from_ctx`, then the down mass) bit for bit at every
+/// point of `grid`.
+fn assert_points_match_reference(def: &SystemDef, measures: &[Measure], grid: &ParamGrid) {
+    let session = Session::new(def).expect("session");
+    let swept = session.sweep(measures, grid).expect("sweep");
+    for (point, row) in swept.points.iter().zip(&swept.values) {
+        let full = def.params.iter().map(|p| {
+            grid.names()
+                .iter()
+                .position(|n| *n == p.name)
+                .map_or(p.base, |i| point[i])
+        });
+        let full: Vec<f64> = full.collect();
+        let opts = EngineOptions::new().solver.transient;
+        let want = rerated_reference(&session, measures, &full, &opts).expect("reference path");
+        let at = Session::new(def)
+            .expect("session")
+            .evaluate_at(measures, &full)
+            .expect("evaluate_at");
+        for (j, m) in measures.iter().enumerate() {
+            assert_eq!(
+                (row[j].to_bits(), at[j].to_bits()),
+                (want[j].to_bits(), want[j].to_bits()),
+                "{} {m:?} at {full:?}: sweep {:e}, evaluate_at {:e}, reference {:e}",
+                def.name,
+                row[j],
+                at[j],
+                want[j]
+            );
+        }
+    }
+}
+
+/// Off the base point, the transient measures of a sweep and of
+/// `evaluate_at` solve on the configuration's cached windowed operator,
+/// refilled at each point. Their rows must equal the reference path
+/// bitwise: point unavailability and unreliability with repair on the
+/// availability configuration, reliability on the no-repair one.
+#[test]
+fn off_base_points_match_the_rerate_reference_path_bitwise() {
+    let measures = [
+        Measure::PointUnavailability(100.0),
+        Measure::UnreliabilityWithRepair(100.0),
+        Measure::PointUnavailability(1000.0),
+        Measure::Reliability(500.0),
+        Measure::UnreliabilityWithRepair(1000.0),
+    ];
+    for def in [dds_parametric(), dds_scaled_parametric(3)] {
+        let axes: Vec<(String, Vec<f64>)> = def
+            .params
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let vals = if i == 0 {
+                    vec![0.55 * p.base, 1.8 * p.base]
+                } else {
+                    vec![p.base * (1.0 + 0.3 * i as f64)]
+                };
+                (p.name.clone(), vals)
+            })
+            .collect();
+        assert_points_match_reference(&def, &measures, &ParamGrid::cartesian(axes));
+    }
+}
+
+/// A small parametric model whose fast repair sends some points' solves
+/// to the dense kernel: those re-rate the chain and solve it, the others
+/// step on the refilled operator, and every row still equals the
+/// reference path bitwise.
+#[test]
+fn dense_selections_at_sweep_points_match_the_reference_path_bitwise() {
+    let mut def = SystemDef::new("fast_repair");
+    def.add_component(BcDef::new("a", Dist::exp(0.01), Dist::exp(2.0)));
+    def.add_component(BcDef::new("b", Dist::exp(0.02), Dist::exp(0.5)));
+    def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+    def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
+    def.set_system_down(Expr::and([Expr::down("a"), Expr::down("b")]));
+    def.add_param("mu_a", 2.0).add_param("lambda_b", 0.02);
+    let measures = [
+        Measure::PointUnavailability(300.0),
+        Measure::UnreliabilityWithRepair(300.0),
+        Measure::Reliability(300.0),
+    ];
+    let mu_a = vec![0.05, 4000.0];
+    let session = Session::new(&def).expect("session");
+    let avail = session.availability_model().expect("availability");
+    let opts = EngineOptions::new().solver.transient;
+    let kernels: Vec<TransientKernel> = mu_a
+        .iter()
+        .map(|&mu| {
+            let chain = avail.ctmc.rerate(&[mu, 0.02]).expect("re-rate");
+            select_kernel(&chain, &[300.0], &opts)
+        })
+        .collect();
+    assert_eq!(kernels, [TransientKernel::Windowed, TransientKernel::Dense]);
+    let grid = ParamGrid::cartesian([("mu_a", mu_a), ("lambda_b", vec![0.03])]);
+    assert_points_match_reference(&def, &measures, &grid);
 }

@@ -76,6 +76,7 @@ use arcade::cases::{
     rcs_stiff,
 };
 use arcade::engine::{aggregate, Aggregation, EngineOptions, RefineMode};
+use arcade::fuzz::oracle::rerated_reference;
 use arcade::fuzz::{gen_system, GenConfig};
 use arcade::model::SystemModel;
 use arcade::modular::modular_analysis;
@@ -83,7 +84,7 @@ use arcade::query::{Measure, ParamGrid, Session};
 use arcade_bench::Table;
 use ctmc::absorbing::mean_time_to_absorption_with;
 use ctmc::measures::state_mass;
-use ctmc::transient::{select_kernel, transient_many_from_ctx, TransientKernel};
+use ctmc::transient::{select_kernel, transient_many_from_ctx, TransientKernel, WindowedOperator};
 use ctmc::{steady, Ctmc, MeasureContext, SolverOptions, TransientOptions};
 use smallrand::SmallRng;
 
@@ -457,7 +458,11 @@ const RCS_FORM_NODES_MAX: usize = 64;
 /// sampled points. Re-rating the aggregated chain at the base values must
 /// give it back bitwise, from a form table of at most
 /// [`RCS_FORM_NODES_MAX`] nodes. The parametric aggregation's wall time
-/// is printed beside `rcs_agg_secs`, that of `rcs_scaled(2)`.
+/// is printed beside `rcs_agg_secs`, that of `rcs_scaled(2)`. At the
+/// sampled points, the `param_sweep` batch through `evaluate_at` (solved
+/// on the session's cached windowed operators, refilled at the point)
+/// must equal the re-rate reference path bitwise, and the time to refill
+/// both operators prints beside the batch's solve time.
 fn rcs_sweep_gate(threads: usize, rcs_agg_secs: f64) {
     let def = rcs_scaled_parametric(2);
     let measures = [Measure::PointUnavailability(100.0)];
@@ -531,7 +536,27 @@ fn rcs_sweep_gate(threads: usize, rcs_agg_secs: f64) {
         );
     }
 
-    // Sampled fresh-session spot checks (each pays a full aggregation).
+    // The sampled points: the sweep value against a fresh session (each
+    // pays a full aggregation), and the `param_sweep` batch through
+    // `evaluate_at` on the serial session against the re-rate reference
+    // path. A point's fill of both windowed operators is timed beside the
+    // batch's solve.
+    let batch = [
+        Measure::PointUnavailability(100.0),
+        Measure::PointUnavailability(1000.0),
+        Measure::UnreliabilityWithRepair(100.0),
+        Measure::UnreliabilityWithRepair(1000.0),
+    ];
+    let transient = EngineOptions::new().solver.transient;
+    let start = Instant::now();
+    let down: Vec<u32> = chain.states_with_label(DOWN_BIT).collect();
+    let absorbing = chain.make_absorbing(down.iter().copied());
+    let operators = [
+        (WindowedOperator::new(chain), chain),
+        (WindowedOperator::new(&absorbing), &absorbing),
+    ];
+    let build_ms = start.elapsed().as_secs_f64() * 1e3;
+    let (mut fill_ms, mut solve_ms) = (Vec::new(), Vec::new());
     for (point, row) in serial.points.iter().zip(&serial.values).step_by(128) {
         let fresh = Session::new(&def).expect("parametric family elaborates");
         let vals = fresh
@@ -542,14 +567,44 @@ fn rcs_sweep_gate(threads: usize, rcs_agg_secs: f64) {
             row[0].to_bits(),
             "rcs sweep value at {point:?} differs from a fresh session"
         );
+        let start = Instant::now();
+        let nodes = chain.forms().expect("parametric").table.eval_all(point);
+        for (op, base) in &operators {
+            std::hint::black_box(op.refill(base, &nodes));
+        }
+        fill_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        let start = Instant::now();
+        let vals = serial_session
+            .evaluate_at(&batch, point)
+            .expect("evaluate_at on the serial session");
+        solve_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        let reference =
+            rerated_reference(&serial_session, &batch, point, &transient).expect("reference path");
+        for ((m, a), b) in batch.iter().zip(&vals).zip(&reference) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "rcs {m:?} at {point:?}: evaluate_at {a:e}, re-rate reference path {b:e}"
+            );
+        }
     }
+    let ms = |v: &[f64]| {
+        v.iter()
+            .map(|x| format!("{x:.1}"))
+            .collect::<Vec<_>>()
+            .join(" / ")
+    };
     println!(
         "rcs_scaled_parametric(2): {} points in {serial_secs:.3} s serial / \
          {par_secs:.3} s at {threads} threads ({:.1} points/s), one aggregation \
          for the whole grid, thread counts and sampled fresh sessions bitwise \
-         identical",
+         identical; sampled points: operator fill {} ms (both chains; built \
+         once in {build_ms:.1} ms), evaluate_at of the 4-measure batch {} ms, \
+         bitwise the re-rate reference path",
         serial.points.len(),
         serial.points.len() as f64 / par_secs,
+        ms(&fill_ms),
+        ms(&solve_ms),
     );
 }
 

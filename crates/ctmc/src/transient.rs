@@ -10,8 +10,10 @@
 //! Every entry point — [`transient`] (one point, all defaults) and
 //! [`transient_many_from_ctx`] (everything explicit) here, the
 //! [`crate::csl`] integrators and, through them, `arcade`'s
-//! `Session::evaluate` and `Session::sweep` — runs through one grid
-//! solver, which picks the kernel for each solve with [`select_kernel`]:
+//! `Session::evaluate` and `Session::sweep` — picks the kernel for each
+//! solve with [`select_kernel`]. All but one run through one grid solver;
+//! [`transient_many_on`] steps a caller's cached [`WindowedOperator`]
+//! when the choice is the windowed engine (see *Operators built once*):
 //!
 //! * [`TransientKernel::Exact`] — the exact global-Λ engine, whenever
 //!   [`TransientOptions::adaptive`] is `false`. It is the reference the
@@ -80,12 +82,13 @@
 //! `n`-row traversal per step even when the mass occupies a handful of
 //! states (early horizons).
 //!
-//! * **Locality reordering.** Once per solve the states are renumbered
-//!   breadth-first from the initial support ([`Ctmc::bfs_order`]), and
-//!   the transposed operator is stored with **raw** rates in that order
-//!   (a `WindowedOp`). BFS levels make the set of rows reachable from
-//!   any level prefix a contiguous, cache-resident row range. The
-//!   permutation is applied at operator build and undone on output.
+//! * **Locality reordering.** Once per operator the states are
+//!   renumbered breadth-first from the initial support
+//!   ([`Ctmc::bfs_order`]), and the transposed operator is stored with
+//!   **raw** rates in that order (a [`WindowedOperator`]). BFS levels make
+//!   the set of rows reachable from any level prefix a contiguous,
+//!   cache-resident row range. The permutation is applied at operator
+//!   build and undone on output.
 //! * **Support windowing.** The distribution's ε-support is tracked as a
 //!   level frontier; each step gathers only the window `0..hi` of rows
 //!   reachable from it. The frontier expands one level when the mass
@@ -128,6 +131,24 @@
 //!   `support_tol = 0` the windowing is lossless (the window expands
 //!   whenever any mass could escape it, and `Λ_seg` covers every state
 //!   carrying mass).
+//!
+//! ## Operators built once
+//!
+//! A solve through the grid solver orders and transposes its chain for
+//! that solve. The order, the levels and the transpose do not depend on
+//! the rates, so a caller that solves one chain again and again keeps its
+//! [`WindowedOperator`] instead: `arcade`'s `Session` builds one per
+//! configuration (the aggregated chain and its absorbing-down copy) and
+//! solves every memoized windowed query on it with
+//! [`transient_many_on`]. At a sweep point only the rates change:
+//! [`WindowedOperator::refill`] reads them from the values of the chain's
+//! rate-form nodes into fresh arrays over the same layout — the incoming
+//! rates, the exit rates and forward rates (summed in row order, as
+//! [`Ctmc::rerate`] sums exit rates) and the global `Λ` — and the point is
+//! solved on the refill. It never re-rates, re-absorbs or re-orders the
+//! chain, and its distributions are bitwise those of a solve of
+//! `rerate(point)` (or of its absorbing copy). A point whose cost model
+//! picks another kernel is declined (`None`) and solved on the chain.
 //!
 //! # The exact global-Λ engine (`adaptive: false`)
 //!
@@ -176,6 +197,11 @@
 //! in. The context's [`SolveCounters`] count the DTMC steps and sweeps,
 //! which is how the batching and detection wins are measured.
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use ioimc::FormId;
+
 use crate::chain::Ctmc;
 use crate::context::{MeasureContext, SolveCounters};
 use crate::expm::{dense_pays, DenseExp};
@@ -222,11 +248,28 @@ impl TransientKernel {
 /// state and transition counts, its global uniformization rate and the
 /// grid (measured from time 0, as one solve visits it).
 pub fn select_kernel(ctmc: &Ctmc, ts: &[f64], opts: &TransientOptions) -> TransientKernel {
+    kernel_for(
+        ctmc.num_states(),
+        ctmc.num_transitions(),
+        ctmc.max_exit_rate(),
+        ts,
+        opts,
+    )
+}
+
+/// [`select_kernel`] from the chain's state and transition counts and its
+/// maximum exit rate, which is all the cost model reads of it.
+fn kernel_for(
+    n: usize,
+    nnz: usize,
+    max_exit: f64,
+    ts: &[f64],
+    opts: &TransientOptions,
+) -> TransientKernel {
     if !opts.adaptive {
         return TransientKernel::Exact;
     }
-    let unif = ctmc.max_exit_rate() * UNIF_HEADROOM;
-    if dense_pays(ctmc.num_states(), ctmc.num_transitions(), unif, ts) {
+    if dense_pays(n, nnz, max_exit * UNIF_HEADROOM, ts) {
         TransientKernel::Dense
     } else {
         TransientKernel::Windowed
@@ -284,6 +327,67 @@ pub fn transient_many_from_ctx(
     GridSolver::new(ctmc, opts, &ctx.poisson, &ctx.counters).solve_from(pi0, ts)
 }
 
+/// [`transient_many_from_ctx`] from the initial state of the chain `op`
+/// was built from, stepping on `op` itself: the same distributions, bit
+/// for bit, that a solve of that chain — at the rates `op` holds — returns
+/// on the windowed engine, with the same counters and failpoint, but with
+/// no operator build.
+///
+/// Returns `None`, and solves nothing, when the cost model
+/// ([`select_kernel`]) picks another kernel for these rates and `ts`, or
+/// when no state of the chain has an exit rate: solve the chain with
+/// [`transient_many_from_ctx`] then.
+///
+/// # Panics
+///
+/// Panics if any time is negative or not finite, or if the grid is too
+/// long to uniformize (see the module docs).
+pub fn transient_many_on(
+    op: &WindowedOperator,
+    ts: &[f64],
+    opts: &TransientOptions,
+    ctx: &MeasureContext,
+) -> Option<Vec<Vec<f64>>> {
+    let (layout, rates) = (&*op.layout, &op.rates);
+    let kernel = kernel_for(layout.n, layout.inc_src.len(), rates.max_exit, ts, opts);
+    if kernel != TransientKernel::Windowed || rates.max_exit <= 0.0 {
+        return None;
+    }
+    check_times(ts);
+    check_horizon(rates.global_unif, ts);
+    let mut pi0 = vec![0.0f64; layout.n];
+    pi0[layout.perm[0] as usize] = 1.0;
+    let mut engine = AdaptiveEngine::new(|| Cow::Borrowed(op), &pi0);
+    Some(engine.run_grid(
+        ts,
+        rates.global_unif,
+        &mut false,
+        &ctx.poisson,
+        opts,
+        &ctx.counters,
+    ))
+}
+
+/// Asserts every grid time is finite and non-negative.
+fn check_times(ts: &[f64]) {
+    for &t in ts {
+        assert!(
+            t.is_finite() && t >= 0.0,
+            "time must be non-negative, got {t}"
+        );
+    }
+}
+
+/// Asserts the grid's global `Λ·t` is within what the Poisson weights
+/// accept (see the module docs on long segments).
+fn check_horizon(unif: f64, ts: &[f64]) {
+    let lambda_t = unif * ts.iter().copied().fold(0.0, f64::max);
+    assert!(
+        lambda_t <= MAX_LAMBDA,
+        "uniformization rate times time must be at most 2^53, got {lambda_t:e}"
+    );
+}
+
 /// A reusable grid driver over one chain: validates inputs, visits each
 /// grid in ascending order, and advances the chain segment by segment
 /// through a lazily built (and then reused) engine. Crate-internal so
@@ -302,7 +406,7 @@ pub(crate) struct GridSolver<'a> {
     cache: &'a PoissonCache,
     counters: &'a SolveCounters,
     stepper: Option<Stepper>,
-    adaptive: Option<AdaptiveEngine>,
+    adaptive: Option<AdaptiveEngine<'a>>,
     dense: Option<DenseExp>,
     max_exit: f64,
     unif: f64,
@@ -344,21 +448,12 @@ impl<'a> GridSolver<'a> {
             self.ctmc.num_states(),
             "distribution length mismatch"
         );
-        for &t in ts {
-            assert!(
-                t.is_finite() && t >= 0.0,
-                "time must be non-negative, got {t}"
-            );
-        }
+        check_times(ts);
         if self.max_exit > 0.0 {
             if kernel == TransientKernel::Dense {
                 return self.solve_from_dense(pi0, ts);
             }
-            let lambda_t = self.unif * ts.iter().copied().fold(0.0, f64::max);
-            assert!(
-                lambda_t <= MAX_LAMBDA,
-                "uniformization rate times time must be at most 2^53, got {lambda_t:e}"
-            );
+            check_horizon(self.unif, ts);
             if kernel == TransientKernel::Windowed {
                 return self.solve_from_adaptive(pi0, ts);
             }
@@ -392,13 +487,11 @@ impl<'a> GridSolver<'a> {
         results
     }
 
-    /// The adaptive-engine grid loop: the working distribution lives in
+    /// The adaptive-engine grid loop on an operator built from the chain,
+    /// rooted at the support of `pi0`: the working distribution lives in
     /// the engine's permuted space across segments (and across
-    /// [`GridSolver::solve_from`] calls); each grid point un-permutes a
-    /// snapshot into original state order.
+    /// [`GridSolver::solve_from`] calls).
     fn solve_from_adaptive(&mut self, pi0: &[f64], ts: &[f64]) -> Vec<Vec<f64>> {
-        let mut order: Vec<usize> = (0..ts.len()).collect();
-        order.sort_by(|&a, &b| ts[a].total_cmp(&ts[b]));
         let rebuild = match &mut self.adaptive {
             // `load` adopts `pi0` unless it carries mass the stored
             // ordering considers unreachable (possible only when a caller
@@ -407,26 +500,20 @@ impl<'a> GridSolver<'a> {
             None => true,
         };
         if rebuild {
-            self.adaptive = Some(AdaptiveEngine::new(self.ctmc, pi0));
+            let ctmc = self.ctmc;
+            let roots = (0..pi0.len() as u32).filter(|&s| pi0[s as usize] != 0.0);
+            let build = || Cow::Owned(WindowedOperator::build(ctmc, roots));
+            self.adaptive = Some(AdaptiveEngine::new(build, pi0));
         }
         let engine = self.adaptive.as_mut().expect("just ensured");
-        let mut results: Vec<Vec<f64>> = vec![Vec::new(); ts.len()];
-        let mut cur_t = 0.0f64;
-        for &i in &order {
-            let dt = ts[i] - cur_t;
-            if dt > 0.0 && !self.converged {
-                for width in segment_widths(self.unif, dt) {
-                    if self.converged {
-                        break;
-                    }
-                    ioimc::budget::checkpoint();
-                    self.converged = engine.advance(width, self.cache, self.opts, self.counters);
-                }
-                cur_t = ts[i];
-            }
-            results[i] = engine.output();
-        }
-        results
+        engine.run_grid(
+            ts,
+            self.unif,
+            &mut self.converged,
+            self.cache,
+            self.opts,
+            self.counters,
+        )
     }
 
     /// The dense-kernel grid loop: each segment applies the exponential
@@ -639,22 +726,41 @@ const LAMBDA_ESCALATION: f64 = 2.0;
 /// transposed CSR adjacency with **raw** rates (so `1/Λ` folds into the
 /// gather as a per-segment scalar), permuted into the BFS locality order
 /// of [`Ctmc::bfs_order`] so the ε-support's reachable row window is a
-/// contiguous prefix. Built once per solve.
-struct WindowedOp {
+/// contiguous prefix.
+///
+/// It comes in two parts. The layout does not depend on the rates: the
+/// order and its levels, the transposed offsets and source rows, and,
+/// on an operator built from a parametric chain, the rate-form node that
+/// each incoming slot and each forward (next-level) edge reads. The
+/// rates are filled into it: the incoming
+/// rates, the exit rates, the forward rates and the global `Λ`.
+/// [`WindowedOperator::refill`] fills new rates over the same layout,
+/// which [`transient_many_on`] then solves on, so a configuration orders
+/// and transposes its chain once however many parameter points it is
+/// solved at. An operator holds about `12·nnz + 32·n` bytes (16 MB for
+/// an 83,808-state, 1.09 M-transition chain), plus `4·nnz` bytes of slot
+/// form ids and 4 bytes per forward edge when it can be refilled; the
+/// layout is shared by reference count between an operator and its
+/// refills.
+#[derive(Debug, Clone)]
+pub struct WindowedOperator {
+    layout: Arc<Layout>,
+    rates: Rates,
+}
+
+/// The rate-independent half of a [`WindowedOperator`].
+#[derive(Debug)]
+struct Layout {
     n: usize,
     /// Row → original state id (BFS order, unreachable states last).
     perm: Vec<u32>,
     /// Original state id → row.
     inv: Vec<u32>,
-    /// Exit rates in row order.
-    exit: Vec<f64>,
     /// Transposed CSR offsets (`n + 1` entries).
     inc_off: Vec<u32>,
-    /// Raw incoming transition rates, row-major.
-    inc_rate: Vec<f64>,
-    /// Incoming transition source rows, parallel to `inc_rate` and
-    /// ascending within each row (so a window gather can stop at the
-    /// first out-of-window source).
+    /// Incoming transition source rows, row-major and ascending within
+    /// each row (so a window gather can stop at the first out-of-window
+    /// source).
     inc_src: Vec<u32>,
     /// BFS level boundaries in rows (`levels + 1` entries).
     level_off: Vec<u32>,
@@ -663,82 +769,255 @@ struct WindowedOp {
     level_of: Vec<u32>,
     /// Rows `reachable..` can never carry mass flowing out of the roots.
     reachable: usize,
+    /// What the rates read, keyed by form node: kept by
+    /// [`WindowedOperator::new`] on a parametric chain, for refills.
+    forms: Option<Reads>,
+}
+
+/// What each rate of a [`WindowedOperator`] reads: for every incoming
+/// slot and every forward edge, a transition of the chain (its index in
+/// [`Ctmc::transitions`]) or, once keyed by form, that transition's form
+/// node.
+#[derive(Debug)]
+struct Reads {
+    /// Per incoming slot, parallel to `Layout::inc_src`.
+    slot: Vec<u32>,
+    /// Per reachable row, its edges into the next BFS level
+    /// (`reachable + 1` offsets into `fwd`).
+    fwd_off: Vec<u32>,
+    /// The forward edges, each row's in row order.
+    fwd: Vec<u32>,
+}
+
+impl Reads {
+    /// The same reads keyed by form node: `ids[k]` for transition `k`.
+    fn by_form(mut self, ids: &[FormId]) -> Self {
+        for k in self.slot.iter_mut().chain(&mut self.fwd) {
+            *k = ids[*k as usize];
+        }
+        self
+    }
+}
+
+/// The rates filled into a [`Layout`].
+#[derive(Debug, Clone)]
+struct Rates {
+    /// Exit rates in row order.
+    exit: Vec<f64>,
+    /// Raw incoming transition rates, parallel to `Layout::inc_src`.
+    inc_rate: Vec<f64>,
     /// Per row: total outgoing rate into the **next** BFS level — the
     /// only edges that can carry mass out of a level-prefix window, so
     /// `Σ π[j]·fwd_rate[j]/Λ` over the frontier level bounds the
     /// one-step escape mass.
     fwd_rate: Vec<f64>,
-    /// `headroom · global max exit` — the Λ escalation cap; at this rate
-    /// every window state has a nonnegative self-loop probability and no
+    /// The largest exit rate.
+    max_exit: f64,
+    /// `headroom · max_exit` — the Λ escalation cap; at this rate every
+    /// window state has a nonnegative self-loop probability and no
     /// restart can ever be needed.
     global_unif: f64,
 }
 
-impl WindowedOp {
-    fn new(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> Self {
-        let n = ctmc.num_states();
-        let order = ctmc.bfs_order(roots);
-        let inv = order.inverse();
-        let levels = order.num_levels();
-        let exit: Vec<f64> = order.perm.iter().map(|&s| ctmc.exit_rate(s)).collect();
-        let mut level_of = vec![levels as u32; n];
-        for l in 0..levels {
-            for row in &mut level_of[order.level_off[l] as usize..order.level_off[l + 1] as usize] {
-                *row = l as u32;
-            }
+impl Rates {
+    /// Fills `exit` (in row order) and reads every incoming slot and
+    /// forward edge through `rate`. A forward rate sums its row's edges
+    /// in row order, as the chain's exit rates are summed.
+    fn fill(layout: &Layout, reads: &Reads, exit: Vec<f64>, rate: impl Fn(u32) -> f64) -> Self {
+        let inc_rate = reads.slot.iter().map(|&k| rate(k)).collect();
+        let mut fwd_rate = vec![0.0f64; layout.n];
+        for (row, w) in reads.fwd_off.windows(2).enumerate() {
+            let edges = &reads.fwd[w[0] as usize..w[1] as usize];
+            fwd_rate[row] = edges.iter().map(|&k| rate(k)).sum();
         }
-        // Forward (next-level) rate per row, from the outgoing adjacency.
-        let mut fwd_rate = vec![0.0f64; n];
-        for (row, &s) in order.perm.iter().enumerate().take(order.reachable) {
-            let boundary = order.level_off[level_of[row] as usize + 1];
-            fwd_rate[row] = ctmc
-                .row(s)
-                .iter()
-                .filter(|&&(_, t)| inv[t as usize] >= boundary)
-                .map(|&(r, _)| r)
-                .sum();
-        }
-        // Transposed CSR in row space. Scattering sources in ascending
-        // row order leaves every row's source list sorted.
-        let m = ctmc.num_transitions();
-        let mut counts = vec![0u32; n + 1];
-        for s in 0..n as u32 {
-            for &(_, t) in ctmc.row(s) {
-                counts[inv[t as usize] as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let inc_off = counts.clone();
-        let mut cursor = counts;
-        let mut inc_rate = vec![0.0f64; m];
-        let mut inc_src = vec![0u32; m];
-        for (row, &s) in order.perm.iter().enumerate() {
-            for &(r, t) in ctmc.row(s) {
-                let dst = inv[t as usize] as usize;
-                let slot = cursor[dst] as usize;
-                inc_rate[slot] = r;
-                inc_src[slot] = row as u32;
-                cursor[dst] += 1;
-            }
-        }
+        let max_exit = exit.iter().copied().fold(0.0, f64::max);
         Self {
-            n,
-            perm: order.perm,
-            inv,
             exit,
-            inc_off,
             inc_rate,
-            inc_src,
-            level_off: order.level_off,
-            level_of,
-            reachable: order.reachable,
             fwd_rate,
-            global_unif: ctmc.max_exit_rate() * UNIF_HEADROOM,
+            max_exit,
+            global_unif: max_exit * UNIF_HEADROOM,
         }
     }
 
+    /// The chain's own rates over a layout built from it.
+    fn of_chain(layout: &Layout, reads: &Reads, ctmc: &Ctmc) -> Self {
+        let exit = layout.perm.iter().map(|&s| ctmc.exit_rate(s)).collect();
+        let tr = ctmc.transitions();
+        Self::fill(layout, reads, exit, |k| tr[k as usize].0)
+    }
+}
+
+/// Orders and transposes `ctmc` for the windowed engine, breadth-first
+/// from `roots`: the one layout builder behind every [`WindowedOperator`].
+/// The reads it returns name transitions of `ctmc`.
+fn layout(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> (Layout, Reads) {
+    let n = ctmc.num_states();
+    let order = ctmc.bfs_order(roots);
+    let inv = order.inverse();
+    let levels = order.num_levels();
+    let mut level_of = vec![levels as u32; n];
+    for l in 0..levels {
+        for row in &mut level_of[order.level_off[l] as usize..order.level_off[l + 1] as usize] {
+            *row = l as u32;
+        }
+    }
+    // Each row's transitions, with their indices in the flat array.
+    let off = ctmc.offsets();
+    let row_of = |s: u32| (off[s as usize]..off[s as usize + 1]).zip(ctmc.row(s));
+    // Forward (next-level) edges per reachable row, in row order.
+    let mut fwd_off = Vec::with_capacity(order.reachable + 1);
+    let mut fwd = Vec::new();
+    fwd_off.push(0u32);
+    for (row, &s) in order.perm.iter().enumerate().take(order.reachable) {
+        let boundary = order.level_off[level_of[row] as usize + 1];
+        fwd.extend(
+            row_of(s)
+                .filter(|(_, &(_, t))| inv[t as usize] >= boundary)
+                .map(|(k, _)| k),
+        );
+        fwd_off.push(fwd.len() as u32);
+    }
+    // Transposed CSR in row space. Scattering sources in ascending row
+    // order leaves every row's source list sorted.
+    let m = ctmc.num_transitions();
+    let mut counts = vec![0u32; n + 1];
+    for &(_, t) in ctmc.transitions() {
+        counts[inv[t as usize] as usize + 1] += 1;
+    }
+    for i in 0..n {
+        counts[i + 1] += counts[i];
+    }
+    let inc_off = counts.clone();
+    let mut cursor = counts;
+    let mut inc_src = vec![0u32; m];
+    let mut slot = vec![0u32; m];
+    for (row, &s) in order.perm.iter().enumerate() {
+        for (k, &(_, t)) in row_of(s) {
+            let dst = inv[t as usize] as usize;
+            let i = cursor[dst] as usize;
+            inc_src[i] = row as u32;
+            slot[i] = k;
+            cursor[dst] += 1;
+        }
+    }
+    let layout = Layout {
+        n,
+        perm: order.perm,
+        inv,
+        inc_off,
+        inc_src,
+        level_off: order.level_off,
+        level_of,
+        reachable: order.reachable,
+        forms: None,
+    };
+    (layout, Reads { slot, fwd_off, fwd })
+}
+
+impl WindowedOperator {
+    /// The operator of `ctmc` at its own rates, ordered breadth-first from
+    /// its initial state — what [`transient_many_on`] solves from. A
+    /// parametric chain's operator also keeps, per incoming slot and
+    /// forward edge, the form node it reads, so that
+    /// [`WindowedOperator::refill`] can fill it at other parameter points.
+    pub fn new(ctmc: &Ctmc) -> Self {
+        let (mut layout, reads) = layout(ctmc, [ctmc.initial()]);
+        let rates = Rates::of_chain(&layout, &reads, ctmc);
+        layout.forms = ctmc.forms().map(|f| reads.by_form(&f.ids));
+        Self {
+            layout: Arc::new(layout),
+            rates,
+        }
+    }
+
+    /// The operator of `ctmc` rooted at `roots`, for one solve.
+    fn build(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> Self {
+        let (layout, reads) = layout(ctmc, roots);
+        let rates = Rates::of_chain(&layout, &reads, ctmc);
+        Self {
+            layout: Arc::new(layout),
+            rates,
+        }
+    }
+
+    /// The operator at another parameter point: the same layout, with
+    /// rates read from `nodes`, the value of every node of the chain's
+    /// form table at that point
+    /// ([`FormTable::eval_all`](ioimc::FormTable::eval_all)). `ctmc` must be
+    /// the chain this operator was built from.
+    ///
+    /// The rates are exactly those of
+    /// [`Ctmc::rerate`] at the point (and of its
+    /// [`Ctmc::make_absorbing`] copy, on an operator built from an
+    /// absorbing copy): each exit rate is the sum of its row's rates in row
+    /// order, a row without transitions keeps the zero it was built with,
+    /// and each forward rate is summed in row order. So a solve on the
+    /// refill equals, bit for bit, a solve on the re-rated chain. The
+    /// values are not checked: like `rerate`, the caller must reject a
+    /// point where a node the chain reads is not positive and finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operator was not built by [`WindowedOperator::new`]
+    /// from a parametric chain, or if `ctmc` has another size.
+    pub fn refill(&self, ctmc: &Ctmc, nodes: &[f64]) -> Self {
+        let layout = &self.layout;
+        let (Some(reads), Some(forms)) = (&layout.forms, ctmc.forms()) else {
+            panic!("refilling needs an operator built from a parametric chain");
+        };
+        assert!(
+            ctmc.num_states() == layout.n && forms.ids.len() == layout.inc_src.len(),
+            "refilling from a chain the operator was not built from"
+        );
+        let off = ctmc.offsets();
+        let exit = layout
+            .perm
+            .iter()
+            .zip(&self.rates.exit)
+            .map(|(&s, &built)| {
+                let ids = &forms.ids[off[s as usize] as usize..off[s as usize + 1] as usize];
+                if ids.is_empty() {
+                    built
+                } else {
+                    ids.iter().map(|&id| nodes[id as usize]).sum()
+                }
+            })
+            .collect();
+        Self {
+            layout: Arc::clone(layout),
+            rates: Rates::fill(layout, reads, exit, |id| nodes[id as usize]),
+        }
+    }
+
+    /// The arrays a windowed sweep's steps read, hoisted out of the
+    /// layout's shared allocation.
+    fn gather(&self) -> Gather<'_> {
+        let (layout, rates) = (&*self.layout, &self.rates);
+        Gather {
+            inc_off: &layout.inc_off,
+            inc_src: &layout.inc_src,
+            inc_rate: &rates.inc_rate,
+            exit: &rates.exit,
+            level_off: &layout.level_off,
+            fwd_rate: &rates.fwd_rate,
+            reachable: layout.reachable,
+        }
+    }
+}
+
+/// The arrays one windowed DTMC step reads.
+struct Gather<'a> {
+    inc_off: &'a [u32],
+    inc_src: &'a [u32],
+    inc_rate: &'a [f64],
+    exit: &'a [f64],
+    level_off: &'a [u32],
+    fwd_rate: &'a [f64],
+    reachable: usize,
+}
+
+impl Gather<'_> {
     /// One window row's next mass under uniformization rate `1/inv_l`:
     /// `π[i] + (Σ q_{ji}·π[j] − exit_i·π[i]) / Λ`, gathering only sources
     /// inside the window (rows `>= hi` hold exactly zero).
@@ -780,7 +1059,7 @@ impl SegmentCtrl {
     /// mass that could escape it this step exceeds the budget (newly
     /// admitted rows with `exit > Λ` join the capped set), otherwise
     /// freeze and account the escape bound. Returns the window end.
-    fn expand(&mut self, op: &WindowedOp, cur: &[f64], lambda: f64, budget: f64) -> usize {
+    fn expand(&mut self, op: &Gather, cur: &[f64], lambda: f64, budget: f64) -> usize {
         let inv_l = 1.0 / lambda;
         let mut hi = op.level_off[self.lvl + 1] as usize;
         if hi < op.reachable {
@@ -825,11 +1104,11 @@ impl SegmentCtrl {
 }
 
 /// The adaptive windowed uniformization engine: the locality-reordered
-/// operator plus the working distribution in permuted row space,
-/// persistent across grid segments (and across `GridSolver::solve_from`
-/// calls) so the operator is built once per solve.
-struct AdaptiveEngine {
-    op: WindowedOp,
+/// operator (built for this solve, or borrowed from a cache) plus the
+/// working distribution in permuted row space, persistent across grid
+/// segments (and across `GridSolver::solve_from` calls).
+struct AdaptiveEngine<'a> {
+    op: Cow<'a, WindowedOperator>,
     /// Working distribution in row space; rows `>= window end` hold
     /// exactly zero.
     cur: Vec<f64>,
@@ -839,15 +1118,16 @@ struct AdaptiveEngine {
     leaked: f64,
 }
 
-impl AdaptiveEngine {
-    fn new(ctmc: &Ctmc, pi0: &[f64]) -> Self {
+impl<'a> AdaptiveEngine<'a> {
+    /// Starts a solve from `pi0` on the operator `op` supplies, whose
+    /// roots must cover the support of `pi0`.
+    fn new(op: impl FnOnce() -> Cow<'a, WindowedOperator>, pi0: &[f64]) -> Self {
         // The windowed twin of `Stepper::new`: the `session.shard`
-        // failpoint fires here, at the start of the solve, before the
-        // operator is built.
+        // failpoint fires here, at the start of the solve, before an
+        // operator is built or borrowed.
         ioimc::failpoint::hit("session.shard");
-        let roots = (0..pi0.len() as u32).filter(|&s| pi0[s as usize] != 0.0);
         let mut engine = Self {
-            op: WindowedOp::new(ctmc, roots),
+            op: op(),
             cur: Vec::new(),
             lvl: 0,
             leaked: 0.0,
@@ -861,7 +1141,7 @@ impl AdaptiveEngine {
     /// must be rebuilt) if `pi0` carries mass on states unreachable from
     /// the ordering's roots.
     fn load(&mut self, pi0: &[f64]) -> bool {
-        let op = &self.op;
+        let op = &*self.op.layout;
         self.cur.clear();
         self.cur.resize(op.n, 0.0);
         let mut last = 0usize;
@@ -881,11 +1161,47 @@ impl AdaptiveEngine {
 
     /// The working distribution in original state order.
     fn output(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.op.n];
-        for (row, &s) in self.op.perm.iter().enumerate() {
+        let layout = &self.op.layout;
+        let mut out = vec![0.0f64; layout.n];
+        for (row, &s) in layout.perm.iter().enumerate() {
             out[s as usize] = self.cur[row];
         }
         out
+    }
+
+    /// Answers the grid `ts` (any order, duplicates allowed): visits it in
+    /// ascending order, advancing the working distribution segment by
+    /// segment (each split per [`segment_widths`] at the global rate
+    /// `unif`) until a segment reports steady state in `converged`, and
+    /// un-permutes a snapshot into original state order at each point.
+    fn run_grid(
+        &mut self,
+        ts: &[f64],
+        unif: f64,
+        converged: &mut bool,
+        cache: &PoissonCache,
+        opts: &TransientOptions,
+        counters: &SolveCounters,
+    ) -> Vec<Vec<f64>> {
+        let mut order: Vec<usize> = (0..ts.len()).collect();
+        order.sort_by(|&a, &b| ts[a].total_cmp(&ts[b]));
+        let mut results: Vec<Vec<f64>> = vec![Vec::new(); ts.len()];
+        let mut cur_t = 0.0f64;
+        for &i in &order {
+            let dt = ts[i] - cur_t;
+            if dt > 0.0 && !*converged {
+                for width in segment_widths(unif, dt) {
+                    if *converged {
+                        break;
+                    }
+                    ioimc::budget::checkpoint();
+                    *converged = self.advance(width, cache, opts, counters);
+                }
+                cur_t = ts[i];
+            }
+            results[i] = self.output();
+        }
+        results
     }
 
     /// Advances the working distribution by `dt`: shrinks the trailing
@@ -901,7 +1217,7 @@ impl AdaptiveEngine {
         opts: &TransientOptions,
         counters: &SolveCounters,
     ) -> bool {
-        let op = &self.op;
+        let (op, rates) = (&*self.op.layout, &self.op.rates);
         // Trailing-support shrink: zero whole top levels while their
         // total mass fits in a quarter of the per-segment budget, so
         // long-frozen dust cannot pin the window (and Λ) forever.
@@ -925,7 +1241,7 @@ impl AdaptiveEngine {
         // distribution is exactly invariant, now and forever.
         let active: f64 = self.cur[..hi]
             .iter()
-            .zip(&op.exit[..hi])
+            .zip(&rates.exit[..hi])
             .map(|(&p, &e)| p * e)
             .sum();
         if active == 0.0 {
@@ -938,26 +1254,26 @@ impl AdaptiveEngine {
         let theta = opts.support_tol * 0.25 / op.n as f64;
         let support_max = self.cur[..hi]
             .iter()
-            .zip(&op.exit[..hi])
+            .zip(&rates.exit[..hi])
             .filter(|&(&p, _)| p > theta)
             .map(|(_, &e)| e)
             .fold(0.0f64, f64::max);
         let mut lambda = if support_max > 0.0 {
-            (support_max * UNIF_HEADROOM).min(op.global_unif)
+            (support_max * UNIF_HEADROOM).min(rates.global_unif)
         } else {
-            op.global_unif
+            rates.global_unif
         };
         if opts.support_tol > 0.0 {
             let mut zeroed = 0.0f64;
             for (row, p) in self.cur[..hi].iter_mut().enumerate() {
-                if *p != 0.0 && op.exit[row] > lambda {
+                if *p != 0.0 && rates.exit[row] > lambda {
                     zeroed += *p;
                     *p = 0.0;
                 }
             }
             self.leaked += zeroed;
         }
-        let global_unif = op.global_unif;
+        let global_unif = rates.global_unif;
         let snapshot = self.cur.clone();
         // One sweep per segment; Λ restarts are internal retries of the
         // same sweep, not additional solver work units.
@@ -980,9 +1296,10 @@ impl AdaptiveEngine {
     /// Initial control state for a sweep at `lambda`: current frontier
     /// level plus the capped set (window rows hotter than Λ).
     fn segment_ctrl(&self, lambda: f64, opts: &TransientOptions) -> SegmentCtrl {
-        let hi = self.op.level_off[self.lvl + 1] as usize;
+        let hi = self.op.layout.level_off[self.lvl + 1] as usize;
+        let exit = &self.op.rates.exit;
         let capped: Vec<u32> = (0..hi as u32)
-            .filter(|&row| self.op.exit[row as usize] > lambda)
+            .filter(|&row| exit[row as usize] > lambda)
             .collect();
         SegmentCtrl {
             lvl: self.lvl,
@@ -1014,13 +1331,14 @@ impl AdaptiveEngine {
             0.0
         };
         let mut st = self.segment_ctrl(lambda, opts);
-        let op = &self.op;
-        let n = op.n;
+        let op = &*self.op;
+        let n = op.layout.n;
+        let gather = op.gather();
         let inv_l = 1.0 / lambda;
         let mut cur = std::mem::take(&mut self.cur);
         let mut nxt = vec![0.0f64; n];
         let mut result = vec![0.0f64; n];
-        let mut hi = op.level_off[st.lvl + 1] as usize;
+        let mut hi = gather.level_off[st.lvl + 1] as usize;
         let mut steady = false;
         for step in 0..total {
             if step >= pw.left {
@@ -1036,11 +1354,11 @@ impl AdaptiveEngine {
             if step & 0x3FF == 0 {
                 ioimc::budget::checkpoint();
             }
-            hi = st.expand(op, &cur, lambda, step_budget);
+            hi = st.expand(&gather, &cur, lambda, step_budget);
             counters.count_step();
             let mut delta = 0.0f64;
             for i in 0..hi {
-                let v = op.row_value(&cur, i, inv_l, hi);
+                let v = gather.row_value(&cur, i, inv_l, hi);
                 delta = delta.max((v - cur[i]).abs());
                 nxt[i] = v;
             }
@@ -1729,6 +2047,137 @@ mod tests {
                 "{kernel:?}: the converged trajectory must stop stepping"
             );
         }
+    }
+
+    /// A seeded parametric chain over three parameters: every rate is a
+    /// leaf `coeff·θ_p` with coefficients spread over five decades, some
+    /// transitions run in parallel (so normalization sums their forms),
+    /// some states have no transitions, and some are down (label 1).
+    fn parametric_chain(seed: u64) -> Ctmc {
+        let base = [0.3, 2.0, 7.0];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.range_usize(4, 40);
+        let mut b = ioimc::builder::IoImcBuilder::new();
+        for _ in 0..n {
+            b.add_labeled_state(u64::from(rng.range_u32(0, 4) == 0));
+        }
+        for s in 0..n as u32 {
+            if rng.range_u32(0, 8) == 0 {
+                continue;
+            }
+            for _ in 0..rng.range_usize(1, 5) {
+                let t = rng.range_usize(0, n) as u32;
+                if t == s {
+                    continue;
+                }
+                let pid = rng.range_u32(0, 3);
+                let coeff =
+                    f64::from(rng.range_u32(1, 10)) * 10f64.powi(rng.range_u32(0, 5) as i32 - 3);
+                let leaf = ioimc::Leaf::scaled(pid, coeff);
+                b.markovian_formed(s, coeff * base[pid as usize], t, leaf);
+            }
+        }
+        Ctmc::from_ioimc(&b.build().expect("valid automaton")).expect("Markovian")
+    }
+
+    /// Every rate array and the layout of an operator, as bits.
+    fn operator_bits(op: &WindowedOperator) -> Vec<u64> {
+        let (l, r) = (&op.layout, &op.rates);
+        let layout = [&l.perm, &l.inc_off, &l.inc_src, &l.level_off];
+        let rates = [&r.exit, &r.inc_rate, &r.fwd_rate];
+        layout
+            .into_iter()
+            .flat_map(|v| v.iter().map(|&x| u64::from(x)))
+            .chain(
+                rates
+                    .into_iter()
+                    .flat_map(|v| v.iter().map(|x| x.to_bits())),
+            )
+            .chain([r.max_exit.to_bits(), r.global_unif.to_bits()])
+            .collect()
+    }
+
+    /// Refilling a parametric chain's operator, and its absorbing copy's,
+    /// at points away from the base reproduces a fresh build from
+    /// `rerate(point)` and from `make_absorbing(rerate(point))` bit for
+    /// bit: every rate array (signed zeros of empty rows included) and
+    /// every distribution of a windowed solve. When the cost model picks
+    /// another kernel, the operator solves nothing.
+    #[test]
+    fn refilled_operators_equal_fresh_builds_bitwise() {
+        let opts = TransientOptions::default();
+        let (mut solved, mut declined, mut zero_signs) = (0, 0, [false; 2]);
+        for seed in 0..32 {
+            let chain = parametric_chain(seed);
+            let down: Vec<u32> = chain.states_with_label(1).collect();
+            let absorbing = chain.make_absorbing(down.iter().copied());
+            let ops = [
+                WindowedOperator::new(&chain),
+                WindowedOperator::new(&absorbing),
+            ];
+            for point in [[0.45, 1.3, 9.5], [0.2, 3.7, 4.1], [0.3, 2.0, 7.0]] {
+                let rerated = chain.rerate(&point).expect("positive rates");
+                let nodes = chain.forms().expect("parametric").table.eval_all(&point);
+                let fresh = [rerated.make_absorbing(down.iter().copied()), rerated];
+                for (op, (base, fresh)) in ops
+                    .iter()
+                    .zip([(&chain, &fresh[1]), (&absorbing, &fresh[0])])
+                {
+                    let filled = op.refill(base, &nodes);
+                    let built = WindowedOperator::new(fresh);
+                    assert_eq!(
+                        operator_bits(&filled),
+                        operator_bits(&built),
+                        "seed {seed}, point {point:?}"
+                    );
+                    for &e in &filled.rates.exit {
+                        if e == 0.0 {
+                            zero_signs[usize::from(e.is_sign_negative())] = true;
+                        }
+                    }
+                    for ts in [[0.2, 1.5, 0.7], [40.0, 400.0, 4000.0]] {
+                        let want = transient_many_from_ctx(
+                            fresh,
+                            &fresh.initial_distribution(),
+                            &ts,
+                            &opts,
+                            &MeasureContext::new(),
+                        );
+                        match transient_many_on(&filled, &ts, &opts, &MeasureContext::new()) {
+                            Some(got) => {
+                                assert_eq!(
+                                    select_kernel(fresh, &ts, &opts),
+                                    TransientKernel::Windowed
+                                );
+                                let bits = |v: &[Vec<f64>]| -> Vec<u64> {
+                                    v.iter().flatten().map(|x| x.to_bits()).collect()
+                                };
+                                assert_eq!(
+                                    bits(&got),
+                                    bits(&want),
+                                    "seed {seed}, point {point:?}, ts {ts:?}"
+                                );
+                                solved += 1;
+                            }
+                            None => {
+                                let windowed =
+                                    select_kernel(fresh, &ts, &opts) == TransientKernel::Windowed;
+                                assert!(!windowed || fresh.max_exit_rate() == 0.0);
+                                declined += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            solved > 100 && declined > 10,
+            "{solved} solved, {declined} declined"
+        );
+        assert_eq!(
+            zero_signs, [true; 2],
+            "empty rows of both signs must be covered"
+        );
     }
 
     /// A grid whose global `Λt` exceeds `2^53` is rejected before any
