@@ -22,10 +22,10 @@
 //! whole time grid. `--dense-limit` moves the dense-vs-iterative solver
 //! crossover (default 3000 states; `0` forces the sparse path — see
 //! [`ctmc::SolverOptions`]). `--threads` sets the worker count of the
-//! aggregation and sweep fan-out (sibling plan groups, bisimulation
-//! signatures, sweep points; `0` = one per core, larger requests are
+//! fan-outs over whole jobs (the two model configurations, the modules of
+//! `modular`, sweep points; `0` = one per core, larger requests are
 //! clamped to the core count; results are bitwise identical for every
-//! value; transient solves are serial), and `--steady-tol`
+//! value; aggregation and transient solves are serial), and `--steady-tol`
 //! tunes steady-state detection inside transient grids (`0` disables it —
 //! see [`ctmc::TransientOptions`]). `--adaptive 1` (the default) lets a
 //! cost model pick the transient kernel per solve — dense scaling and
@@ -404,8 +404,8 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Engine options from the command line: the `--dense-limit` solver
-/// crossover, the `--threads` worker count (aggregation and sweep
-/// fan-out, clamped to the core count), the `--steady-tol`
+/// crossover, the `--threads` worker count (configuration, module and
+/// sweep fan-out, clamped to the core count), the `--steady-tol`
 /// detection threshold, the `--adaptive` engine switch and the
 /// `--support-tol` windowing budget (see [`ctmc::SolverOptions`] /
 /// [`ctmc::TransientOptions`]).
@@ -547,7 +547,7 @@ fn json_str(s: &str) -> String {
 fn usage() -> String {
     "usage: arcade <analyze|modular|sweep|simulate|check|blocks|dot|format> <model.arcade> \
      [--time T]... [--json] [--param NAME@BASE=V1,V2,...] [--reps N] [--seed S] \
-     [--dense-limit N] [--threads N (aggregation and sweep fan-out, 0 = auto)] \
+     [--dense-limit N] [--threads N (configuration, module and sweep fan-out, 0 = auto)] \
      [--steady-tol X (0 disables detection)] \
      [--adaptive 0|1] [--support-tol X (0 = lossless windowing)]"
         .to_owned()

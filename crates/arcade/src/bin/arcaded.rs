@@ -22,8 +22,8 @@
 //!
 //! `--workers` sizes the connection worker pool (0 = one per core);
 //! `--threads` is forwarded to every session's engine options (0 = auto),
-//! controlling the aggregation and sweep fan-out per request; transient
-//! solves are serial.
+//! controlling the configuration and sweep fan-out per request;
+//! aggregation and transient solves are serial.
 //!
 //! `--max-states N` caps intermediate model size during aggregation for
 //! **every** session (0 = unlimited, the default) — a `load`-ed
@@ -179,7 +179,7 @@ fn parse_count(s: &str, flag: &str) -> Result<usize, String> {
 
 fn usage() -> String {
     "usage: arcaded [--addr HOST:PORT (default 127.0.0.1:7171)] \
-     [--workers N (0 = auto)] [--threads N (aggregation and sweep fan-out, 0 = auto)] \
+     [--workers N (0 = auto)] [--threads N (configuration and sweep fan-out, 0 = auto)] \
      [--idle-timeout-secs S] [--max-line-bytes N] \
      [--max-states N (0 = unlimited)] [--chaos SPEC (testing only)] \
      [--preload MODEL]..."

@@ -19,9 +19,7 @@
 
 use std::collections::HashSet;
 
-use bisim::pipeline::{
-    reduce_legacy, reduce_threaded, ReduceOptions, Reduced, RefineStats, Strategy,
-};
+use bisim::pipeline::{reduce, reduce_legacy, ReduceOptions, Reduced, RefineStats, Strategy};
 use bisim::vanishing::eliminate_vanishing;
 use ctmc::Ctmc;
 use ioimc::compose::parallel;
@@ -36,9 +34,8 @@ use crate::order::{resolve_plan, OrderPolicy, Plan};
 /// partition of the automaton being reduced and build the same quotient.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RefineMode {
-    /// The worklist refiners ([`bisim::pipeline::reduce_threaded`]): only
-    /// states whose signature can have changed are re-signed, and the
-    /// signatures fan out over [`EngineOptions::threads`]. The default:
+    /// The worklist refiners ([`bisim::pipeline::reduce`]): only states
+    /// whose signature can have changed are re-signed. The default:
     /// measured on `rcs_scaled(2)` it beats the legacy recompute-all loop
     /// ~2.7×.
     #[default]
@@ -63,12 +60,13 @@ pub struct EngineOptions {
     /// flat, reduce once at the end) — the "no compositional aggregation"
     /// ablation. Default `true`.
     pub reduce_intermediate: bool,
-    /// Worker threads for aggregating independent plan groups (and, in the
-    /// callers that honor it, independent modules/configurations). `0`
-    /// means one worker per available core; `1` forces the sequential
-    /// path. Results are bitwise identical for every value — sibling
-    /// groups are evaluated by the same code either way and their step
-    /// reports are merged back in plan order.
+    /// Worker threads for the fan-outs above whole aggregations: the two
+    /// model configurations of a [`crate::query::Session`] prefetch, the
+    /// modules of [`crate::modular::modular_analysis`] and the points of
+    /// [`crate::query::Session::sweep`]. `0` means one worker per
+    /// available core; `1` runs them one after another. [`aggregate`]
+    /// itself is serial and ignores it. Results are bitwise identical for
+    /// every value: each worker runs exactly the code of the serial path.
     pub threads: usize,
     /// Configuration of the CTMC numerics the downstream measure layers
     /// ([`crate::query::Session`], [`crate::modular::modular_analysis`])
@@ -198,7 +196,6 @@ fn aggregate_inner(model: &SystemModel, opts: &EngineOptions) -> Result<Aggregat
         },
         refine: opts.refine,
         reduce_intermediate: opts.reduce_intermediate,
-        threads: ioimc::par::effective_threads(opts.threads),
     };
     let out = eval_plan(&env, &plan, &Interface::default())?;
     let mut acc = out.imc;
@@ -210,7 +207,7 @@ fn aggregate_inner(model: &SystemModel, opts: &EngineOptions) -> Result<Aggregat
     acc = hide_outputs(acc, &outs);
     let ins = acc.inputs().to_vec();
     acc = prune_inputs(acc, &ins);
-    let red = reduce_step(env.refine, &acc, &env.ropts, env.threads);
+    let red = reduce_step(env.refine, &acc, &env.ropts);
     refine.merge(&red.refine);
     acc = red.imc;
     largest = largest.max(Stats::of(&acc));
@@ -227,29 +224,24 @@ fn aggregate_inner(model: &SystemModel, opts: &EngineOptions) -> Result<Aggregat
 }
 
 /// Dispatches one reduction to the configured refinement engine.
-fn reduce_step(mode: RefineMode, imc: &IoImc, ropts: &ReduceOptions, threads: usize) -> Reduced {
+fn reduce_step(mode: RefineMode, imc: &IoImc, ropts: &ReduceOptions) -> Reduced {
     match mode {
-        RefineMode::Fresh => reduce_threaded(imc, ropts, threads),
+        RefineMode::Fresh => reduce(imc, ropts),
         RefineMode::Legacy => reduce_legacy(imc, ropts),
     }
 }
 
-/// Read-only evaluation environment shared by every (possibly concurrent)
-/// plan evaluation.
-#[derive(Clone, Copy)]
+/// Read-only evaluation environment shared by every plan evaluation.
 struct EvalEnv<'m> {
     model: &'m SystemModel,
     ropts: ReduceOptions,
     refine: RefineMode,
     reduce_intermediate: bool,
-    /// Worker budget for sibling groups at this level (already resolved
-    /// via [`ioimc::par::effective_threads`]).
-    threads: usize,
 }
 
 /// Result of evaluating one plan node: the aggregated automaton plus the
-/// node's own step log and peak sizes, merged into the parent in
-/// deterministic plan order.
+/// node's own step log and peak sizes, merged into the parent in plan
+/// order.
 struct EvalOut {
     imc: IoImc,
     steps: Vec<StepReport>,
@@ -299,66 +291,23 @@ fn eval_plan(env: &EvalEnv<'_>, plan: &Plan, external: &Interface) -> Result<Eva
             assert!(!items.is_empty(), "empty plan group");
             let ifaces: Vec<Interface> =
                 items.iter().map(|p| plan_interface(env.model, p)).collect();
-            // Everything outside item `k`: the external context plus the
-            // other items of this group (composed or still pending).
-            let item_externals: Vec<Interface> = (0..items.len())
-                .map(|k| {
-                    let mut ext = external.clone();
-                    for (j, other) in ifaces.iter().enumerate() {
-                        if j != k {
-                            ext = ext.union(other);
-                        }
-                    }
-                    ext
-                })
-                .collect();
-
-            // Sibling groups are aggregated in isolation (each only reads
-            // the shared model and its own external interface), so they
-            // are embarrassingly parallel. Pre-evaluate them on worker
-            // threads; the fold below then consumes the results in plan
-            // order, which keeps the composition sequence — and therefore
-            // every automaton and measure — identical to the sequential
-            // path. The thread budget is split across the workers so a
-            // dominant child still gets multi-threaded reductions without
-            // oversubscribing the machine.
-            let group_jobs: Vec<usize> = items
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| matches!(p, Plan::Group(_)))
-                .map(|(k, _)| k)
-                .collect();
-            let mut pre: Vec<Option<Result<EvalOut, ArcadeError>>> =
-                items.iter().map(|_| None).collect();
-            if env.threads > 1 && group_jobs.len() > 1 {
-                let worker_env = EvalEnv {
-                    threads: ioimc::par::split_budget(env.threads, group_jobs.len()),
-                    ..*env
-                };
-                // The ambient budget is a thread-local: carry it across
-                // the fan-out so workers stay under the caller's limits.
-                let budget = ioimc::budget::current();
-                let results = ioimc::par::par_map(env.threads, &group_jobs, |_, &k| {
-                    ioimc::budget::scope(budget.clone(), || {
-                        eval_plan(&worker_env, &items[k], &item_externals[k])
-                    })
-                });
-                for (&k, r) in group_jobs.iter().zip(results) {
-                    pre[k] = Some(r);
-                }
-            }
-
             let mut acc: Option<IoImc> = None;
             let mut steps: Vec<StepReport> = Vec::new();
             let mut largest = Stats::default();
             let mut refine = RefineStats::default();
             for (k, item) in items.iter().enumerate() {
-                let part = match pre[k].take() {
-                    Some(out) => out?,
-                    None => eval_plan(env, item, &item_externals[k])?,
-                };
-                // Deterministic merge: the child's own step log and peaks
-                // land right before the fold step that consumes it.
+                // A sub-group is aggregated in isolation: everything
+                // outside it is the external context plus the other items
+                // of this group (composed or still pending).
+                let mut item_external = external.clone();
+                for (j, other) in ifaces.iter().enumerate() {
+                    if j != k {
+                        item_external = item_external.union(other);
+                    }
+                }
+                let part = eval_plan(env, item, &item_external)?;
+                // The child's own step log and peaks land right before the
+                // fold step that consumes it.
                 steps.extend(part.steps);
                 largest = largest.max(part.largest);
                 refine.merge(&part.refine);
@@ -377,7 +326,7 @@ fn eval_plan(env: &EvalEnv<'_>, plan: &Plan, external: &Interface) -> Result<Eva
                         }
                         composed = hide_and_prune(composed, &outside);
                         composed = if env.reduce_intermediate {
-                            let red = reduce_step(env.refine, &composed, &env.ropts, env.threads);
+                            let red = reduce_step(env.refine, &composed, &env.ropts);
                             refine.merge(&red.refine);
                             red.imc
                         } else {
@@ -580,44 +529,26 @@ mod tests {
         assert!(a < 1.0);
     }
 
-    /// Parallel group aggregation is a pure scheduling change: the CTMC,
-    /// the step log and every measure must be *bitwise* identical to the
-    /// single-threaded path, for any worker count. With a rate parameter
-    /// declared, the CTMC's rate forms (node tables numbered in import
-    /// order) must be identical too.
+    /// Declaring a rate parameter makes the aggregated CTMC parametric
+    /// (it carries rate forms); without one it does not.
     #[test]
-    fn parallel_aggregation_is_bitwise_deterministic() {
+    fn declared_parameter_makes_the_chain_parametric() {
         let mut def = SystemDef::new("t");
-        for n in ["a", "b", "c", "d", "e", "f"] {
+        for n in ["a", "b", "c", "d"] {
             def.add_component(BcDef::new(n, Dist::exp(0.02), Dist::exp(1.0)));
         }
         def.add_repair_unit(RuDef::new("r1", ["a", "b"], RepairStrategy::Fcfs));
         def.add_repair_unit(RuDef::new("r2", ["c", "d"], RepairStrategy::Fcfs));
-        def.add_repair_unit(RuDef::new("r3", ["e", "f"], RepairStrategy::Fcfs));
         def.set_system_down(Expr::or([
             Expr::and([Expr::down("a"), Expr::down("b")]),
             Expr::and([Expr::down("c"), Expr::down("d")]),
-            Expr::and([Expr::down("e"), Expr::down("f")]),
         ]));
         let mut parametric = def.clone();
         parametric.add_param("lambda", 0.02);
         for (def, forms) in [(def, false), (parametric, true)] {
             let model = SystemModel::build(&def).unwrap();
-            let seq = aggregate(&model, &EngineOptions::new().with_threads(1)).unwrap();
-            assert_eq!(seq.ctmc.is_parametric(), forms);
-            for threads in [2, 4, 8] {
-                let par = aggregate(&model, &EngineOptions::new().with_threads(threads)).unwrap();
-                assert_eq!(par.ctmc, seq.ctmc, "{threads} threads: CTMC differs");
-                assert_eq!(par.largest_intermediate, seq.largest_intermediate);
-                assert_eq!(par.steps, seq.steps, "{threads} threads: step log differs");
-                let a_seq = measures::steady_state_availability(&seq.ctmc, 1);
-                let a_par = measures::steady_state_availability(&par.ctmc, 1);
-                assert_eq!(
-                    a_par.to_bits(),
-                    a_seq.to_bits(),
-                    "measure not bitwise equal"
-                );
-            }
+            let agg = aggregate(&model, &EngineOptions::new()).unwrap();
+            assert_eq!(agg.ctmc.is_parametric(), forms);
         }
     }
 

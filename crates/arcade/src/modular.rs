@@ -217,8 +217,10 @@ pub fn modular_analysis(
     // Modules are statistically independent CTMCs — solve them
     // concurrently. Each worker runs the exact analysis the sequential
     // loop would; results come back in module order, so the combined
-    // report is identical for every thread count. The thread budget is
-    // split across the module workers to bound the total thread count.
+    // report is identical for every thread count. A module session's
+    // `prefetch_all` fans its two configurations out in turn, so the
+    // thread budget is split across the module workers to bound the
+    // total thread count.
     let threads = ioimc::par::effective_threads(opts.threads);
     let worker_opts = if threads > 1 && jobs.len() > 1 {
         opts.clone()
@@ -339,6 +341,38 @@ mod tests {
             modular.evaluate(&[Measure::Mttf]),
             Err(ArcadeError::Invalid(_))
         ));
+    }
+
+    /// The module fan-out (and each module session's configuration
+    /// prefetch inside it) is a scheduling change only: the two-module
+    /// model of `modular_matches_monolithic` evaluates bitwise identically
+    /// at 1, 2 and 8 threads.
+    #[test]
+    fn modular_evaluation_is_thread_count_invariant() {
+        let mut def = SystemDef::new("t");
+        def.add_component(BcDef::new("a", Dist::exp(0.01), Dist::exp(1.0)));
+        def.add_component(BcDef::new("b", Dist::exp(0.03), Dist::exp(2.0)));
+        def.add_repair_unit(RuDef::new("ra", ["a"], RepairStrategy::Dedicated));
+        def.add_repair_unit(RuDef::new("rb", ["b"], RepairStrategy::Dedicated));
+        def.set_system_down(Expr::or([Expr::down("a"), Expr::down("b")]));
+        let batch = [
+            Measure::SteadyStateUnavailability,
+            Measure::Reliability(3.0),
+            Measure::UnreliabilityWithRepair(3.0),
+            Measure::PointUnavailability(3.0),
+            Measure::SteadyStateAvailability,
+        ];
+        let bits = |threads: usize| -> Vec<u64> {
+            let opts = EngineOptions::new().with_threads(threads);
+            let modular = modular_analysis(&def, &opts).unwrap();
+            assert_eq!(modular.modules.len(), 2);
+            let values = modular.evaluate(&batch).unwrap();
+            values.iter().map(|v| v.to_bits()).collect()
+        };
+        let serial = bits(1);
+        for threads in [2, 8] {
+            assert_eq!(bits(threads), serial, "{threads} threads");
+        }
     }
 
     /// A shared repair unit couples the components into one module.

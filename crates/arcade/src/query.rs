@@ -258,10 +258,13 @@ impl ParamGrid {
         &self.names
     }
 
-    /// Number of points the grid enumerates.
+    /// Number of points the grid enumerates, saturating at `usize::MAX`
+    /// (a cartesian grid of 8 axes × 1,000 values has 10^24 points).
     pub fn len(&self) -> usize {
         match &self.kind {
-            GridKind::Cartesian(axes) => axes.iter().map(Vec::len).product(),
+            GridKind::Cartesian(axes) => axes
+                .iter()
+                .fold(1usize, |n, axis| n.saturating_mul(axis.len())),
             GridKind::Explicit(ps) => ps.len(),
         }
     }
@@ -272,11 +275,13 @@ impl ParamGrid {
     }
 
     /// Materializes the points, each a vector of values in `names` order.
+    /// This allocates a row per point: check [`ParamGrid::len`] first on
+    /// a grid from an untrusted source ([`Session::sweep`] does).
     pub fn points(&self) -> Vec<Vec<f64>> {
         match &self.kind {
             GridKind::Explicit(ps) => ps.clone(),
             GridKind::Cartesian(axes) => {
-                let total: usize = axes.iter().map(Vec::len).product();
+                let total = self.len();
                 let mut out = Vec::with_capacity(total);
                 let mut idx = vec![0usize; axes.len()];
                 for _ in 0..total {
@@ -294,6 +299,16 @@ impl ParamGrid {
         }
     }
 }
+
+/// The most points one [`Session::sweep`] evaluates; a larger grid is
+/// rejected before anything is built or materialized. The largest sweep
+/// in this repository (`exp_scaling`'s `rcs_scaled_parametric(2)` grid)
+/// has 256 points, so the cap leaves 256× headroom, while the points,
+/// values and sensitivities of a grid at the cap take about 10 MB for 3
+/// parameters and 2 measures. Without a cap, a 60 KB wire `sweep` line
+/// names 10^12 points, and reserving one row per point aborts the
+/// process.
+const MAX_SWEEP_POINTS: usize = 1 << 16;
 
 /// The result of a [`Session::sweep`]: per-point measure values plus
 /// finite-difference sensitivities where the grid provides neighbors.
@@ -380,7 +395,7 @@ enum Config {
 /// instead of duplicating it, and repeat queries read the cached value.
 /// Answers are identical to single-threaded evaluation —
 /// the memoized artifacts are built by exactly the code the serial path
-/// runs (and the engines themselves are bitwise thread-count-invariant).
+/// runs (aggregation and the solvers are serial themselves).
 #[derive(Debug)]
 pub struct Session {
     def: SystemDef,
@@ -488,15 +503,12 @@ impl Session {
 
     /// The aggregation of `cfg`, built on first use. Concurrent callers
     /// block on the same [`RetryCell`], so a cold configuration is
-    /// aggregated exactly once no matter how many threads race for it;
-    /// `opts` overrides the engine options the winning build runs with
-    /// (results are thread-count-invariant, so which caller wins never
-    /// changes the artifact). When `trace` is given, it records whether
-    /// this call ran the build itself or blocked on one in flight.
+    /// aggregated exactly once no matter how many threads race for it.
+    /// When `trace` is given, it records whether this call ran the build
+    /// itself or blocked on one in flight.
     fn aggregation_traced(
         &self,
         cfg: Config,
-        opts: &EngineOptions,
         trace: Option<&TraceCells>,
     ) -> Result<Arc<Aggregation>, ArcadeError> {
         let cache = self.cache(cfg);
@@ -511,7 +523,7 @@ impl Session {
             // caching policy below can tell transient failures apart.
             let agg = guarded(None, || {
                 chaos::failpoint("session.agg");
-                build_aggregation(&self.config_def(cfg), opts)
+                build_aggregation(&self.config_def(cfg), &self.opts)
             });
             if let Ok(a) = &agg {
                 self.aggregations_built.fetch_add(1, Ordering::Relaxed);
@@ -555,17 +567,18 @@ impl Session {
         }
     }
 
-    /// The aggregation of `cfg`, built on first use (session options).
+    /// The aggregation of `cfg`, built on first use.
     fn aggregation(&self, cfg: Config) -> Result<Arc<Aggregation>, ArcadeError> {
-        self.aggregation_traced(cfg, &self.opts, None)
+        self.aggregation_traced(cfg, None)
     }
 
     /// Builds every configuration in `need` that is still missing. The
     /// configurations are independent (different model variants), so when
     /// more than one is missing they are aggregated on concurrent worker
-    /// threads — each worker runs exactly the computation the lazy path
-    /// would, so the cached artifacts (and all measures derived from
-    /// them) are identical to sequential building.
+    /// threads, one configuration per worker — each worker runs exactly
+    /// the serial aggregation the lazy path would, so the cached
+    /// artifacts (and all measures derived from them) are identical to
+    /// sequential building.
     ///
     /// # Errors
     ///
@@ -579,32 +592,24 @@ impl Session {
             .collect();
         let threads = ioimc::par::effective_threads(self.opts.threads);
         if missing.len() > 1 && threads > 1 {
-            // Split the thread budget across the configuration builds to
-            // bound the total thread count. Each worker still routes
-            // through the configuration's RetryCell, so a concurrent
-            // evaluator racing this prefetch never duplicates a build.
-            let worker_opts = self
-                .opts
-                .clone()
-                .with_threads(ioimc::par::split_budget(threads, missing.len()));
-            // Carry the caller's ambient budget into the workers (the
-            // thread-local does not cross spawns by itself).
+            // Each worker routes through the configuration's RetryCell,
+            // so a concurrent evaluator racing this prefetch never
+            // duplicates a build. Carry the caller's ambient budget into
+            // the workers (the thread-local does not cross spawns by
+            // itself).
             let budget = budget::current();
-            let results = ioimc::par::par_map(missing.len(), &missing, |_, &cfg| {
+            let results = ioimc::par::par_map(threads, &missing, |_, &cfg| {
                 budget::scope(budget.clone(), || {
-                    self.aggregation_traced(cfg, &worker_opts, trace)
-                        .map(|_| ())
+                    self.aggregation_traced(cfg, trace).map(|_| ())
                 })
             });
-            for r in results {
-                r?;
-            }
+            results.into_iter().collect()
         } else {
             for c in missing {
-                self.aggregation_traced(c, &self.opts, trace)?;
+                self.aggregation_traced(c, trace)?;
             }
+            Ok(())
         }
-        Ok(())
     }
 
     /// Eagerly builds **both** model configurations (availability and
@@ -752,15 +757,27 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ArcadeError::Invalid`] for unknown/duplicate grid
-    /// parameter names, ragged explicit points, non-positive values, or a
-    /// negative or non-finite measure time; otherwise propagates
-    /// aggregation/analysis errors.
+    /// Returns [`ArcadeError::Invalid`] for a grid of more than 65,536
+    /// points (checked before anything is built or materialized),
+    /// unknown/duplicate grid parameter names, ragged explicit points,
+    /// non-positive values, or a negative or non-finite measure time;
+    /// otherwise propagates aggregation/analysis errors.
     pub fn sweep(
         &self,
         measures: &[Measure],
         grid: &ParamGrid,
     ) -> Result<SweepResult, ArcadeError> {
+        let len = grid.len();
+        if len > MAX_SWEEP_POINTS {
+            let count = if len == usize::MAX {
+                format!("more than {len}")
+            } else {
+                len.to_string()
+            };
+            return Err(ArcadeError::invalid(format!(
+                "the grid has {count} points; a sweep evaluates at most {MAX_SWEEP_POINTS}"
+            )));
+        }
         let points = grid.points();
         let fulls = self.param_vectors(grid.names(), &points)?;
         // Warm the needed aggregations before fanning out, so the workers
@@ -1631,6 +1648,28 @@ mod tests {
             .flatten()
             .flatten()
             .all(Option::is_none));
+    }
+
+    /// A grid above the point cap answers `Invalid` before anything is
+    /// built: 3 × 10,000 values name 10^12 points, and 8 × 1,000 values
+    /// (10^24) overflow `usize`.
+    #[test]
+    fn oversized_sweep_grids_are_invalid() {
+        let def = crate::cases::dds_scaled_parametric(2);
+        let session = Session::new(&def).unwrap();
+        let axis = |n: usize| (1..=n).map(|i| 1e-4 * i as f64).collect::<Vec<f64>>();
+        let names: Vec<String> = def.params.iter().map(|p| p.name.clone()).collect();
+        let wide = ParamGrid::cartesian(names.iter().map(|n| (n.clone(), axis(10_000))));
+        assert_eq!(wide.len(), 1_000_000_000_000);
+        let deep = ParamGrid::cartesian((0..8).map(|i| (format!("p{i}"), axis(1_000))));
+        assert_eq!(deep.len(), usize::MAX);
+        for (grid, count) in [(wide, "1000000000000"), (deep, "more than")] {
+            match session.sweep(&[Measure::Mttf], &grid) {
+                Err(ArcadeError::Invalid(msg)) => assert!(msg.contains(count), "{msg}"),
+                other => panic!("expected Invalid, got {other:?}"),
+            }
+        }
+        assert_eq!(session.stats().aggregations_built, 0);
     }
 
     #[test]

@@ -301,6 +301,45 @@ fn timeout_ms_answers_deadline_and_frees_the_worker() {
     handle.join();
 }
 
+/// A sweep grid above the point cap answers `model_error`, and the daemon
+/// keeps serving: a 3 × 10,000 cartesian grid (10^12 points) fits one
+/// request line under the default 1 MiB cap, and reserving its rows used
+/// to abort the whole process.
+#[test]
+fn oversized_sweep_grid_answers_model_error_and_the_daemon_keeps_serving() {
+    let config = ServerConfig {
+        workers: 2,
+        idle_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let handle = serve(config).expect("start test server");
+    let addr = handle.local_addr().to_string();
+    let values: Vec<String> = (1..=10_000).map(|i| format!("{i}e-6")).collect();
+    let axes: Vec<String> = ["proc_rate", "disk_rate", "repair_rate"]
+        .iter()
+        .map(|name| format!(r#"{{"name":"{name}","values":[{}]}}"#, values.join(",")))
+        .collect();
+    let line = format!(
+        r#"{{"cmd":"sweep","model":"dds_scaled_parametric(2)","measures":["mttf"],"params":[{}]}}"#,
+        axes.join(",")
+    );
+    let v = raw_roundtrip(&addr, line.as_bytes());
+    assert_eq!(error_code(&v), "model_error", "{v}");
+    let message = v
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("error message");
+    assert!(message.contains("1000000000000 points"), "{message}");
+    let ok = raw_roundtrip(
+        &addr,
+        br#"{"model":"dds","measures":["unavailability"],"times":[1]}"#,
+    );
+    assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "{ok}");
+    handle.shutdown();
+    handle.join();
+}
+
 /// A huge horizon is advanced in capped uniformization sub-segments:
 /// DDS point unavailability at t = 1e12 under a 1 s deadline answers the
 /// steady state instead of expanding gigabytes of Poisson weights and

@@ -1,16 +1,19 @@
-//! Scaling sweep — family size × thread count, plus sparse-solver and
-//! adaptive-engine timings.
+//! Scaling sweep — family size, plus sparse-solver and adaptive-engine
+//! timings.
 //!
 //! Aggregates the scaled case families (`dds_scaled(n)` disk clusters,
 //! `rcs_scaled(k)` pump lines, the `rcs_scaled_kofn(n, k)` k-of-n variant
-//! and the stiff `rcs_stiff(k)` family) at several engine thread counts
-//! and reports, per configuration: wall-clock time, speedup over the
-//! single-threaded run, the peak intermediate I/O-IMC sizes, and the
-//! final CTMC size. Every multi-threaded result is checked for exact
-//! equality with the single-threaded CTMC — the parallel engine is a
-//! scheduling change only.
+//! and the stiff `rcs_stiff(k)` family) once each — aggregation is
+//! serial — and reports, per family: wall-clock time, the peak
+//! intermediate I/O-IMC sizes, and the final CTMC size.
 //!
-//! After each family's aggregation sweep the final CTMC is **solved**:
+//! The one fan-out above aggregation is measured on its own row: cold
+//! [`Session::prefetch_all`]s of the paper's DDS (`dds_scaled(6)`) build
+//! its two model configurations, three times at 1 worker and three at
+//! `--threads` workers; every run's chains must be bitwise equal, and
+//! the ratio of the median wall times is printed (no timing gate).
+//!
+//! After each family's aggregation the final CTMC is **solved**:
 //! one steady-state distribution, then a timed 50-point transient
 //! (unavailability) grid on the kernel the default options pick. Every
 //! transient kernel is serial, so the grid has no thread axis. Two
@@ -35,7 +38,7 @@
 //! through Gauss–Seidel, and the run asserts the result within 1e-12 of a
 //! pinned dense GTH solve of the same chain and prints its wall time.
 //!
-//! After the family sweeps a **parametric sweep benchmark** runs: a
+//! After the family rows a **parametric sweep benchmark** runs: a
 //! `dds_scaled_parametric` session evaluates a multi-hundred-point rate
 //! grid through [`Session::sweep`] (one aggregation per configuration,
 //! re-rated per point) and a rebuild-per-point baseline re-aggregates a
@@ -64,9 +67,9 @@
 //! each solve's own [`MeasureContext`].
 //!
 //! Run: `cargo run --release -p arcade-bench --bin exp_scaling`
-//! (`-- --smoke` runs a minutes-sized subset for CI; `--threads N` adds
-//! `N` to the aggregation and sweep thread counts; `--smoke --threads 2
-//! --json` is the CI gate).
+//! (`-- --smoke` runs a minutes-sized subset for CI; `--threads N` sets
+//! the worker count of the prefetch row and the parametric sweeps, at
+//! least 2; `--smoke --threads 2 --json` is the CI gate).
 
 use std::time::Instant;
 
@@ -118,19 +121,15 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json = args.iter().any(|a| a == "--json");
-    let extra_threads: Vec<usize> = args
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Always a >1 worker request (even on small machines) so the parallel
+    // scheduling paths are exercised where cores exist; requests are
+    // clamped to `hw` inside the engines.
+    let threads = args
         .windows(2)
         .filter(|w| w[0] == "--threads")
         .filter_map(|w| w[1].parse().ok())
-        .collect();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Always include a >1 worker request (even on small machines) so the
-    // parallel scheduling path is exercised where cores exist; requests
-    // are clamped to `hw` inside the engines.
-    let mut threads: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, hw] };
-    threads.extend(extra_threads);
-    threads.sort_unstable();
-    threads.dedup();
+        .fold(if smoke { 2 } else { hw.max(4) }, usize::max);
 
     // The aggregation and solver hot loops carry cooperative budget
     // checkpoints and chaos failpoints; disarmed, both reduce to one
@@ -154,18 +153,12 @@ fn main() {
     // minutes — the state spaces grow combinatorially with family size).
     // The smoke subset includes dds_scaled(6) for its dense GTH solve.
     let dds_sizes: Vec<usize> = if smoke { vec![3, 6] } else { vec![2, 4, 6, 9] };
-    // rcs_scaled(2) is the big sparse-solver workload: its CTMC has
-    // ≈84k states, far beyond the dense limit. In smoke mode it runs
-    // at one thread count only (the aggregation is the slow part).
-    let rcs_threads: Vec<usize> = if smoke { vec![1] } else { threads.clone() };
 
     let mut records: Vec<TransientRecord> = Vec::new();
     let mut table = Table::new(&[
         "family",
         "blocks",
-        "threads",
         "time",
-        "speedup",
         "peak states",
         "peak transitions",
         "CTMC",
@@ -173,22 +166,17 @@ fn main() {
         "grid(50)",
     ]);
     for &n in &dds_sizes {
-        sweep(
+        aggregate_family(
             &mut table,
             &format!("dds_scaled({n})"),
             &dds_scaled(n),
-            &threads,
             &mut records,
         );
     }
+    // rcs_scaled(2) is the big sparse-solver workload: its CTMC has
+    // ≈84k states, far beyond the dense limit.
     let rcs_def = rcs_scaled(2);
-    let (rcs_agg, rcs_u) = sweep(
-        &mut table,
-        "rcs_scaled(2)",
-        &rcs_def,
-        &rcs_threads,
-        &mut records,
-    );
+    let (rcs_agg, rcs_u) = aggregate_family(&mut table, "rcs_scaled(2)", &rcs_def, &mut records);
     // This family is the sparse-path regression gate: if the default
     // dense limit ever outgrows it, the iterative kernels lose coverage.
     assert!(
@@ -202,26 +190,20 @@ fn main() {
     // failure rates, so the adaptive per-segment Λ (chosen from the
     // ε-support's exit rates) runs far below the global uniformization
     // rate — the lever the exact-engine ablation quantifies.
-    let (stiff_agg, _) = sweep(
-        &mut table,
-        "rcs_stiff(3)",
-        &rcs_stiff(3),
-        &rcs_threads,
-        &mut records,
-    );
+    let (stiff_agg, _) = aggregate_family(&mut table, "rcs_stiff(3)", &rcs_stiff(3), &mut records);
     if !smoke {
-        sweep(
+        aggregate_family(
             &mut table,
             "rcs_scaled_kofn(2, 2)",
             &rcs_scaled_kofn(2, 2),
-            &threads,
             &mut records,
         );
     }
     println!("{}", table.render());
+    prefetch_row(threads);
 
     // Cross-validate the sparse monolithic steady solve (reusing the
-    // distribution from the sweep): the same family decomposes into
+    // distribution from its row): the same family decomposes into
     // independent modules whose small CTMCs are solved on the dense
     // path, and the combined unavailability must agree.
     let sparse_u = rcs_u;
@@ -243,25 +225,20 @@ fn main() {
     rcs_mttf_gate(&rcs_agg.ctmc);
     println!();
     println!(
-        "every multi-threaded CTMC was verified identical to the 1-thread result, and \
-         every adaptive windowed grid within 1e-10 of the exact global-Λ full-sweep \
-         engine; aggregation speedups come from sibling fault-tree modules on worker \
-         threads, grid speedups from the support-windowed adaptive engine and \
-         steady-state detection. families beyond the dense limit are solved on the \
+        "every adaptive windowed grid was verified within 1e-10 of the exact global-Λ \
+         full-sweep engine; grid speedups come from the support-windowed adaptive engine \
+         and steady-state detection. families beyond the dense limit are solved on the \
          sparse iterative path."
     );
     println!();
     let stiff_records = stiff_family(smoke, &stiff_agg.ctmc);
-    let sweep_rec = param_sweep_bench(smoke, *threads.last().expect("non-empty thread list"));
+    let sweep_rec = param_sweep_bench(smoke, threads);
     let rcs_agg_secs = records
         .iter()
         .find(|r| r.family == "rcs_scaled(2)")
         .expect("rcs_scaled(2) record")
         .aggregation_secs;
-    rcs_sweep_gate(
-        *threads.last().expect("non-empty thread list"),
-        rcs_agg_secs,
-    );
+    rcs_sweep_gate(threads, rcs_agg_secs);
     if json {
         let path = "BENCH_transient.json";
         arcade_bench::write_atomic(
@@ -488,11 +465,6 @@ fn rcs_sweep_gate(threads: usize, rcs_agg_secs: f64) {
     let chain = &agg.ctmc;
     let base: Vec<f64> = def.params.iter().map(|p| p.base).collect();
     let rerated = chain.rerate(&base).expect("re-rate at the base values");
-    let rate_bits = |c: &Ctmc| -> Vec<(u64, u32)> {
-        let exit = c.exit_rates().iter().map(|r| (r.to_bits(), u32::MAX));
-        let tr = c.transitions().iter().map(|&(r, t)| (r.to_bits(), t));
-        tr.chain(exit).collect()
-    };
     assert!(
         rerated.offsets() == chain.offsets() && rate_bits(&rerated) == rate_bits(chain),
         "rcs_scaled_parametric(2): re-rating at the base values changed the chain"
@@ -784,7 +756,7 @@ fn worklist_gate(
     let worklist_secs = records
         .iter()
         .find(|r| r.family == "rcs_scaled(2)")
-        .expect("rcs_scaled(2) was swept")
+        .expect("rcs_scaled(2) was aggregated")
         .aggregation_secs;
     assert!(
         worklist_secs < SEED_AGGREGATION_SECS,
@@ -801,66 +773,92 @@ fn worklist_gate(
     );
 }
 
-/// Runs the aggregation sweep for one family and returns the baseline
-/// aggregation plus its steady-state unavailability (from the one solve
-/// performed on the first pass).
-fn sweep(
+/// Aggregates one family once, solves its chain (see [`solve`]) and adds
+/// its table row; returns the aggregation plus its steady-state
+/// unavailability.
+fn aggregate_family(
     table: &mut Table,
     family: &str,
     def: &arcade::ast::SystemDef,
-    threads: &[usize],
     records: &mut Vec<TransientRecord>,
 ) -> (Aggregation, f64) {
     let model = SystemModel::build(def).expect("case family elaborates");
-    let mut baseline: Option<(f64, Aggregation)> = None;
-    let mut steady_unavail = f64::NAN;
-    for &th in threads {
-        let opts = EngineOptions::new().with_threads(th);
+    let start = Instant::now();
+    let agg = aggregate(&model, &EngineOptions::new()).expect("aggregation succeeds");
+    let secs = start.elapsed().as_secs_f64();
+    let (steady_secs, grid_secs, steady_unavail) = solve(family, &agg, secs, records);
+    table.row(&[
+        family.into(),
+        model.blocks.len().to_string(),
+        format!("{secs:.3} s"),
+        agg.largest_intermediate.states.to_string(),
+        agg.largest_intermediate.transitions().to_string(),
+        format!(
+            "{} st / {} tr",
+            agg.ctmc_stats.states,
+            agg.ctmc_stats.transitions()
+        ),
+        format!("{steady_secs:.3} s"),
+        format!("{grid_secs:.3} s"),
+    ]);
+    (agg, steady_unavail)
+}
+
+/// Every rate of `c` as bits, transitions then exit rates, with each
+/// transition's target: equal vectors (and equal offsets) mean bitwise
+/// equal chains.
+fn rate_bits(c: &Ctmc) -> Vec<(u64, u32)> {
+    let exit = c.exit_rates().iter().map(|r| (r.to_bits(), u32::MAX));
+    let tr = c.transitions().iter().map(|&(r, t)| (r.to_bits(), t));
+    tr.chain(exit).collect()
+}
+
+/// The configuration fan-out row: cold [`Session::prefetch_all`]s of
+/// the paper's DDS (`dds_scaled(6)`), three at 1 worker and three at
+/// `threads` workers, alternating which count runs first. Every run's
+/// chains, both configurations, must be bitwise equal to the first
+/// 1-worker run's; the ratio of the median wall times is printed, not
+/// gated.
+fn prefetch_row(threads: usize) {
+    let def = dds_scaled(6);
+    let workers = [1, threads];
+    let mut secs: [Vec<f64>; 2] = Default::default();
+    let mut reference: Option<[std::sync::Arc<Aggregation>; 2]> = None;
+    for k in [0, 1, 1, 0, 0, 1] {
+        let session = Session::new(&def)
+            .expect("dds_scaled(6) elaborates")
+            .with_options(EngineOptions::new().with_threads(workers[k]));
         let start = Instant::now();
-        let agg = aggregate(&model, &opts).expect("aggregation succeeds");
-        let secs = start.elapsed().as_secs_f64();
-        let speedup = if let Some((base_secs, base_agg)) = &baseline {
-            assert_eq!(
-                agg.ctmc, base_agg.ctmc,
-                "{family}: {th}-thread CTMC differs from the 1-thread result"
-            );
-            base_secs / secs
-        } else {
-            1.0
-        };
-        // Solve the final chain once (on the first, single-threaded pass):
-        // steady state plus the 50-point transient grids.
-        let solve_cells = if baseline.is_none() {
-            let (steady_secs, grid_secs, unavail) = solve(family, &agg, secs, records);
-            steady_unavail = unavail;
-            (format!("{steady_secs:.3} s"), format!("{grid_secs:.3} s"))
-        } else {
-            ("-".into(), "-".into())
-        };
-        table.row(&[
-            family.into(),
-            model.blocks.len().to_string(),
-            th.to_string(),
-            format!("{:.3} s", secs),
-            format!("{speedup:.2}x"),
-            agg.largest_intermediate.states.to_string(),
-            agg.largest_intermediate.transitions().to_string(),
-            format!(
-                "{} st / {} tr",
-                agg.ctmc_stats.states,
-                agg.ctmc_stats.transitions()
-            ),
-            solve_cells.0,
-            solve_cells.1,
-        ]);
-        if baseline.is_none() {
-            baseline = Some((secs, agg));
+        session.prefetch_all().expect("dds_scaled(6) aggregates");
+        secs[k].push(start.elapsed().as_secs_f64());
+        let aggs = [
+            session.availability_model().expect("warm"),
+            session.reliability_model().expect("warm"),
+        ];
+        match &reference {
+            None => reference = Some(aggs),
+            Some(first) => {
+                for (a, b) in first.iter().zip(&aggs) {
+                    assert!(
+                        a.ctmc == b.ctmc && rate_bits(&a.ctmc) == rate_bits(&b.ctmc),
+                        "dds_scaled(6): a configuration's chain differs between 1 and {} \
+                         workers",
+                        workers[k]
+                    );
+                }
+            }
         }
     }
-    (
-        baseline.expect("at least one thread count").1,
-        steady_unavail,
-    )
+    let [serial, par] = secs.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    });
+    println!(
+        "dds_scaled(6): cold prefetch_all of both configurations, median of 3: \
+         {serial:.3} s at 1 worker vs {par:.3} s at {threads} workers ({:.2}x), \
+         chains bitwise equal",
+        serial / par
+    );
 }
 
 /// Sup-norm distance between two grids of distributions.

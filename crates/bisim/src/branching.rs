@@ -27,39 +27,23 @@ use crate::strong::split;
 /// partition of `imc`, returning the partition and the fixpoint signature of
 /// each state.
 ///
+/// Implemented by the worklist/splitter refiner (the crate-internal
+/// `worklist` module; see the crate docs). A state's branching signature
+/// reads the signatures of its inert tau successors, so dirty states are
+/// re-signed in tau-topological order (tau-sinks first). The result —
+/// partition numbering and signatures — is identical to
+/// [`refine_branching_legacy`].
+///
 /// # Panics
 ///
 /// Panics (in debug builds) if the tau graph has a cycle; release builds
 /// fall back to treating the offending tau edges as observable, which is
 /// sound but reduces less.
 pub fn refine_branching(imc: &IoImc, initial: Partition) -> (Partition, Vec<Signature>) {
-    refine_branching_threaded(imc, initial, 1)
-}
-
-/// [`refine_branching`] with the per-state signature computation spread
-/// over `threads` scoped workers.
-///
-/// Implemented by the worklist/splitter refiner (the crate-internal
-/// `worklist` module; see the crate docs). A state's branching signature
-/// reads the signatures of its inert tau successors, so dirty states are
-/// scheduled by *tau depth*: layer 0 holds the tau-sinks (the
-/// overwhelming majority after the SCC collapse), layer `d + 1` the
-/// states whose deepest tau successor sits in layer `d`. Layers run in
-/// ascending order; within a layer every state is
-/// independent and computed in parallel, with interning done on the
-/// coordinating thread in layer order — so the refinement is bitwise
-/// deterministic for every thread count and identical to
-/// [`refine_branching_legacy`].
-pub fn refine_branching_threaded(
-    imc: &IoImc,
-    initial: Partition,
-    threads: usize,
-) -> (Partition, Vec<Signature>) {
     let mut counters = crate::worklist::RefineCounters::default();
     crate::worklist::refine_worklist(
         imc,
         &initial,
-        threads,
         crate::worklist::Mode::Branching,
         &mut counters,
     )
@@ -101,30 +85,6 @@ pub fn refine_branching_legacy(imc: &IoImc, initial: Partition) -> (Partition, V
         }
         part = next;
     }
-}
-
-/// Groups the topologically ordered states by tau depth: a state's layer
-/// is one more than the deepest layer among its internal-action
-/// successors (0 for tau-sinks). Within a layer no state tau-reaches
-/// another, so their branching signatures are independent.
-pub(crate) fn tau_layers(imc: &IoImc, order: &[StateId]) -> Vec<Vec<StateId>> {
-    let n = imc.num_states();
-    let mut depth = vec![0usize; n];
-    let mut layers: Vec<Vec<StateId>> = Vec::new();
-    for &s in order {
-        let mut d = 0usize;
-        for &(a, t) in imc.interactive_from(s) {
-            if imc.kind_of(a) == Some(ActionKind::Internal) && t != s {
-                d = d.max(depth[t as usize] + 1);
-            }
-        }
-        depth[s as usize] = d;
-        if layers.len() <= d {
-            layers.resize_with(d + 1, Vec::new);
-        }
-        layers[d].push(s);
-    }
-    layers
 }
 
 /// The branching signature of `s` against the per-state block array,

@@ -35,16 +35,16 @@
 //!
 //! # Determinism discipline
 //!
-//! Threaded refinement is **bitwise identical** to serial at every thread
-//! count: worker threads only evaluate the pure function
-//! `(imc, partition, state) -> signature`, while interning, splitting, and
-//! worklist ordering happen on the coordinating thread in a fixed order
-//! (blocks ascending id, states ascending id within a block; tau-topological
-//! order for branching). At the fixpoint the partition is renumbered
-//! canonically by first occurrence in ascending state order, which
-//! reproduces the legacy refiners' numbering exactly — the legacy loops
-//! ([`strong::refine_strong_legacy`], [`branching::refine_branching_legacy`])
-//! are kept as differential-testing oracles.
+//! Refinement runs serially on the calling thread, in a fixed order
+//! (blocks ascending id, states ascending id within a block;
+//! tau-topological order for branching). At the fixpoint the partition
+//! is renumbered canonically by first occurrence in ascending state
+//! order, which reproduces the legacy refiners' numbering exactly — the
+//! legacy loops ([`strong::refine_strong_legacy`],
+//! [`branching::refine_branching_legacy`]) are kept as
+//! differential-testing oracles. The crate starts no threads: callers
+//! that want parallelism run whole reductions (or whole aggregations) on
+//! separate threads.
 //!
 //! # Example
 //!
@@ -85,12 +85,5 @@ pub mod vanishing;
 pub(crate) mod worklist;
 
 pub use partition::Partition;
-pub use pipeline::{
-    reduce, reduce_legacy, reduce_threaded, ReduceOptions, Reduced, RefineStats, Strategy,
-};
+pub use pipeline::{reduce, reduce_legacy, ReduceOptions, Reduced, RefineStats, Strategy};
 pub use vanishing::NondeterminismError;
-
-/// Minimum number of states (or states per tau layer) before the
-/// refinement loops fan signature computation out to worker threads;
-/// below this the per-iteration spawn overhead outweighs the work.
-pub(crate) const PAR_STATE_THRESHOLD: usize = 4096;

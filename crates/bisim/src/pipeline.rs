@@ -93,13 +93,6 @@ pub struct Reduced {
 /// chosen [`Strategy`]. The reduction is label-respecting and preserves
 /// weak-bisimulation equivalence (hence all Arcade measures).
 pub fn reduce(imc: &IoImc, opts: &ReduceOptions) -> Reduced {
-    reduce_threaded(imc, opts, 1)
-}
-
-/// [`reduce`] with the per-state signature computation of the refinement
-/// loops spread over `threads` scoped workers. The result is bitwise
-/// identical for every thread count.
-pub fn reduce_threaded(imc: &IoImc, opts: &ReduceOptions, threads: usize) -> Reduced {
     let before = Stats::of(imc);
     let mut refine = RefineStats::default();
     let mut cur = restrict_reachable(imc);
@@ -115,7 +108,6 @@ pub fn reduce_threaded(imc: &IoImc, opts: &ReduceOptions, threads: usize) -> Red
             let (p, sigs) = refine_worklist_blocks(
                 &cur,
                 &Partition::by_label(&cur),
-                threads,
                 Mode::Strong,
                 &mut counters,
             );
@@ -134,7 +126,6 @@ pub fn reduce_threaded(imc: &IoImc, opts: &ReduceOptions, threads: usize) -> Red
                 let (p, sigs) = refine_worklist_blocks(
                     &cur,
                     &Partition::by_label(&cur),
-                    threads,
                     Mode::Branching,
                     &mut counters,
                 );
@@ -365,46 +356,6 @@ mod tests {
         let o = opts(&mut ab, Strategy::Branching);
         assert!(equivalent(&mk(2.0), &mk(2.0), &o));
         assert!(!equivalent(&mk(2.0), &mk(3.0), &o));
-    }
-
-    /// The threaded refiners are a scheduling change only: the reduced
-    /// automaton must be identical (not just equivalent) for any worker
-    /// count. The model is built wide enough (both in total states and in
-    /// the tau layers) to clear `PAR_STATE_THRESHOLD`, so the parallel
-    /// code paths really run.
-    #[test]
-    fn threaded_reduce_is_bitwise_identical() {
-        let width = 2 * crate::PAR_STATE_THRESHOLD;
-        let mut ab = Alphabet::new();
-        let tau = ab.intern("tau");
-        let out = ab.intern("alarm");
-        let mut b = IoImcBuilder::new();
-        b.set_internals([tau]).set_outputs([out]);
-        let hub = b.add_labeled_state(1 << 60);
-        // `width` labeled sinks with varying rate structure (tau layer 0)
-        // and one tau state above each (tau layer 1).
-        let sinks: Vec<_> = (0..width)
-            .map(|i| b.add_labeled_state(1 << (i % 5)))
-            .collect();
-        for (i, &s) in sinks.iter().enumerate() {
-            b.markovian(s, 1.0 + (i % 7) as f64, hub);
-            let t = b.add_state();
-            b.interactive(t, tau, s);
-            if i % 3 == 0 {
-                b.interactive(t, out, hub);
-            }
-            b.markovian(hub, 0.25 + (i % 4) as f64, t);
-        }
-        let imc = b.build().unwrap();
-        for strategy in [Strategy::Strong, Strategy::Branching] {
-            let o = opts(&mut ab, strategy);
-            let seq = reduce(&imc, &o);
-            for threads in [2, 4, 8] {
-                let par = reduce_threaded(&imc, &o, threads);
-                assert_eq!(par.imc, seq.imc, "{strategy:?} with {threads} threads");
-                assert_eq!(par.after, seq.after);
-            }
-        }
     }
 
     /// Reduction must preserve the total rate structure of a birth-death

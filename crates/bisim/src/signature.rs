@@ -99,9 +99,9 @@ pub(crate) fn push_rate_entries(
 /// `Vec<SigEntry>`. Ids are assigned in interning order; the refiner
 /// interns sequentially in a deterministic state order, so the table —
 /// and everything derived from it — is identical across runs. Entries are
-/// `Arc`-shared slices: parallel signature workers read them (the
-/// branching signature of a state extends the signatures of its inert
-/// successors) without cloning.
+/// `Arc`-shared slices, held by both the lookup map and the id-indexed
+/// list without a second copy; the branching signature of a state
+/// extends the entries of its inert successors straight from the table.
 #[derive(Default)]
 pub struct SigTable {
     map: ioimc::fxhash::FxHashMap<std::sync::Arc<[SigEntry]>, u32>,
@@ -123,24 +123,10 @@ impl SigTable {
     }
 
     /// Interns `sig` (must already be canonicalized), returning its id.
-    /// Equal signatures always receive equal ids.
-    pub fn intern(&mut self, sig: Signature) -> u32 {
-        debug_assert!(sig.windows(2).all(|w| w[0] < w[1]), "not canonicalized");
-        if let Some(&id) = self.map.get(sig.as_slice()) {
-            return id;
-        }
-        let arc: std::sync::Arc<[SigEntry]> = sig.into();
-        let id = u32::try_from(self.sigs.len()).expect("more than u32::MAX signatures");
-        self.sigs.push(arc.clone());
-        self.map.insert(arc, id);
-        id
-    }
-
-    /// [`SigTable::intern`] from a borrowed slice: the entries are copied
-    /// into a fresh `Arc` only on a table miss. Hot loops compute each
-    /// signature into a reusable scratch buffer and intern it through
-    /// here, so the common case (signature already interned) allocates
-    /// nothing.
+    /// Equal signatures always receive equal ids. The entries are copied
+    /// into a fresh `Arc` only on a table miss: hot loops compute each
+    /// signature into a reusable scratch buffer and intern it from there,
+    /// so the common case (signature already interned) allocates nothing.
     pub fn intern_slice(&mut self, sig: &[SigEntry]) -> u32 {
         debug_assert!(sig.windows(2).all(|w| w[0] < w[1]), "not canonicalized");
         if let Some(&id) = self.map.get(sig) {

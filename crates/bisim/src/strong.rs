@@ -24,29 +24,8 @@ use crate::signature::{canonicalize, push_rate_entries, SigEntry, Signature};
 /// partition numbering and signatures — is identical to
 /// [`refine_strong_legacy`].
 pub fn refine_strong(imc: &IoImc, initial: Partition) -> (Partition, Vec<Signature>) {
-    refine_strong_threaded(imc, initial, 1)
-}
-
-/// [`refine_strong`] with the per-state signature computation spread over
-/// `threads` scoped workers.
-///
-/// Signatures are pure functions of `(imc, partition, state)` and are
-/// interned on the coordinating thread in ascending state order, so the
-/// refinement — and the resulting partition — is bitwise identical for
-/// every thread count; the split step itself stays sequential.
-pub fn refine_strong_threaded(
-    imc: &IoImc,
-    initial: Partition,
-    threads: usize,
-) -> (Partition, Vec<Signature>) {
     let mut counters = crate::worklist::RefineCounters::default();
-    crate::worklist::refine_worklist(
-        imc,
-        &initial,
-        threads,
-        crate::worklist::Mode::Strong,
-        &mut counters,
-    )
+    crate::worklist::refine_worklist(imc, &initial, crate::worklist::Mode::Strong, &mut counters)
 }
 
 /// The pre-worklist refinement loop: recomputes every state's signature on

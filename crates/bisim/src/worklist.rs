@@ -25,14 +25,11 @@
 //!
 //! # Determinism discipline
 //!
-//! The refinement is bitwise identical to the serial legacy loop at every
-//! thread count:
+//! The refinement is bitwise identical to the legacy loop:
 //!
-//! * dirty states are re-signed in a fixed order (ascending state id for
-//!   strong, the precomputed tau-topological order for branching);
-//!   parallel workers only *compute* signatures (pure functions of the
-//!   automaton and the current block array) — interning happens on the
-//!   coordinating thread in that same fixed order;
+//! * dirty states are re-signed and interned in a fixed order (ascending
+//!   state id for strong, the precomputed tau-topological order for
+//!   branching);
 //! * touched blocks are split in ascending block id, members grouped by
 //!   first occurrence in ascending state order, fresh block ids allocated
 //!   in that order;
@@ -40,18 +37,21 @@
 //!   occurrence in ascending state order and signatures are materialized
 //!   against that numbering — which reproduces, entry for entry, what the
 //!   legacy recompute-all loop returns for the same initial partition.
+//!
+//! Rounds run on the calling thread. A round is milliseconds of
+//! hash-consed work, and fanning its signatures out over worker threads
+//! cost more in starting and joining workers than it saved (whole
+//! aggregations ran at 0.79–0.84× at 2 threads). Parallelism sits above
+//! whole aggregations instead.
 
 use std::time::Instant;
 
 use ioimc::{IoImc, StateId};
 
-use crate::branching::{
-    branching_signature_into, branching_signature_with, conservative_signature,
-    conservative_signature_into, tau_graph, tau_layers,
-};
+use crate::branching::{branching_signature_into, conservative_signature_into, tau_graph};
 use crate::partition::Partition;
 use crate::signature::{canonicalize, SigEntry, SigTable, Signature};
-use crate::strong::{strong_signature, strong_signature_into};
+use crate::strong::strong_signature_into;
 
 /// Counters describing one refinement run; summed into
 /// [`crate::pipeline::RefineStats`] by the pipeline.
@@ -78,15 +78,14 @@ pub(crate) enum Mode {
 /// `mode`, returning the canonical partition (blocks numbered by first
 /// occurrence in ascending state order) and the fixpoint signature of
 /// every state w.r.t. that numbering. Bitwise identical to the legacy
-/// recompute-all loops for every thread count.
+/// recompute-all loops.
 pub(crate) fn refine_worklist(
     imc: &IoImc,
     initial: &Partition,
-    threads: usize,
     mode: Mode,
     counters: &mut RefineCounters,
 ) -> (Partition, Vec<Signature>) {
-    let (partition, block_sigs) = refine_worklist_blocks(imc, initial, threads, mode, counters);
+    let (partition, block_sigs) = refine_worklist_blocks(imc, initial, mode, counters);
     // Per-state view: states in a block share the block's fixpoint
     // signature (that is what "stable" means).
     let sigs = partition
@@ -104,7 +103,6 @@ pub(crate) fn refine_worklist(
 pub(crate) fn refine_worklist_blocks(
     imc: &IoImc,
     initial: &Partition,
-    threads: usize,
     mode: Mode,
     counters: &mut RefineCounters,
 ) -> (Partition, Vec<Signature>) {
@@ -112,12 +110,6 @@ pub(crate) fn refine_worklist_blocks(
     if n == 0 {
         return (Partition::from_blocks(Vec::new(), 0), Vec::new());
     }
-    // Below a few thousand states the bookkeeping beats thread spawns.
-    let threads = if n < crate::PAR_STATE_THRESHOLD {
-        1
-    } else {
-        threads.max(1)
-    };
 
     // --- block storage: states grouped contiguously per block id -------
     // `elems[start[b]..end[b]]` are the members of block `b`, ascending.
@@ -145,10 +137,6 @@ pub(crate) fn refine_worklist_blocks(
         Some(tau_graph(imc))
     } else {
         None
-    };
-    let layers: Vec<Vec<StateId>> = match (&tg, threads > 1) {
-        (Some(tg), true) => tau_layers(imc, &tg.order),
-        _ => Vec::new(),
     };
     // States on unexpected tau cycles (absent from the topological order)
     // fall back to a conservative signature, exactly like the legacy loop.
@@ -195,39 +183,23 @@ pub(crate) fn refine_worklist_blocks(
 
     loop {
         counters.rounds += 1;
-        // Cooperative cancellation at round granularity: the poll (and
-        // its potential unwind) happens on the coordinating thread only,
-        // so no signature worker can be stranded mid-fan-out.
+        // Cooperative cancellation at round granularity.
         ioimc::budget::checkpoint();
 
         // ---- phase 1: re-sign dirty states ----------------------------
         let t0 = Instant::now();
         changed.clear();
-        match mode {
-            Mode::Strong => resign_strong(
-                imc,
-                threads,
-                &part,
-                &dirty_list,
-                &mut table,
-                &mut sig_of,
-                &mut changed,
-                counters,
-            ),
-            Mode::Branching => resign_branching(
-                imc,
-                threads,
-                &layers,
-                &in_order,
-                &part,
-                &dirty_list,
-                &dirty,
-                &mut table,
-                &mut sig_of,
-                &mut changed,
-                counters,
-            ),
-        }
+        resign(
+            imc,
+            mode,
+            &in_order,
+            &part,
+            &dirty_list,
+            &mut table,
+            &mut sig_of,
+            &mut changed,
+            counters,
+        );
         counters.signature_secs += t0.elapsed().as_secs_f64();
 
         // ---- phase 2: split the blocks holding changed signatures -----
@@ -359,154 +331,48 @@ pub(crate) fn refine_worklist_blocks(
     (partition, block_sigs)
 }
 
-/// Re-signs the dirty states under the strong signature (the list is
-/// already in ascending state order) and records the states whose
-/// interned signature id changed.
+/// Re-signs the dirty states in `list` order — ascending state id for
+/// strong; for branching tau-topological, successors before predecessors
+/// (so in-round signature cascades along inert tau edges resolve
+/// immediately), states on unexpected tau cycles last — and records the
+/// states whose interned signature id changed.
 #[allow(clippy::too_many_arguments)]
-fn resign_strong(
+fn resign(
     imc: &IoImc,
-    threads: usize,
-    part: &[u32],
-    list: &[StateId],
-    table: &mut SigTable,
-    sig_of: &mut [u32],
-    changed: &mut Vec<StateId>,
-    counters: &mut RefineCounters,
-) {
-    counters.states_resigned += list.len() as u64;
-    if threads <= 1 || list.len() < crate::PAR_STATE_THRESHOLD {
-        let mut sig: Signature = Vec::new();
-        let mut rates: Vec<(u32, f64)> = Vec::new();
-        for &s in list {
-            strong_signature_into(imc, part, s, &mut sig, &mut rates);
-            intern_slice_and_track(table, sig_of, changed, s, &sig);
-        }
-        return;
-    }
-    let chunk = list.len().div_ceil(4 * threads).max(1);
-    let chunks: Vec<&[StateId]> = list.chunks(chunk).collect();
-    let computed = ioimc::par::par_map(threads, &chunks, |_, states| {
-        states
-            .iter()
-            .map(|&s| strong_signature(imc, part, s))
-            .collect::<Vec<Signature>>()
-    });
-    for (states, sigs) in chunks.iter().zip(computed) {
-        for (&s, sig) in states.iter().zip(sigs) {
-            intern_and_track(table, sig_of, changed, s, sig);
-        }
-    }
-}
-
-/// Re-signs the dirty states under the branching signature in tau
-/// topological order (successors before predecessors, so in-round
-/// signature cascades along inert tau edges resolve immediately). The
-/// serial path walks `list` (pre-sorted tau-topologically, cycle states
-/// last); the layered parallel schedule filters `layers` through the
-/// `dirty` bitmap — same set, same effective order.
-#[allow(clippy::too_many_arguments)]
-fn resign_branching(
-    imc: &IoImc,
-    threads: usize,
-    layers: &[Vec<StateId>],
+    mode: Mode,
     in_order: &[bool],
     part: &[u32],
     list: &[StateId],
-    dirty: &[bool],
     table: &mut SigTable,
     sig_of: &mut [u32],
     changed: &mut Vec<StateId>,
     counters: &mut RefineCounters,
 ) {
     const UNSIGNED: u32 = u32::MAX;
-    if threads <= 1 {
-        counters.states_resigned += list.len() as u64;
-        let mut sig: Signature = Vec::new();
-        let mut rates: Vec<(u32, f64)> = Vec::new();
-        for &s in list {
-            if in_order.is_empty() || in_order[s as usize] {
+    counters.states_resigned += list.len() as u64;
+    let mut sig: Signature = Vec::new();
+    let mut rates: Vec<(u32, f64)> = Vec::new();
+    for &s in list {
+        match mode {
+            Mode::Strong => strong_signature_into(imc, part, s, &mut sig, &mut rates),
+            Mode::Branching if in_order.is_empty() || in_order[s as usize] => {
                 let succ = |t: StateId| {
                     debug_assert_ne!(sig_of[t as usize], UNSIGNED);
                     table.get(sig_of[t as usize])
                 };
                 branching_signature_into(imc, part, succ, s, &mut sig, &mut rates);
-            } else {
-                // Unexpected tau cycle: conservative fallback, reached
-                // after every in-order state (`topo_pos == u32::MAX`
-                // sorts last).
-                conservative_signature_into(imc, part, s, &mut sig, &mut rates);
             }
-            intern_slice_and_track(table, sig_of, changed, s, &sig);
+            // Unexpected tau cycle: conservative fallback, reached after
+            // every in-order state (`topo_pos == u32::MAX` sorts last).
+            Mode::Branching => conservative_signature_into(imc, part, s, &mut sig, &mut rates),
         }
-        return;
-    }
-    {
-        // Layered schedule: within a tau layer no state reaches another,
-        // so their signatures only read lower (already interned) layers.
-        for layer in layers {
-            let sub: Vec<StateId> = layer
-                .iter()
-                .copied()
-                .filter(|&s| dirty[s as usize])
-                .collect();
-            counters.states_resigned += sub.len() as u64;
-            if sub.len() < crate::PAR_STATE_THRESHOLD {
-                for &s in &sub {
-                    let sig = {
-                        let succ = |t: StateId| table.get(sig_of[t as usize]);
-                        branching_signature_with(imc, part, succ, s)
-                    };
-                    intern_and_track(table, sig_of, changed, s, sig);
-                }
-                continue;
-            }
-            let chunk = sub.len().div_ceil(4 * threads).max(1);
-            let chunks: Vec<&[StateId]> = sub.chunks(chunk).collect();
-            let (table_ref, sig_of_ref) = (&*table, &*sig_of);
-            let computed = ioimc::par::par_map(threads, &chunks, |_, states| {
-                states
-                    .iter()
-                    .map(|&s| {
-                        let succ = |t: StateId| table_ref.get(sig_of_ref[t as usize]);
-                        branching_signature_with(imc, part, succ, s)
-                    })
-                    .collect::<Vec<Signature>>()
-            });
-            for (states, sigs) in chunks.iter().zip(computed) {
-                for (&s, sig) in states.iter().zip(sigs) {
-                    intern_and_track(table, sig_of, changed, s, sig);
-                }
-            }
-        }
-    }
-    // States on unexpected tau cycles: conservative fallback, ascending.
-    if !in_order.is_empty() {
-        for s in 0..imc.num_states() as StateId {
-            if dirty[s as usize] && !in_order[s as usize] {
-                counters.states_resigned += 1;
-                let sig = conservative_signature(imc, part, s);
-                intern_and_track(table, sig_of, changed, s, sig);
-            }
-        }
+        intern_slice_and_track(table, sig_of, changed, s, &sig);
     }
 }
 
-fn intern_and_track(
-    table: &mut SigTable,
-    sig_of: &mut [u32],
-    changed: &mut Vec<StateId>,
-    s: StateId,
-    sig: Signature,
-) {
-    let id = table.intern(sig);
-    if sig_of[s as usize] != id {
-        sig_of[s as usize] = id;
-        changed.push(s);
-    }
-}
-
-/// [`intern_and_track`] from a borrowed scratch buffer (no allocation on
-/// a table hit). Most dirty states are conservative margin whose
+/// Interns `s`'s new signature from a borrowed scratch buffer (no
+/// allocation on a table hit) and records `s` in `changed` if its
+/// interned id moved. Most dirty states are conservative margin whose
 /// signature did not actually change, so an equality check against the
 /// state's previous interned signature short-circuits the hash + probe.
 fn intern_slice_and_track(

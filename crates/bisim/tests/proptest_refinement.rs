@@ -5,11 +5,11 @@
 
 use smallrand::SmallRng;
 
-use bisim::branching::{refine_branching, refine_branching_legacy, refine_branching_threaded};
+use bisim::branching::{refine_branching, refine_branching_legacy};
 use bisim::partition::Partition;
 use bisim::pipeline::{reduce, reduce_legacy, ReduceOptions, Strategy as Equivalence};
 use bisim::quotient::quotient;
-use bisim::strong::{refine_strong, refine_strong_legacy, refine_strong_threaded};
+use bisim::strong::{refine_strong, refine_strong_legacy};
 use ioimc::builder::IoImcBuilder;
 use ioimc::{ActionId, IoImc};
 
@@ -193,29 +193,19 @@ fn prepare_branching(a: &IoImc) -> IoImc {
 /// The worklist strong refiner is a drop-in for the legacy
 /// recompute-all loop: identical partition (same numbering, not just the
 /// same equivalence), identical fixpoint signatures and identical
-/// quotient automaton, at every thread count.
+/// quotient automaton.
 #[test]
 fn worklist_strong_matches_legacy() {
     for seed in 0..CASES {
         let a = arb_automaton(&mut SmallRng::seed_from_u64(8000 + seed));
         let (lp, lsigs) = refine_strong_legacy(&a, Partition::by_label(&a));
-        for threads in [1usize, 2, 4] {
-            let (wp, wsigs) = if threads == 1 {
-                refine_strong(&a, Partition::by_label(&a))
-            } else {
-                refine_strong_threaded(&a, Partition::by_label(&a), threads)
-            };
-            assert_eq!(
-                wp.num_blocks(),
-                lp.num_blocks(),
-                "seed {seed}, {threads} threads"
-            );
-            assert_eq!(wp.blocks(), lp.blocks(), "seed {seed}, {threads} threads");
-            assert_eq!(wsigs, lsigs, "seed {seed}, {threads} threads");
-            let wq = quotient(&a, &wp, &wsigs, ActionId(1));
-            let lq = quotient(&a, &lp, &lsigs, ActionId(1));
-            assert_eq!(wq, lq, "seed {seed}, {threads} threads");
-        }
+        let (wp, wsigs) = refine_strong(&a, Partition::by_label(&a));
+        assert_eq!(wp.num_blocks(), lp.num_blocks(), "seed {seed}");
+        assert_eq!(wp.blocks(), lp.blocks(), "seed {seed}");
+        assert_eq!(wsigs, lsigs, "seed {seed}");
+        let wq = quotient(&a, &wp, &wsigs, ActionId(1));
+        let lq = quotient(&a, &lp, &lsigs, ActionId(1));
+        assert_eq!(wq, lq, "seed {seed}");
     }
 }
 
@@ -226,23 +216,13 @@ fn worklist_branching_matches_legacy() {
     for seed in 0..CASES {
         let a = prepare_branching(&arb_automaton(&mut SmallRng::seed_from_u64(9000 + seed)));
         let (lp, lsigs) = refine_branching_legacy(&a, Partition::by_label(&a));
-        for threads in [1usize, 2, 4] {
-            let (wp, wsigs) = if threads == 1 {
-                refine_branching(&a, Partition::by_label(&a))
-            } else {
-                refine_branching_threaded(&a, Partition::by_label(&a), threads)
-            };
-            assert_eq!(
-                wp.num_blocks(),
-                lp.num_blocks(),
-                "seed {seed}, {threads} threads"
-            );
-            assert_eq!(wp.blocks(), lp.blocks(), "seed {seed}, {threads} threads");
-            assert_eq!(wsigs, lsigs, "seed {seed}, {threads} threads");
-            let wq = quotient(&a, &wp, &wsigs, ActionId(1));
-            let lq = quotient(&a, &lp, &lsigs, ActionId(1));
-            assert_eq!(wq, lq, "seed {seed}, {threads} threads");
-        }
+        let (wp, wsigs) = refine_branching(&a, Partition::by_label(&a));
+        assert_eq!(wp.num_blocks(), lp.num_blocks(), "seed {seed}");
+        assert_eq!(wp.blocks(), lp.blocks(), "seed {seed}");
+        assert_eq!(wsigs, lsigs, "seed {seed}");
+        let wq = quotient(&a, &wp, &wsigs, ActionId(1));
+        let lq = quotient(&a, &lp, &lsigs, ActionId(1));
+        assert_eq!(wq, lq, "seed {seed}");
     }
 }
 

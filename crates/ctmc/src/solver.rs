@@ -12,8 +12,8 @@
 /// Configuration of the transient kernels: kernel selection, the
 /// uniformization engines' steady-state detection and support truncation
 /// (see [`crate::transient`]). Every kernel runs serially on the calling
-/// thread; the parallelism that pays sits above it (sweep points, sibling
-/// plan groups, concurrent requests).
+/// thread; the parallelism that pays sits above it (sweep points, model
+/// configurations and modules, concurrent requests).
 ///
 /// # Semantics
 ///

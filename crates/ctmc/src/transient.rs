@@ -780,7 +780,9 @@ struct Layout {
 /// node.
 #[derive(Debug)]
 struct Reads {
-    /// Per incoming slot, parallel to `Layout::inc_src`.
+    /// Per incoming slot, parallel to `Layout::inc_src`; empty unless the
+    /// reads are kept for refills (the layout builder scatters the
+    /// chain's own incoming rates directly).
     slot: Vec<u32>,
     /// Per reachable row, its edges into the next BFS level
     /// (`reachable + 1` offsets into `fwd`).
@@ -820,11 +822,16 @@ struct Rates {
 }
 
 impl Rates {
-    /// Fills `exit` (in row order) and reads every incoming slot and
-    /// forward edge through `rate`. A forward rate sums its row's edges
-    /// in row order, as the chain's exit rates are summed.
-    fn fill(layout: &Layout, reads: &Reads, exit: Vec<f64>, rate: impl Fn(u32) -> f64) -> Self {
-        let inc_rate = reads.slot.iter().map(|&k| rate(k)).collect();
+    /// Takes `exit` (in row order) and `inc_rate` (per incoming slot) and
+    /// reads every forward edge through `rate`. A forward rate sums its
+    /// row's edges in row order, as the chain's exit rates are summed.
+    fn fill(
+        layout: &Layout,
+        reads: &Reads,
+        exit: Vec<f64>,
+        inc_rate: Vec<f64>,
+        rate: impl Fn(u32) -> f64,
+    ) -> Self {
         let mut fwd_rate = vec![0.0f64; layout.n];
         for (row, w) in reads.fwd_off.windows(2).enumerate() {
             let edges = &reads.fwd[w[0] as usize..w[1] as usize];
@@ -840,18 +847,26 @@ impl Rates {
         }
     }
 
-    /// The chain's own rates over a layout built from it.
-    fn of_chain(layout: &Layout, reads: &Reads, ctmc: &Ctmc) -> Self {
+    /// The chain's own rates over a layout built from it, with the
+    /// incoming rates the layout builder scattered.
+    fn of_chain(layout: &Layout, reads: &Reads, inc_rate: Vec<f64>, ctmc: &Ctmc) -> Self {
         let exit = layout.perm.iter().map(|&s| ctmc.exit_rate(s)).collect();
         let tr = ctmc.transitions();
-        Self::fill(layout, reads, exit, |k| tr[k as usize].0)
+        Self::fill(layout, reads, exit, inc_rate, |k| tr[k as usize].0)
     }
 }
 
 /// Orders and transposes `ctmc` for the windowed engine, breadth-first
 /// from `roots`: the one layout builder behind every [`WindowedOperator`].
-/// The reads it returns name transitions of `ctmc`.
-fn layout(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> (Layout, Reads) {
+/// It scatters each transition's rate into its incoming slot while
+/// transposing and returns those rates too. The reads it returns name
+/// transitions of `ctmc`; they name each incoming slot's transition only
+/// with `keep_slots` (for a refillable operator).
+fn layout(
+    ctmc: &Ctmc,
+    roots: impl IntoIterator<Item = u32>,
+    keep_slots: bool,
+) -> (Layout, Reads, Vec<f64>) {
     let n = ctmc.num_states();
     let order = ctmc.bfs_order(roots);
     let inv = order.inverse();
@@ -891,13 +906,17 @@ fn layout(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> (Layout, Reads) 
     let inc_off = counts.clone();
     let mut cursor = counts;
     let mut inc_src = vec![0u32; m];
-    let mut slot = vec![0u32; m];
+    let mut inc_rate = vec![0.0f64; m];
+    let mut slot = vec![0u32; if keep_slots { m } else { 0 }];
     for (row, &s) in order.perm.iter().enumerate() {
-        for (k, &(_, t)) in row_of(s) {
+        for (k, &(rate, t)) in row_of(s) {
             let dst = inv[t as usize] as usize;
             let i = cursor[dst] as usize;
             inc_src[i] = row as u32;
-            slot[i] = k;
+            inc_rate[i] = rate;
+            if keep_slots {
+                slot[i] = k;
+            }
             cursor[dst] += 1;
         }
     }
@@ -912,7 +931,7 @@ fn layout(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> (Layout, Reads) 
         reachable: order.reachable,
         forms: None,
     };
-    (layout, Reads { slot, fwd_off, fwd })
+    (layout, Reads { slot, fwd_off, fwd }, inc_rate)
 }
 
 impl WindowedOperator {
@@ -922,9 +941,10 @@ impl WindowedOperator {
     /// forward edge, the form node it reads, so that
     /// [`WindowedOperator::refill`] can fill it at other parameter points.
     pub fn new(ctmc: &Ctmc) -> Self {
-        let (mut layout, reads) = layout(ctmc, [ctmc.initial()]);
-        let rates = Rates::of_chain(&layout, &reads, ctmc);
-        layout.forms = ctmc.forms().map(|f| reads.by_form(&f.ids));
+        let forms = ctmc.forms();
+        let (mut layout, reads, inc_rate) = layout(ctmc, [ctmc.initial()], forms.is_some());
+        let rates = Rates::of_chain(&layout, &reads, inc_rate, ctmc);
+        layout.forms = forms.map(|f| reads.by_form(&f.ids));
         Self {
             layout: Arc::new(layout),
             rates,
@@ -933,8 +953,8 @@ impl WindowedOperator {
 
     /// The operator of `ctmc` rooted at `roots`, for one solve.
     fn build(ctmc: &Ctmc, roots: impl IntoIterator<Item = u32>) -> Self {
-        let (layout, reads) = layout(ctmc, roots);
-        let rates = Rates::of_chain(&layout, &reads, ctmc);
+        let (layout, reads, inc_rate) = layout(ctmc, roots, false);
+        let rates = Rates::of_chain(&layout, &reads, inc_rate, ctmc);
         Self {
             layout: Arc::new(layout),
             rates,
@@ -984,9 +1004,10 @@ impl WindowedOperator {
                 }
             })
             .collect();
+        let inc_rate = reads.slot.iter().map(|&id| nodes[id as usize]).collect();
         Self {
             layout: Arc::clone(layout),
-            rates: Rates::fill(layout, reads, exit, |id| nodes[id as usize]),
+            rates: Rates::fill(layout, reads, exit, inc_rate, |id| nodes[id as usize]),
         }
     }
 

@@ -19,9 +19,8 @@
 //! thread-local installed with [`scope`]. Kernels read it with [`current`]
 //! / [`checkpoint`]. The thread-local does **not** cross thread spawns:
 //! fork/join fan-outs that must stay budgeted re-install the scope inside
-//! their worker closures (the aggregation engine and the query layer do).
-//! Kernels whose workers rendezvous on barriers only poll on the
-//! coordinating thread, so an abort can never strand a worker mid-barrier.
+//! their worker closures (the query layer's configuration and sweep
+//! fan-outs do).
 //!
 //! # Abort discipline
 //!

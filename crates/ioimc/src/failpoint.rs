@@ -3,8 +3,8 @@
 //! The fault-injection registry (`arcade::chaos`) lives above this crate
 //! in the dependency graph, but some of the boundaries worth faulting —
 //! the start of every transient solve in `ctmc::transient` (the
-//! `session.shard` point, named before the solver shards were removed),
-//! fan-out points inside the aggregation pipeline — live *below* it.
+//! `session.shard` point, named before the solver shards were removed) —
+//! live *below* it.
 //! This module closes the loop the same way [`crate::budget`] does for
 //! cooperative cancellation: lower crates call [`hit`] at their
 //! boundaries, and the registry installs a process-wide hook

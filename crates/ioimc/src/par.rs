@@ -6,12 +6,15 @@
 //! collect the results **in input order**. Work is handed out through an
 //! atomic cursor, so long items do not starve the other workers.
 //!
-//! Everything the aggregation stack parallelizes with this — sibling plan
-//! groups, independent modules, independent model configurations,
-//! per-state bisimulation signatures — computes each item with exactly
-//! the same code the sequential path runs, so results (and therefore all
-//! measures) are bitwise identical regardless of the thread count; only
-//! the wall clock changes.
+//! Everything the analysis stack parallelizes with this is a whole job —
+//! the model configurations of one session, independent modules, the
+//! points of a parameter sweep, a server's requests — and each job is
+//! computed with exactly the same code the sequential path runs, so
+//! results (and therefore all measures) are bitwise identical regardless
+//! of the thread count; only the wall clock changes. Aggregation itself
+//! (composition and bisimulation refinement) is serial: fanning its
+//! sibling plan groups and per-round signatures out over workers made it
+//! slower, not faster.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,9 +34,10 @@ pub fn effective_threads(threads: usize) -> usize {
 }
 
 /// Splits a thread budget across `jobs` concurrent workers: each worker
-/// gets an equal share (at least 1) for its own nested parallelism, so a
-/// dominant job still uses multiple cores without the fan-out
-/// oversubscribing the machine.
+/// gets an equal share (at least 1) for a fan-out nested inside it, so
+/// the nesting does not oversubscribe the machine. Its one nested
+/// fan-out is a module session's configuration prefetch inside
+/// `arcade::modular`'s module fan-out.
 pub fn split_budget(threads: usize, jobs: usize) -> usize {
     (threads / jobs.max(1)).max(1)
 }
